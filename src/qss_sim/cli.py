@@ -10,8 +10,8 @@ Subcommands:
 
 Configuration files are flat INI (key = value in [scenario],
 [adversary] and [batch] sections); every key has a matching CLI flag
-and flags override file values.  Exit codes: 0 success, 1 configuration
-error, 2 I/O error.
+and flags override file values.  Unknown sections and keys are
+rejected.  Exit codes: 0 success, 1 configuration error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -90,55 +90,71 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_ini(path: str) -> configparser.ConfigParser:
+def _boolean(value: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {value!r}") from None
+
+
+# Every INI key: section -> key -> (field name, cast).
+_INI_KEYS = {
+    "scenario": {
+        "protocol": ("protocol", str),
+        "n_pairs": ("n_pairs", int),
+        "agent_count": ("agent_count", int),
+        "sample_fraction": ("sample_fraction", float),
+        "step6_sample_count": ("step6_sample_count", int),
+        "checking_photon_count": ("checking_photon_count", int),
+        "error_threshold": ("error_threshold", float),
+    },
+    "adversary": {
+        "kind": ("kind", str),
+        "hop": ("hop", str),
+        "basis_policy": ("basis_policy", str),
+        "publish_true_ops": ("publish_true_ops", _boolean),
+    },
+    "batch": {
+        "trials": ("trials", int),
+        "seed_base": ("seed_base", int),
+        "format": ("output_format", str),
+        "out": ("out_path", str),
+        "workers": ("workers", int),
+    },
+}
+
+
+def _read_ini(path: str) -> dict[str, dict]:
+    """Read a config file into one dict of field values per section."""
     ini = configparser.ConfigParser()
-    read = ini.read(path)
+    try:
+        read = ini.read(path, encoding="utf-8")
+        sections = {name: dict(ini[name]) for name in ini.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = str(exc).replace("\n", " ")
+        raise ConfigError(f"cannot parse config file {path!r}: {detail}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    return ini
+    values: dict[str, dict] = {section: {} for section in _INI_KEYS}
+    for section, items in sections.items():
+        if section not in _INI_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, raw in items.items():
+            if key not in _INI_KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            name, cast = _INI_KEYS[section][key]
+            try:
+                values[section][name] = cast(raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad value {raw!r} for {key!r} in [{section}]: {exc}"
+                ) from exc
+    return values
 
 
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    scenario: dict = {}
-    adversary: dict = {}
-    batch: dict = {}
-    if args.config:
-        ini = _read_ini(args.config)
-        if ini.has_section("scenario"):
-            s = ini["scenario"]
-            for key, cast in (
-                ("protocol", str),
-                ("n_pairs", int),
-                ("agent_count", int),
-                ("sample_fraction", float),
-                ("step6_sample_count", int),
-                ("checking_photon_count", int),
-                ("error_threshold", float),
-            ):
-                if key in s:
-                    scenario[key] = cast(s[key])
-        if ini.has_section("adversary"):
-            a = ini["adversary"]
-            if "kind" in a:
-                adversary["kind"] = a["kind"]
-            if "hop" in a:
-                adversary["hop"] = a["hop"]
-            if "basis_policy" in a:
-                adversary["basis_policy"] = a["basis_policy"]
-            if "publish_true_ops" in a:
-                adversary["publish_true_ops"] = a.getboolean("publish_true_ops")
-        if ini.has_section("batch"):
-            b = ini["batch"]
-            if "trials" in b:
-                batch["trials"] = b.getint("trials")
-            if "seed_base" in b:
-                batch["seed_base"] = b.getint("seed_base")
-            if "format" in b:
-                batch["output_format"] = b["format"]
-            if "out" in b:
-                batch["out_path"] = b["out"]
-            if "workers" in b:
-                batch["workers"] = b.getint("workers")
+    ini = _read_ini(args.config) if args.config else {name: {} for name in _INI_KEYS}
+    scenario, adversary, batch = ini["scenario"], ini["adversary"], ini["batch"]
     args._batch_from_file = batch
 
     overrides = {

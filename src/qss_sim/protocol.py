@@ -13,6 +13,13 @@ transcript, and adversary seams:
   Hadamard-and-Bell check, and the final transmissions to the last agent
   are protected by four-state checking photons at secret positions.
 
+Each mode is a short step function over one per-trial runner, ``_Run``,
+which owns the streams, register, adversaries and transcript and the
+steps both modes share (pair preparation, transmission, sample draws,
+Pauli encryption, Bell readout, collaboration).  Every check report goes
+through ``_Run.settle``, which retires the sampled positions and ends
+the run on an abort verdict; ``_Run.execute`` builds the one RunReport.
+
 A run is fully deterministic given (config, master seed): every random
 choice comes from a stream spawned from the master seed in a fixed
 order, so identical configs replay byte-identical transcripts.
@@ -39,6 +46,7 @@ from .pauli import (
     BellLabel,
     PauliOp,
     compose,
+    compose_all,
     decode_bell_to_pauli,
     decode_message,
     encode_message,
@@ -187,8 +195,7 @@ def validate_config(config: ScenarioConfig) -> None:
     remaining = config.n_pairs
     if config.protocol == "original":
         for _ in range(3):
-            q = _sample_size(remaining, config.sample_fraction)
-            remaining -= q
+            remaining -= _sample_size(remaining, config.sample_fraction)
     else:
         remaining -= _sample_size(remaining, config.sample_fraction)  # step 2
         for k in range(config.agent_count - 1):
@@ -231,29 +238,6 @@ def _transmit(
     if eve is not None and eve.hop == hop:
         return eve.intercept_sequence(photons)
     return photons
-
-
-def _transmit_map(
-    hop: str,
-    photons: dict[int, int],
-    eve: EveInterceptResend | None,
-    transcript: Transcript,
-) -> dict[int, int]:
-    order = sorted(photons)
-    out = _transmit(hop, [photons[p] for p in order], eve, transcript)
-    return dict(zip(order, out))
-
-
-def _draw_positions(
-    rng: np.random.Generator,
-    pool: list[int],
-    fraction: float,
-    count: int | None = None,
-) -> list[int]:
-    if count is None:
-        count = _sample_size(len(pool), fraction)
-    picked = rng.choice(np.array(sorted(pool)), size=count, replace=False)
-    return sorted(int(p) for p in picked)
 
 
 def zx_check(
@@ -388,467 +372,392 @@ def verify_step6(
     return report
 
 
-def _spawn_streams(master_seed: int, n_parties: int):
-    children = np.random.SeedSequence(master_seed).spawn(3 + n_parties)
-    register = Register(rng=np.random.default_rng(children[0]))
-    rng_dealer = np.random.default_rng(children[1])
-    rng_adv = np.random.default_rng(children[2])
-    rng_parties = [np.random.default_rng(c) for c in children[3:]]
-    return register, rng_dealer, rng_adv, rng_parties
+class _Abort(Exception):
+    """A check's verdict ended the run."""
+
+
+class _Run:
+    """One trial: its streams, register, adversaries and transcript, the
+    two halves of every surviving pair, and the steps both protocol
+    modes share.
+
+    ``dealer`` maps each surviving position to the dealer's half of its
+    pair, ``partner`` to the other half; both always hold exactly the
+    positions in ``positions``, which stays sorted."""
+
+    def __init__(
+        self, config: ScenarioConfig, protocol: str, n_parties: int, attack_cls
+    ) -> None:
+        validate_config(config)
+        if config.protocol != protocol:
+            raise ConfigError(f"run_{protocol} needs protocol={protocol!r}")
+        children = np.random.SeedSequence(config.master_seed).spawn(3 + n_parties)
+        self.register = Register(rng=np.random.default_rng(children[0]))
+        self.rng_dealer = np.random.default_rng(children[1])
+        rng_adv = np.random.default_rng(children[2])
+        self.rng_parties = [np.random.default_rng(c) for c in children[3:]]
+        adv = config.adversary
+        self.eve: EveInterceptResend | None = None
+        self.attack = None
+        if adv.kind == "eve_intercept_resend":
+            self.eve = EveInterceptResend(self.register, rng_adv, adv)
+        elif adv.kind == "bob_swap_attack":
+            self.attack = attack_cls(self.register, rng_adv, adv)
+        self.config = config
+        self.threshold = config.error_threshold
+        self.transcript = Transcript()
+        self.checks: list[CheckReport] = []
+        self.positions = list(range(config.n_pairs))
+        self.dealer: dict[int, int] = {}
+        self.partner: dict[int, int] = {}
+        self.dealer_bits: list[int] = []
+        self.recovered: list[int] | None = None
+        self.eavesdropper_bits: list[int] | None = None
+        # Analysis-only data, as far as the run got.
+        self.extra: dict[str, Any] = {}
+
+    def execute(self, steps, reader: str) -> RunReport:
+        """Run `steps` until they finish or a check aborts the run."""
+        try:
+            steps(self)
+            detected = False
+        except _Abort:
+            detected = True
+        return RunReport(
+            config=self.config,
+            checks=self.checks,
+            dealer_message=self.dealer_bits,
+            recovered={reader: self.recovered},
+            eavesdropper_message=self.eavesdropper_bits,
+            detected=detected,
+            transcript=self.transcript,
+            extra=self.extra,
+        )
+
+    def prepare(self, party: str) -> None:
+        """`party` prepares one singlet per position; the dealer's half is
+        the first photon of each pair."""
+        for pos in self.positions:
+            self.dealer[pos], self.partner[pos] = self.register.prepare_bell(
+                BellLabel.PSI_MINUS
+            )
+        self.transcript.append("prepare", party=party, pairs=self.config.n_pairs)
+
+    def transmit(
+        self, hop: str, photons: dict[int, int], party: str | None = None
+    ) -> dict[int, int]:
+        """Send one photon per surviving position over `hop` and log its
+        receipt; returns the photons that arrive."""
+        out = _transmit(
+            hop, [photons[p] for p in self.positions], self.eve, self.transcript
+        )
+        receipt = {} if party is None else {"party": party}
+        self.transcript.append("receipt", **receipt, hop=hop)
+        return dict(zip(self.positions, out))
+
+    def draw(self, rng: np.random.Generator, count: int | None = None) -> list[int]:
+        """Sample `count` surviving positions (by default the configured
+        fraction of them), sorted."""
+        if count is None:
+            count = _sample_size(len(self.positions), self.config.sample_fraction)
+        picked = rng.choice(np.array(self.positions), size=count, replace=False)
+        return sorted(int(p) for p in picked)
+
+    def settle(self, report: CheckReport, sampled: list[int]) -> None:
+        """Record a check and retire the positions it consumed; an abort
+        verdict ends the run here."""
+        self.checks.append(report)
+        retired = set(sampled)
+        self.positions = [p for p in self.positions if p not in retired]
+        for p in sampled:
+            del self.dealer[p], self.partner[p]
+        if report.verdict == "abort":
+            raise _Abort(report.check_id)
+
+    def check_pairs(
+        self,
+        check_id: str,
+        sampled: list[int],
+        expected: dict[int, PauliOp],
+        rng_remote: np.random.Generator,
+        remote_applies_h: bool = False,
+    ) -> None:
+        """Z/X check of the sampled pairs: the partner's holder measures
+        first, the dealer second."""
+        report = zx_check(
+            check_id,
+            sampled,
+            self.partner,
+            self.dealer,
+            expected,
+            self.register,
+            rng_remote,
+            self.transcript,
+            self.threshold,
+            remote_applies_h=remote_applies_h,
+        )
+        self.settle(report, sampled)
+
+    def announce(self, check: str, party: str, ops: dict[int, PauliOp]) -> None:
+        """`party` publishes its operations on some positions."""
+        names = {p: ops[p].name for p in sorted(ops)}
+        self.transcript.append("publish_ops", check=check, party=party, ops=names)
+
+    def encode(self, positions: list[int]) -> dict[int, PauliOp]:
+        """Draw the dealer's message, two bits per position, and return
+        the Pauli that encodes each position's pair of bits."""
+        self.dealer_bits = self.rng_dealer.integers(2, size=2 * len(positions)).tolist()
+        return dict(zip(positions, encode_message(self.dealer_bits)))
+
+    def encrypt(
+        self,
+        photons: dict[int, int],
+        rng: np.random.Generator,
+        fixed: dict[int, PauliOp] | None = None,
+        rotated: set[int] | frozenset[int] = frozenset(),
+    ) -> dict[int, PauliOp]:
+        """One party's pass over its surviving photons: H at `rotated`
+        positions, the `fixed` Pauli where one is given, and a fresh
+        random Pauli from `rng` everywhere else.  Returns the Paulis."""
+        fixed = fixed or {}
+        ops: dict[int, PauliOp] = {}
+        for pos in self.positions:
+            if pos in rotated:
+                self.register.apply_gate(photons[pos], SingleGate.H)
+                continue
+            op = fixed[pos] if pos in fixed else random_pauli(rng)
+            ops[pos] = op
+            self.register.apply_gate(photons[pos], PAULI_GATES[op])
+        return ops
+
+    def readout(self) -> dict[int, PauliOp]:
+        """The reader's Bell measurement of every surviving pair, decoded
+        to the total Pauli applied to it."""
+        totals: dict[int, PauliOp] = {}
+        for pos in self.positions:
+            outcome = self.register.measure_bell(self.dealer[pos], self.partner[pos])
+            totals[pos] = decode_bell_to_pauli(outcome)
+        return totals
+
+    def collaborate(self, reader: str, totals: dict[int, PauliOp], publishers) -> None:
+        """Each (party, publish) in `publishers` announces its operation on
+        every surviving position; `reader` strips them from the readout
+        and decodes the dealer's message."""
+        positions = self.positions
+        self.transcript.append("collaboration_positions", positions=positions)
+        layers: list[dict[int, PauliOp]] = []
+        for party, publish in publishers:
+            layers.append({pos: publish(pos) for pos in positions})
+            self.announce("collaboration", party, layers[-1])
+        self.recovered = decode_message(
+            [recover_dealer_pauli(totals[p], [o[p] for o in layers]) for p in positions]
+        )
+        self.transcript.append("recovered", party=reader, bits=_bits_str(self.recovered))
 
 
 # ---------------------------------------------------------------------------
 # original three-party protocol
 
 
-def run_original(config: ScenarioConfig) -> RunReport:
-    """One run of the original protocol (dealer Alice, agents Bob and
-    Charlie) against the configured adversary."""
-    validate_config(config)
-    if config.protocol != "original":
-        raise ConfigError("run_original needs protocol='original'")
-    register, rng_alice, rng_adv, (rng_bob, rng_charlie) = _spawn_streams(
-        config.master_seed, 2
-    )
-    transcript = Transcript()
-    checks: list[CheckReport] = []
-    threshold = config.error_threshold
-    adv = config.adversary
-    eve = (
-        EveInterceptResend(register, rng_adv, adv)
-        if adv.kind == "eve_intercept_resend"
-        else None
-    )
-    attack = (
-        SwapAttackOriginal(register, rng_adv, adv)
-        if adv.kind == "bob_swap_attack"
-        else None
-    )
-
-    def finish(
-        recovered: list[int] | None,
-        eav: list[int] | None,
-        dealer_bits: list[int],
-        extra: dict[str, Any],
-    ) -> RunReport:
-        detected = any(c.verdict == "abort" for c in checks)
-        return RunReport(
-            config=config,
-            checks=checks,
-            dealer_message=dealer_bits,
-            recovered={"charlie": recovered},
-            eavesdropper_message=eav,
-            detected=detected,
-            transcript=transcript,
-            extra=extra,
-        )
-
-    n = config.n_pairs
-    s_alice: dict[int, int] = {}
-    s_bob: dict[int, int] = {}
-    for pos in range(n):
-        a, c = register.prepare_bell(BellLabel.PSI_MINUS)
-        s_alice[pos] = a
-        s_bob[pos] = c
-    transcript.append("prepare", party="bob", pairs=n)
-
-    s_alice = _transmit_map("bob->alice", s_alice, eve, transcript)
-    transcript.append("receipt", party="alice", hop="bob->alice")
-
-    positions = list(range(n))
+def _original_steps(run: _Run) -> None:
+    rng_alice = run.rng_dealer
+    rng_bob, rng_charlie = run.rng_parties
+    attack = run.attack
+    run.prepare("bob")
+    run.dealer = run.transmit("bob->alice", run.dealer, "alice")
 
     # First eavesdropping check (Alice-Bob).
-    q1 = _draw_positions(rng_alice, positions, config.sample_fraction)
-    transcript.append("sample_positions", check="zx_check_1", positions=q1)
-    rep1 = zx_check(
-        "zx_check_1",
-        q1,
-        s_bob,
-        s_alice,
-        {p: PauliOp.I for p in q1},
-        register,
-        rng_bob,
-        transcript,
-        threshold,
-    )
-    checks.append(rep1)
-    positions = [p for p in positions if p not in set(q1)]
-    for p in q1:
-        del s_alice[p], s_bob[p]
-    if rep1.verdict == "abort":
-        return finish(None, None, [], {})
+    q1 = run.draw(rng_alice)
+    run.transcript.append("sample_positions", check="zx_check_1", positions=q1)
+    run.check_pairs("zx_check_1", q1, {p: PauliOp.I for p in q1}, rng_bob)
 
     # Bob encrypts his sequence and sends it to Charlie -- or substitutes
     # halves of his own pairs.
     bob_ops: dict[int, PauliOp] = {}
     if attack is not None:
-        s_charlie = attack.on_send_to_third_party(s_bob)
+        run.partner = attack.on_send_to_third_party(run.partner)
     else:
-        for pos in sorted(positions):
-            op = random_pauli(rng_bob)
-            bob_ops[pos] = op
-            register.apply_gate(s_bob[pos], PAULI_GATES[op])
-        s_charlie = dict(s_bob)
-    s_charlie = _transmit_map("bob->charlie", s_charlie, eve, transcript)
-    transcript.append("receipt", party="charlie", hop="bob->charlie")
+        bob_ops = run.encrypt(run.partner, rng_bob)
+    run.partner = run.transmit("bob->charlie", run.partner, "charlie")
 
     # Second eavesdropping check (Alice-Charlie), with Bob's operations
     # published first.
-    q2 = _draw_positions(rng_alice, positions, config.sample_fraction)
-    transcript.append("sample_positions", check="zx_check_2", positions=q2)
+    q2 = run.draw(rng_alice)
+    run.transcript.append("sample_positions", check="zx_check_2", positions=q2)
     if attack is not None:
         announced = attack.on_check_positions_announced(q2)
     else:
         announced = {p: bob_ops[p] for p in q2}
-    transcript.append(
-        "publish_ops",
-        check="zx_check_2",
-        party="bob",
-        ops={p: announced[p].name for p in sorted(announced)},
-    )
-    rep2 = zx_check(
-        "zx_check_2",
-        q2,
-        s_charlie,
-        s_alice,
-        announced,
-        register,
-        rng_charlie,
-        transcript,
-        threshold,
-    )
-    checks.append(rep2)
-    positions = [p for p in positions if p not in set(q2)]
-    for p in q2:
-        del s_alice[p], s_charlie[p]
-    if rep2.verdict == "abort":
-        return finish(None, None, [], {})
+    run.announce("zx_check_2", "bob", announced)
+    run.check_pairs("zx_check_2", q2, announced, rng_charlie)
 
     # Alice picks her own samples, encodes the message elsewhere, and
     # sends her sequence to Charlie.
-    q3 = _draw_positions(rng_alice, positions, config.sample_fraction)
-    message_positions = [p for p in positions if p not in set(q3)]
-    dealer_bits = [int(b) for b in rng_alice.integers(2, size=2 * len(message_positions))]
-    message_ops = dict(zip(message_positions, encode_message(dealer_bits)))
-    alice_ops: dict[int, PauliOp] = {}
-    for pos in sorted(positions):
-        op = message_ops[pos] if pos in message_ops else random_pauli(rng_alice)
-        alice_ops[pos] = op
-        register.apply_gate(s_alice[pos], PAULI_GATES[op])
-
+    q3 = run.draw(rng_alice)
+    sampled = set(q3)
+    message_positions = [p for p in run.positions if p not in sampled]
+    alice_ops = run.encrypt(run.dealer, rng_alice, fixed=run.encode(message_positions))
     if attack is not None:
-        forwarded = attack.on_intercept_dealer_sequence(s_alice)
-    else:
-        forwarded = s_alice
-    forwarded = _transmit_map("alice->charlie", forwarded, eve, transcript)
-    transcript.append("receipt", party="charlie", hop="alice->charlie")
+        run.dealer = attack.on_intercept_dealer_sequence(run.dealer)
+    run.dealer = run.transmit("alice->charlie", run.dealer, "charlie")
 
     # Charlie's Bell readout over every surviving position.
-    totals: dict[int, PauliOp] = {}
-    for pos in sorted(positions):
-        outcome = register.measure_bell(forwarded[pos], s_charlie[pos])
-        totals[pos] = decode_bell_to_pauli(outcome)
+    totals = run.readout()
 
     # Final sample check: Charlie's outcomes against Alice's and Bob's
     # announced operations.
-    transcript.append("sample_positions", check="final_sample_check", positions=q3)
-    transcript.append(
+    run.transcript.append("sample_positions", check="final_sample_check", positions=q3)
+    run.transcript.append(
         "bell_outcomes",
         check="final_sample_check",
         outcomes={p: totals[p].name for p in q3},
     )
-    published_final: dict[int, PauliOp] = {}
-    for pos in q3:
-        published_final[pos] = (
-            attack.check_op(pos) if attack is not None else bob_ops[pos]
-        )
-    transcript.append(
-        "publish_ops",
-        check="final_sample_check",
-        party="bob",
-        ops={p: published_final[p].name for p in q3},
-    )
-    mism = sum(
-        1
-        for pos in q3
-        if totals[pos] != compose(alice_ops[pos], published_final[pos])
-    )
-    rep3 = CheckReport("final_sample_check", len(q3), mism, threshold)
-    transcript.append("check_report", **rep3.to_dict())
-    checks.append(rep3)
-    extra = {
+    published = {
+        p: attack.check_op(p) if attack is not None else bob_ops[p] for p in q3
+    }
+    run.announce("final_sample_check", "bob", published)
+    mism = sum(1 for p in q3 if totals[p] != compose(alice_ops[p], published[p]))
+    report = CheckReport("final_sample_check", len(q3), mism, run.threshold)
+    run.transcript.append("check_report", **report.to_dict())
+    run.extra = {
         "totals": totals,
         "alice_ops": alice_ops,
         "bob_ops": bob_ops,
         "message_positions": message_positions,
     }
-    if rep3.verdict == "abort":
-        return finish(None, None, dealer_bits, extra)
+    run.settle(report, q3)
 
     # Collaboration: Bob publishes his operations on the message
     # positions and Charlie decodes.
-    transcript.append("collaboration_positions", positions=message_positions)
-    collab: dict[int, PauliOp] = {}
-    for pos in message_positions:
-        collab[pos] = (
-            attack.published_op(pos) if attack is not None else bob_ops[pos]
-        )
-    transcript.append(
-        "publish_ops",
-        check="collaboration",
-        party="bob",
-        ops={p: collab[p].name for p in message_positions},
-    )
-    recovered_ops = [
-        recover_dealer_pauli(totals[pos], [collab[pos]]) for pos in message_positions
-    ]
-    recovered_bits = decode_message(recovered_ops)
-    transcript.append("recovered", party="charlie", bits=_bits_str(recovered_bits))
-
-    eav_bits = None
+    bob_publish = attack.published_op if attack is not None else lambda p: bob_ops[p]
+    run.collaborate("charlie", totals, [("bob", bob_publish)])
     if attack is not None:
-        eav_bits = decode_message([attack.inferred[p] for p in message_positions])
-    extra["collab_ops"] = collab
-    return finish(recovered_bits, eav_bits, dealer_bits, extra)
+        run.eavesdropper_bits = decode_message([attack.inferred[p] for p in run.positions])
+
+
+def run_original(config: ScenarioConfig) -> RunReport:
+    """One run of the original protocol (dealer Alice, agents Bob and
+    Charlie) against the configured adversary."""
+    run = _Run(config, "original", 2, SwapAttackOriginal)
+    return run.execute(_original_steps, "charlie")
 
 
 # ---------------------------------------------------------------------------
 # improved M-agent protocol
 
 
-def run_improved(config: ScenarioConfig) -> RunReport:
-    """One run of the improved protocol with agent_count agents; agent 0
-    is the first chain agent, agent M-2 the last one before the sequence
-    returns to the dealer, and agent M-1 the final receiver."""
-    validate_config(config)
-    if config.protocol != "improved":
-        raise ConfigError("run_improved needs protocol='improved'")
-    m = config.agent_count
-    register, rng_alice, rng_adv, rng_agents = _spawn_streams(config.master_seed, m)
-    transcript = Transcript()
-    checks: list[CheckReport] = []
-    threshold = config.error_threshold
-    adv = config.adversary
-    eve = (
-        EveInterceptResend(register, rng_adv, adv)
-        if adv.kind == "eve_intercept_resend"
-        else None
-    )
-    attack = (
-        SwapAttackImproved(register, rng_adv, adv)
-        if adv.kind == "bob_swap_attack"
-        else None
-    )
-
-    def finish(
-        recovered: list[int] | None, dealer_bits: list[int], extra: dict[str, Any]
-    ) -> RunReport:
-        detected = any(c.verdict == "abort" for c in checks)
-        return RunReport(
-            config=config,
-            checks=checks,
-            dealer_message=dealer_bits,
-            recovered={"zach": recovered},
-            eavesdropper_message=None,
-            detected=detected,
-            transcript=transcript,
-            extra=extra,
-        )
-
-    n = config.n_pairs
-    s_alice: dict[int, int] = {}
-    s_travel: dict[int, int] = {}
-    for pos in range(n):
-        a, t = register.prepare_bell(BellLabel.PSI_MINUS)
-        s_alice[pos] = a
-        s_travel[pos] = t
-    transcript.append("prepare", party="alice", pairs=n)
-
-    s_travel = _transmit_map("alice->agent0", s_travel, eve, transcript)
-    transcript.append("receipt", party="agent0", hop="alice->agent0")
-
-    positions = list(range(n))
+def _improved_steps(run: _Run) -> None:
+    m = run.config.agent_count
+    rng_agents = run.rng_parties
+    attack = run.attack
+    run.prepare("alice")
+    run.partner = run.transmit("alice->agent0", run.partner, "agent0")
 
     # Step 2: Z/X check between the dealer and the first agent.
-    q = _draw_positions(rng_alice, positions, config.sample_fraction)
-    transcript.append("sample_positions", check="zx_check_step2", positions=q)
-    rep = zx_check(
-        "zx_check_step2",
-        q,
-        s_travel,
-        s_alice,
-        {p: PauliOp.I for p in q},
-        register,
-        rng_agents[0],
-        transcript,
-        threshold,
-    )
-    checks.append(rep)
-    positions = [p for p in positions if p not in set(q)]
-    for p in q:
-        del s_alice[p], s_travel[p]
-    if rep.verdict == "abort":
-        return finish(None, [], {})
+    q = run.draw(run.rng_dealer)
+    run.transcript.append("sample_positions", check="zx_check_step2", positions=q)
+    run.check_pairs("zx_check_step2", q, {p: PauliOp.I for p in q}, rng_agents[0])
 
     # Steps 3-6: the encryption chain through agents 0..M-2.
     agent_ops: list[dict[int, PauliOp]] = [dict() for _ in range(m)]
+    run.extra["agent_ops"] = agent_ops
+
+    def publisher(j: int, attack_move: str):
+        """How agent j announces its operation on a position; the
+        dishonest first agent answers with the attack's `attack_move`."""
+        if j == 0 and attack is not None:
+            return getattr(attack, attack_move)
+        return lambda pos: agent_ops[j].get(pos, PauliOp.I)
 
     for k in range(m - 1):
         last_chain_agent = k == m - 2
-        if last_chain_agent and config.step6_sample_count is not None:
-            samples = _draw_positions(
-                rng_agents[k], positions, config.sample_fraction,
-                count=config.step6_sample_count,
-            )
-        else:
-            samples = _draw_positions(rng_agents[k], positions, config.sample_fraction)
-        sample_set = set(samples)
-
+        count = run.config.step6_sample_count if last_chain_agent else None
+        samples = run.draw(rng_agents[k], count)
         if k == 0 and attack is not None:
-            s_travel = attack.on_forward(s_travel, samples)
+            run.partner = attack.on_forward(run.partner, samples)
         else:
-            for pos in sorted(positions):
-                if pos in sample_set:
-                    register.apply_gate(s_travel[pos], SingleGate.H)
-                else:
-                    op = random_pauli(rng_agents[k])
-                    agent_ops[k][pos] = op
-                    register.apply_gate(s_travel[pos], PAULI_GATES[op])
+            agent_ops[k] = run.encrypt(run.partner, rng_agents[k], rotated=set(samples))
 
         hop = f"agent{k}->agent{k + 1}" if not last_chain_agent else f"agent{k}->alice"
-        s_travel = _transmit_map(hop, s_travel, eve, transcript)
-        transcript.append("receipt", hop=hop)
-        transcript.append(
-            "sample_positions",
-            check=f"hop_check_{k}" if not last_chain_agent else "step6_check",
-            positions=samples,
-        )
+        check_id = f"hop_check_{k}" if not last_chain_agent else "step6_check"
+        move = "publish_for_hop_check" if not last_chain_agent else "publish_for_step6"
+        run.partner = run.transmit(hop, run.partner)
+        run.transcript.append("sample_positions", check=check_id, positions=samples)
 
-        # Publication of earlier agents' operations on the sampled photons.
-        published: dict[int, PauliOp] = {p: PauliOp.I for p in samples}
-        pub_log: dict[int, dict[int, str]] = {}
-        publishers = range(k) if not last_chain_agent else range(m - 2)
-        for j in publishers:
-            for pos in samples:
-                if j == 0 and attack is not None:
-                    op = (
-                        attack.publish_for_hop_check(pos)
-                        if not last_chain_agent
-                        else attack.publish_for_step6(pos)
-                    )
-                else:
-                    op = agent_ops[j].get(pos, PauliOp.I)
-                published[pos] = compose(published[pos], op)
-                pub_log.setdefault(j, {})[pos] = op.name
-        if pub_log:
-            transcript.append(
-                "publish_ops",
-                check=f"hop_check_{k}" if not last_chain_agent else "step6_check",
-                ops={f"agent{j}": ops for j, ops in pub_log.items()},
-            )
+        # Publication of the earlier agents' operations on the sampled
+        # photons; agent k itself only Hadamard-rotated them.
+        announcers = [publisher(j, move) for j in range(k)]
+        layers = [{p: publish(p) for p in samples} for publish in announcers]
+        published = {p: compose_all(ops[p] for ops in layers) for p in samples}
+        if layers:
+            names = {
+                f"agent{j}": {p: op.name for p, op in ops.items()}
+                for j, ops in enumerate(layers)
+            }
+            run.transcript.append("publish_ops", check=check_id, ops=names)
 
         if not last_chain_agent:
             # The receiving agent undoes the Hadamard and the pair is
             # checked with the usual Z/X procedure.
-            rep = zx_check(
-                f"hop_check_{k}",
-                samples,
-                s_travel,
-                s_alice,
-                published,
-                register,
-                rng_agents[k + 1],
-                transcript,
-                threshold,
-                remote_applies_h=True,
+            run.check_pairs(
+                check_id, samples, published, rng_agents[k + 1], remote_applies_h=True
             )
         else:
-            rep = verify_step6(
-                samples, published, s_alice, s_travel, register, transcript, threshold
+            report = verify_step6(
+                samples,
+                published,
+                run.dealer,
+                run.partner,
+                run.register,
+                run.transcript,
+                run.threshold,
             )
-        checks.append(rep)
-        positions = [p for p in positions if p not in sample_set]
-        for p in samples:
-            del s_alice[p], s_travel[p]
-        if rep.verdict == "abort":
-            return finish(None, [], {"agent_ops": agent_ops})
+            run.settle(report, samples)
 
-    # Step 7: message encoding and checking photons.
-    message_positions = sorted(positions)
-    dealer_bits = [int(b) for b in rng_alice.integers(2, size=2 * len(message_positions))]
-    alice_ops = dict(zip(message_positions, encode_message(dealer_bits)))
-    for pos in message_positions:
-        register.apply_gate(s_alice[pos], PAULI_GATES[alice_ops[pos]])
+    # Step 7: message encoding.
+    alice_ops = run.encode(run.positions)
+    run.encrypt(run.dealer, run.rng_dealer, fixed=alice_ops)
+    run.extra.update(alice_ops=alice_ops, message_positions=run.positions)
 
     # Steps 7-9: both sequences go to the last agent behind checking photons.
-    travel_order = [s_travel[p] for p in message_positions]
-    rep_t, travel_order = decoy_round(
-        "decoy_check_t",
-        register,
-        rng_alice,
-        config.checking_photon_count,
-        travel_order,
-        "alice->zach:t",
-        eve,
-        transcript,
-        threshold,
-    )
-    checks.append(rep_t)
-    s_travel = dict(zip(message_positions, travel_order))
-    extra = {
-        "agent_ops": agent_ops,
-        "alice_ops": alice_ops,
-        "message_positions": message_positions,
-    }
-    if rep_t.verdict == "abort":
-        return finish(None, dealer_bits, extra)
-
-    alice_order = [s_alice[p] for p in message_positions]
-    rep_a, alice_order = decoy_round(
-        "decoy_check_a",
-        register,
-        rng_alice,
-        config.checking_photon_count,
-        alice_order,
-        "alice->zach:a",
-        eve,
-        transcript,
-        threshold,
-    )
-    checks.append(rep_a)
-    s_alice = dict(zip(message_positions, alice_order))
-    if rep_a.verdict == "abort":
-        return finish(None, dealer_bits, extra)
+    run.partner = _guarded(run, "decoy_check_t", "alice->zach:t", run.partner)
+    run.dealer = _guarded(run, "decoy_check_a", "alice->zach:a", run.dealer)
 
     # Step 10: Bell readout by the last agent.
-    totals: dict[int, PauliOp] = {}
-    for pos in message_positions:
-        outcome = register.measure_bell(s_alice[pos], s_travel[pos])
-        totals[pos] = decode_bell_to_pauli(outcome)
-    extra["totals"] = totals
+    totals = run.readout()
+    run.extra["totals"] = totals
 
     # Step 11: collaboration.
-    transcript.append("collaboration_positions", positions=message_positions)
-    collab: dict[int, list[PauliOp]] = {p: [] for p in message_positions}
-    for k in range(m - 1):
-        ops_log = {}
-        for pos in message_positions:
-            if k == 0 and attack is not None:
-                op = attack.publish_final(pos)
-            else:
-                op = agent_ops[k].get(pos, PauliOp.I)
-            collab[pos].append(op)
-            ops_log[pos] = op.name
-        transcript.append(
-            "publish_ops", check="collaboration", party=f"agent{k}", ops=ops_log
-        )
-    recovered_ops = [
-        recover_dealer_pauli(totals[pos], collab[pos]) for pos in message_positions
-    ]
-    recovered_bits = decode_message(recovered_ops)
-    transcript.append("recovered", party="zach", bits=_bits_str(recovered_bits))
-    extra["collab_ops"] = collab
-    return finish(recovered_bits, dealer_bits, extra)
+    publishers = [(f"agent{k}", publisher(k, "publish_final")) for k in range(m - 1)]
+    run.collaborate("zach", totals, publishers)
+
+
+def _guarded(
+    run: _Run, check_id: str, hop: str, photons: dict[int, int]
+) -> dict[int, int]:
+    """Send one photon per surviving position to the last agent with the
+    dealer's checking photons mixed in; returns the photons that arrive."""
+    report, received = decoy_round(
+        check_id,
+        run.register,
+        run.rng_dealer,
+        run.config.checking_photon_count,
+        [photons[p] for p in run.positions],
+        hop,
+        run.eve,
+        run.transcript,
+        run.threshold,
+    )
+    run.settle(report, [])
+    return dict(zip(run.positions, received))
+
+
+def run_improved(config: ScenarioConfig) -> RunReport:
+    """One run of the improved protocol with agent_count agents; agent 0
+    is the first chain agent, agent M-2 the last one before the sequence
+    returns to the dealer, and agent M-1 the final receiver."""
+    run = _Run(config, "improved", config.agent_count, SwapAttackImproved)
+    return run.execute(_improved_steps, "zach")
 
 
 def run_trial(config: ScenarioConfig) -> RunReport:

@@ -34,7 +34,7 @@ class ConsumedPhotonError(RegisterError):
 
 
 class CapacityError(RegisterError):
-    """The register's live-photon cap or group-size cap was exceeded."""
+    """An entangled group would exceed the register's group-size cap."""
 
 
 class SingleGate(enum.Enum):
@@ -120,13 +120,11 @@ class Register:
         self,
         rng: np.random.Generator | None = None,
         seed: int | None = None,
-        capacity: int | None = None,
         max_group_size: int = 16,
     ):
         if rng is None:
             rng = np.random.default_rng(seed)
         self.rng = rng
-        self.capacity = capacity
         self.max_group_size = max_group_size
         self._groups: dict[int, _Group] = {}
         self._where: dict[int, int] = {}
@@ -149,12 +147,6 @@ class Register:
             raise ConsumedPhotonError(
                 f"photon {photon} is not live (never created or already measured)"
             ) from None
-
-    def _check_capacity(self, incoming: int) -> None:
-        if self.capacity is not None and len(self._where) + incoming > self.capacity:
-            raise CapacityError(
-                f"register capacity {self.capacity} exceeded"
-            )
 
     def _new_group(self, photons: list[int], amps: np.ndarray) -> None:
         gid = self._next_group
@@ -187,14 +179,12 @@ class Register:
 
     def prepare_bell(self, label: BellLabel) -> tuple[int, int]:
         """Create two fresh photons jointly in the named Bell state."""
-        self._check_capacity(2)
         a, b = self._new_photon_ids(2)
         self._new_group([a, b], BELL_TENSORS[label].copy())
         return a, b
 
     def prepare_single(self, state: SingleState) -> int:
         """Create one fresh photon in |0>, |1>, |+> or |->."""
-        self._check_capacity(1)
         (p,) = self._new_photon_ids(1)
         self._new_group([p], SINGLE_STATE_VECTORS[state].copy())
         return p

@@ -215,6 +215,40 @@ def test_cli_ini_config_with_flag_override(tmp_path):
     assert summary2["detection_frequency"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "validate",
+            b"[scenario]\nn_pairs = abc\n",
+            "bad value 'abc' for 'n_pairs' in [scenario]",
+        ),
+        ("run", b"[batch]\ntrials = x\n", "bad value 'x' for 'trials' in [batch]"),
+        (
+            "validate",
+            b"[adversary]\npublish_true_ops = maybe\n",
+            "bad value 'maybe' for 'publish_true_ops' in [adversary]",
+        ),
+        ("validate", b"n_pairs = 8\n", "File contains no section headers"),
+        ("validate", b"[scenario]\nprotocol = \xff\n", "can't decode byte 0xff"),
+        ("validate", b"[scenario]\nn_pair = 8\n", "unknown key 'n_pair' in [scenario]"),
+        ("validate", b"[scenaro]\nn_pairs = 8\n", "unknown section [scenaro]"),
+    ],
+    ids=[
+        "bad-int", "bad-batch-int", "bad-bool",
+        "no-section", "not-utf8", "unknown-key", "unknown-section",
+    ],
+)
+def test_cli_bad_ini_is_config_error(tmp_path, capsys, command, text, message):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(text)
+    assert main([command, "--config", str(ini)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert message in err
+    assert "configuration OK" not in out
+
+
 def test_cli_oracle_tables(capsys):
     assert main(["oracle"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -1,0 +1,57 @@
+"""Every check can end a run, and the run ends at the check that failed.
+
+An intercept-resend eavesdropper on one hop, with a zero error
+threshold and enough pairs that her ~25% error rate cannot hide, must
+trip the first check after that hop and nothing else."""
+
+import pytest
+
+from qss_sim.adversaries import AdversarySpec
+from qss_sim.protocol import ScenarioConfig, run_trial
+
+AFTER_READOUT = {"totals", "alice_ops", "bob_ops", "message_positions"}
+CHAIN = {"agent_ops"}
+AFTER_ENCODING = {"agent_ops", "alice_ops", "message_positions"}
+
+# (protocol, hop Eve sits on, check that must abort, `extra` keys at that point)
+CASES = [
+    ("original", "bob->alice", "zx_check_1", set()),
+    ("original", "bob->charlie", "zx_check_2", set()),
+    ("original", "alice->charlie", "final_sample_check", AFTER_READOUT),
+    ("improved", "alice->agent0", "zx_check_step2", set()),
+    ("improved", "agent0->agent1", "hop_check_0", CHAIN),
+    ("improved", "agent1->alice", "step6_check", CHAIN),
+    ("improved", "alice->zach:t", "decoy_check_t", AFTER_ENCODING),
+    ("improved", "alice->zach:a", "decoy_check_a", AFTER_ENCODING),
+]
+
+
+@pytest.mark.parametrize(
+    "protocol, hop, check_id, extra_keys", CASES, ids=[case[1] for case in CASES]
+)
+def test_eve_on_each_hop_aborts_at_its_check(protocol, hop, check_id, extra_keys):
+    config = ScenarioConfig(
+        protocol=protocol,
+        n_pairs=128,
+        master_seed=3,
+        agent_count=3,
+        checking_photon_count=64,
+        error_threshold=0.0,
+        adversary=AdversarySpec(kind="eve_intercept_resend", hop=hop),
+    )
+    report = run_trial(config)
+    reader = "charlie" if protocol == "original" else "zach"
+
+    assert report.detected is True
+    assert report.checks[-1].check_id == check_id
+    assert [c.check_id for c in report.checks if c.verdict == "abort"] == [check_id]
+    assert report.recovered == {reader: None}
+    assert report.eavesdropper_message is None
+    # The dealer draws her message only once every check before the
+    # encoding step has passed.
+    encoded = bool(extra_keys & {"alice_ops"})
+    assert bool(report.dealer_message) == encoded
+    if encoded:
+        positions = report.extra["message_positions"]
+        assert len(report.dealer_message) == 2 * len(positions)
+    assert set(report.extra) == extra_keys

@@ -118,16 +118,6 @@ def test_bell_measurement_needs_distinct_photons():
         reg.measure_bell(a, a)
 
 
-def test_capacity_enforced():
-    reg = Register(seed=10, capacity=3)
-    reg.prepare_bell(BellLabel.PSI_MINUS)
-    reg.prepare_single(SingleState.ZERO)
-    with pytest.raises(CapacityError):
-        reg.prepare_single(SingleState.ZERO)
-    with pytest.raises(CapacityError):
-        reg.prepare_bell(BellLabel.PSI_MINUS)
-
-
 def test_max_group_size_enforced_on_merge():
     reg = Register(seed=11, max_group_size=3)
     a, _ = reg.prepare_bell(BellLabel.PSI_MINUS)
