@@ -26,7 +26,6 @@ from .protocol import (
     validate_config,
 )
 from .register import (
-    CapacityError,
     ConsumedPhotonError,
     Register,
     RegisterError,
@@ -40,7 +39,6 @@ __all__ = [
     "AdversarySpec",
     "Basis",
     "BellLabel",
-    "CapacityError",
     "CheckReport",
     "ConfigError",
     "ConsumedPhotonError",

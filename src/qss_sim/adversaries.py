@@ -59,6 +59,11 @@ def random_pauli(rng: np.random.Generator) -> PauliOp:
     return PAULI_ORDER[int(rng.integers(4))]
 
 
+def _random_paulis(rng: np.random.Generator, count: int) -> list[PauliOp]:
+    """`count` uniform Paulis: the same draws as `count` random_pauli calls."""
+    return [PAULI_ORDER[k] for k in rng.integers(4, size=count).tolist()]
+
+
 class EveInterceptResend:
     """Measure-and-resend eavesdropper on a single hop."""
 
@@ -69,21 +74,25 @@ class EveInterceptResend:
         self.policy = spec.basis_policy
         self.observations: list[tuple[Basis, int]] = []
 
-    def _pick_basis(self) -> Basis:
+    def _pick_bases(self, count: int) -> list[Basis]:
         if self.policy == "fixed-Z":
-            return Basis.Z
+            return [Basis.Z] * count
         if self.policy == "fixed-X":
-            return Basis.X
-        return Basis.Z if self.rng.random() < 0.5 else Basis.X
+            return [Basis.X] * count
+        return [Basis.Z if z else Basis.X for z in (self.rng.random(count) < 0.5).tolist()]
 
     def intercept(self, photon: int) -> int:
-        basis = self._pick_basis()
-        outcome = self.register.measure_single(photon, basis)
-        self.observations.append((basis, outcome))
-        return self.register.prepare_single(SingleState.from_basis_bit(basis, outcome))
+        return self.intercept_sequence([photon])[0]
 
     def intercept_sequence(self, photons: list[int]) -> list[int]:
-        return [self.intercept(p) for p in photons]
+        """Measure every photon in a policy basis, in order, and return
+        fresh photons in the observed eigenstates."""
+        bases = self._pick_bases(len(photons))
+        outcomes = self.register.measure_singles(photons, bases)
+        self.observations.extend(zip(bases, outcomes))
+        return self.register.prepare_singles(
+            [SingleState.from_basis_bit(b, bit) for b, bit in zip(bases, outcomes)]
+        )
 
 
 @dataclass
@@ -91,6 +100,19 @@ class _FakePair:
     kept: int            # attacker-retained half
     forwarded: int       # half sent down the line
     op: PauliOp          # Pauli the attacker applied to the forwarded half
+
+
+def _fake_pairs(
+    register: Register, rng: np.random.Generator, positions: list[int]
+) -> dict[int, _FakePair]:
+    """One fresh singlet per position, its forwarded half shifted by a
+    uniformly random Pauli."""
+    kept, forwarded = register.prepare_bells(len(positions), BellLabel.PSI_MINUS)
+    ops = _random_paulis(rng, len(positions))
+    register.apply_gates(forwarded, [PAULI_GATES[op] for op in ops])
+    return {
+        pos: _FakePair(k, f, op) for pos, k, f, op in zip(positions, kept, forwarded, ops)
+    }
 
 
 class SwapAttackOriginal:
@@ -114,41 +136,37 @@ class SwapAttackOriginal:
         """Replace the sequence bound for the third party with fake-pair
         halves, one per surviving position; keep everything else."""
         self.kept_partner = dict(partner_photons)
-        forwarded = {}
-        for pos in sorted(partner_photons):
-            kept, out = self.register.prepare_bell(BellLabel.PSI_MINUS)
-            op = random_pauli(self.rng)
-            self.register.apply_gate(out, PAULI_GATES[op])
-            self.fakes[pos] = _FakePair(kept, out, op)
-            forwarded[pos] = out
-        return forwarded
+        order = sorted(partner_photons)
+        self.fakes.update(_fake_pairs(self.register, self.rng, order))
+        return {pos: self.fakes[pos].forwarded for pos in order}
 
     def on_check_positions_announced(self, positions: list[int]) -> dict[int, PauliOp]:
         """Entanglement-swap each announced position and announce the
         Pauli that makes the dealer/third-party pair pass the check."""
-        announced = {}
-        for pos in sorted(positions):
-            fake = self.fakes[pos]
-            outcome = self.register.measure_bell(self.kept_partner[pos], fake.kept)
-            announced[pos] = compose(decode_bell_to_pauli(outcome), fake.op)
-            del self.kept_partner[pos]
-        return announced
+        order = sorted(positions)
+        outcomes = self.register.measure_bells(
+            [self.kept_partner.pop(pos) for pos in order],
+            [self.fakes[pos].kept for pos in order],
+        )
+        return {
+            pos: compose(decode_bell_to_pauli(outcome), self.fakes[pos].op)
+            for pos, outcome in zip(order, outcomes)
+        }
 
     def on_intercept_dealer_sequence(self, dealer_photons: dict[int, int]) -> dict[int, int]:
         """Bell-measure each intercepted photon against the retained
         genuine partner, record the dealer's Pauli, re-apply it to the
         kept fake half, and forward that instead."""
-        forwarded = {}
-        for pos in sorted(dealer_photons):
-            outcome = self.register.measure_bell(
-                dealer_photons[pos], self.kept_partner.pop(pos)
-            )
-            op = decode_bell_to_pauli(outcome)
-            self.inferred[pos] = op
-            fake = self.fakes[pos]
-            self.register.apply_gate(fake.kept, PAULI_GATES[op])
-            forwarded[pos] = fake.kept
-        return forwarded
+        order = sorted(dealer_photons)
+        outcomes = self.register.measure_bells(
+            [dealer_photons[pos] for pos in order],
+            [self.kept_partner.pop(pos) for pos in order],
+        )
+        ops = [decode_bell_to_pauli(outcome) for outcome in outcomes]
+        self.inferred.update(zip(order, ops))
+        kept = [self.fakes[pos].kept for pos in order]
+        self.register.apply_gates(kept, [PAULI_GATES[op] for op in ops])
+        return dict(zip(order, kept))
 
     def check_op(self, pos: int) -> PauliOp:
         """Operation published for the dealer's final sample check.  The
@@ -188,21 +206,18 @@ class SwapAttackImproved:
         travel_photons: dict[int, int],
         own_samples: list[int],
     ) -> dict[int, int]:
-        forwarded = {}
         samples = set(own_samples)
-        for pos in sorted(travel_photons):
-            if pos in samples:
-                # Behave honestly where the next check will look.
-                self.register.apply_gate(travel_photons[pos], SingleGate.H)
-                forwarded[pos] = travel_photons[pos]
-                continue
-            self.kept_travel[pos] = travel_photons[pos]
-            kept, out = self.register.prepare_bell(BellLabel.PSI_MINUS)
-            op = random_pauli(self.rng)
-            self.register.apply_gate(out, PAULI_GATES[op])
-            self.fakes[pos] = _FakePair(kept, out, op)
-            forwarded[pos] = out
-        return forwarded
+        order = sorted(travel_photons)
+        # Behave honestly where the next check will look.
+        honest = [travel_photons[pos] for pos in order if pos in samples]
+        self.register.apply_gates(honest, [SingleGate.H] * len(honest))
+        swapped = [pos for pos in order if pos not in samples]
+        self.kept_travel.update((pos, travel_photons[pos]) for pos in swapped)
+        self.fakes.update(_fake_pairs(self.register, self.rng, swapped))
+        return {
+            pos: travel_photons[pos] if pos in samples else self.fakes[pos].forwarded
+            for pos in order
+        }
 
     def publish_for_hop_check(self, pos: int) -> PauliOp:
         """Swap-correct an announced mid-chain check position."""

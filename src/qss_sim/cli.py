@@ -135,6 +135,10 @@ def _read_ini(path: str) -> dict[str, dict]:
         raise ConfigError(f"cannot parse config file {path!r}: {detail}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    # configparser copies [DEFAULT] keys into every section; reject them
+    # under their own name.
+    if ini.defaults():
+        raise ConfigError(f"unknown section [{ini.default_section}]")
     values: dict[str, dict] = {section: {} for section in _INI_KEYS}
     for section, items in sections.items():
         if section not in _INI_KEYS:

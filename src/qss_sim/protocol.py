@@ -39,7 +39,7 @@ from .adversaries import (
     EveInterceptResend,
     SwapAttackImproved,
     SwapAttackOriginal,
-    random_pauli,
+    _random_paulis,
 )
 from .pauli import (
     Basis,
@@ -258,12 +258,16 @@ def zx_check(
     random basis and announces basis and result; the local party measures
     the partner in the same basis.  The outcome parity must match the
     Bell correlation of the pair's announced Pauli shift."""
+    order = sorted(positions)
+    bases = [_BASES[x] for x in (rng_remote.random(len(order)) < 0.5).tolist()]
+    remote = [remote_photons[pos] for pos in order]
+    if remote_applies_h:
+        register.apply_gates(remote, [SingleGate.H] * len(remote))
+    # Remote before local at each position: [r0, l0, r1, l1, ...].
+    photons = [p for pair in zip(remote, (local_photons[pos] for pos in order)) for p in pair]
+    results = register.measure_singles(photons, [b for b in bases for _ in (0, 1)])
     mismatches = 0
-    for pos in sorted(positions):
-        if remote_applies_h:
-            register.apply_gate(remote_photons[pos], SingleGate.H)
-        basis = _BASES[int(rng_remote.random() < 0.5)]
-        remote_out = register.measure_single(remote_photons[pos], basis)
+    for pos, basis, remote_out, local_out in zip(order, bases, results[::2], results[1::2]):
         transcript.append(
             "zx_remote",
             check=check_id,
@@ -271,7 +275,6 @@ def zx_check(
             basis=basis.value,
             result=remote_out,
         )
-        local_out = register.measure_single(local_photons[pos], basis)
         transcript.append(
             "zx_local", check=check_id, position=pos, result=local_out
         )
@@ -299,45 +302,34 @@ def decoy_round(
 
     Returns the check report and the payload photons (ids may have been
     replaced in transit) in their original order."""
-    states = [_DECOY_STATES[int(rng_dealer.integers(4))] for _ in range(count)]
-    decoys = [register.prepare_single(s) for s in states]
+    states = [_DECOY_STATES[k] for k in rng_dealer.integers(4, size=count).tolist()]
+    decoys = iter(register.prepare_singles(states))
     total = len(payload) + count
     slots = set(
         int(i) for i in rng_dealer.choice(total, size=count, replace=False)
     )
-    sequence: list[int] = []
-    kinds: list[int] = []  # index into payload (>=0) or decoy (-1-k)
-    pi, di = 0, 0
-    for slot in range(total):
-        if slot in slots:
-            sequence.append(decoys[di])
-            kinds.append(-1 - di)
-            di += 1
-        else:
-            sequence.append(payload[pi])
-            kinds.append(pi)
-            pi += 1
+    # The k-th checking photon sits at the k-th slot, in slot order.
+    ordered_slots = sorted(slots)
+    rest = iter(payload)
+    sequence = [next(decoys) if slot in slots else next(rest) for slot in range(total)]
     received = _transmit(hop, sequence, eve, transcript)
     transcript.append(
         "decoy_positions",
         check=check_id,
-        slots=sorted(slots),
+        slots=ordered_slots,
         bases=[s.basis.value for s in states],
     )
+    outcomes = register.measure_singles(
+        [received[slot] for slot in ordered_slots], [s.basis for s in states]
+    )
     mismatches = 0
-    out_payload = list(payload)
-    for slot, photon in enumerate(received):
-        k = kinds[slot]
-        if k >= 0:
-            out_payload[k] = photon
-            continue
-        state = states[-1 - k]
-        outcome = register.measure_single(photon, state.basis)
+    for slot, state, outcome in zip(ordered_slots, states, outcomes):
         transcript.append(
             "decoy_result", check=check_id, slot=slot, result=outcome
         )
         if outcome != state.bit:
             mismatches += 1
+    out_payload = [photon for slot, photon in enumerate(received) if slot not in slots]
     report = CheckReport(check_id, count, mismatches, threshold)
     transcript.append("check_report", **report.to_dict())
     return report, out_payload
@@ -358,14 +350,14 @@ def verify_step6(
     Hadamard, Bell-measures the returned photon against its retained
     partner, and requires the decoded Pauli to equal the XOR of the
     agents' published operations."""
-    mismatches = 0
-    outcomes: dict[int, str] = {}
-    for pos in sorted(positions):
-        register.apply_gate(returned_photons[pos], SingleGate.H)
-        outcome = register.measure_bell(dealer_photons[pos], returned_photons[pos])
-        outcomes[pos] = outcome.name
-        if decode_bell_to_pauli(outcome) != published[pos]:
-            mismatches += 1
+    order = sorted(positions)
+    returned = [returned_photons[pos] for pos in order]
+    register.apply_gates(returned, [SingleGate.H] * len(returned))
+    labels = register.measure_bells([dealer_photons[pos] for pos in order], returned)
+    outcomes = {pos: label.name for pos, label in zip(order, labels)}
+    mismatches = sum(
+        decode_bell_to_pauli(label) != published[pos] for pos, label in zip(order, labels)
+    )
     report = CheckReport("step6_check", len(positions), mismatches, threshold)
     transcript.append("bell_outcomes", check="step6_check", outcomes=outcomes)
     transcript.append("check_report", **report.to_dict())
@@ -437,10 +429,9 @@ class _Run:
     def prepare(self, party: str) -> None:
         """`party` prepares one singlet per position; the dealer's half is
         the first photon of each pair."""
-        for pos in self.positions:
-            self.dealer[pos], self.partner[pos] = self.register.prepare_bell(
-                BellLabel.PSI_MINUS
-            )
+        first, second = self.register.prepare_bells(len(self.positions), BellLabel.PSI_MINUS)
+        self.dealer = dict(zip(self.positions, first))
+        self.partner = dict(zip(self.positions, second))
         self.transcript.append("prepare", party=party, pairs=self.config.n_pairs)
 
     def transmit(
@@ -520,24 +511,26 @@ class _Run:
         positions, the `fixed` Pauli where one is given, and a fresh
         random Pauli from `rng` everywhere else.  Returns the Paulis."""
         fixed = fixed or {}
-        ops: dict[int, PauliOp] = {}
-        for pos in self.positions:
-            if pos in rotated:
-                self.register.apply_gate(photons[pos], SingleGate.H)
-                continue
-            op = fixed[pos] if pos in fixed else random_pauli(rng)
-            ops[pos] = op
-            self.register.apply_gate(photons[pos], PAULI_GATES[op])
+        ops = {pos: fixed.get(pos) for pos in self.positions if pos not in rotated}
+        free = [pos for pos, op in ops.items() if op is None]
+        ops.update(zip(free, _random_paulis(rng, len(free))))
+        gates = [
+            SingleGate.H if pos in rotated else PAULI_GATES[ops[pos]] for pos in self.positions
+        ]
+        self.register.apply_gates([photons[pos] for pos in self.positions], gates)
         return ops
 
     def readout(self) -> dict[int, PauliOp]:
         """The reader's Bell measurement of every surviving pair, decoded
         to the total Pauli applied to it."""
-        totals: dict[int, PauliOp] = {}
-        for pos in self.positions:
-            outcome = self.register.measure_bell(self.dealer[pos], self.partner[pos])
-            totals[pos] = decode_bell_to_pauli(outcome)
-        return totals
+        outcomes = self.register.measure_bells(
+            [self.dealer[pos] for pos in self.positions],
+            [self.partner[pos] for pos in self.positions],
+        )
+        return {
+            pos: decode_bell_to_pauli(outcome)
+            for pos, outcome in zip(self.positions, outcomes)
+        }
 
     def collaborate(self, reader: str, totals: dict[int, PauliOp], publishers) -> None:
         """Each (party, publish) in `publishers` announces its operation on

@@ -1,11 +1,29 @@
-"""Minimal statevector engine for polarization photons.
+"""Array-at-a-time statevector engine for polarization photons.
 
-A Register tracks photons as members of independent entangled groups,
-each group holding a normalized complex amplitude tensor of shape
-(2,)*k.  Factoring the global state this way keeps a protocol run with
-thousands of Bell pairs cheap: groups only merge when a Bell measurement
-spans two of them, and measurements are destructive, so no group ever
-grows past four photons in practice.
+The register keeps the whole state in one complex table of shape
+(rows, 2, 2).  Every Bell pair and every single photon owns one row: a
+normalized amplitude tensor over (side 0, side 1).  A single photon sits
+on side 0, with side 1 held in |0>.  Per-photon arrays give each photon's
+row and side, and a per-row member array gives the live photon on each
+side (or -1).
+
+Measurements are destructive.  A measured side collapses in place: the
+slice of the outcome not seen is set to exactly 0, so the side stays in
+its row as a dead axis with a single non-zero slice.  A Bell measurement
+across two rows forms their (2, 2, 2, 2) product, contracts the two
+measured axes and writes the two remaining axes back into the first row,
+which is what makes entanglement swapping work; the second row is
+retired.  No row ever holds more than two photons, so the table is closed
+under every operation.
+
+The vector methods (``prepare_bells``, ``prepare_singles``,
+``apply_gates``, ``measure_singles``, ``measure_bells``) act on a whole
+list of photons per call, and the per-photon methods are their
+one-element case.  Operations of one call that touch the same row run in
+list order.  A measuring call draws its Born-rule uniforms with one
+``rng.random(n)`` in list order, which yields the same numbers as n
+scalar draws, so a vector call replays exactly the outcomes of the loop
+of per-photon calls it stands for.
 
 All randomness comes from the register's own numpy Generator, so a fixed
 seed and a fixed operation sequence reproduce the same outcomes exactly.
@@ -15,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -31,10 +50,6 @@ class RegisterError(Exception):
 
 class ConsumedPhotonError(RegisterError):
     """An operation referenced a photon that was already measured."""
-
-
-class CapacityError(RegisterError):
-    """An entangled group would exceed the register's group-size cap."""
 
 
 class SingleGate(enum.Enum):
@@ -104,13 +119,63 @@ BELL_ORDER = (
     BellLabel.PSI_MINUS,
 )
 
+# Gate g sends its photon's amplitude slices (a0, a1) to
+# (m00*a0 + m01*a1, m10*a0 + m11*a1).  The Pauli entries are 0 and +-1,
+# so for them this is an exact flip and/or negation; for H it is
+# _SQ2*a0 +- _SQ2*a1.
+_GATE_CODE = {gate: code for code, gate in enumerate(SingleGate)}
+_GATE_COEFFS = np.array([GATE_MATRICES[gate] for gate in SingleGate])[:, :, :, None]
+_H_CODE = _GATE_CODE[SingleGate.H]
+# Contracting a pair of measured axes with entry l gives the residual of
+# outcome BELL_ORDER[l].
+_BELL_PROJECTORS = np.conj(np.array([BELL_TENSORS[label] for label in BELL_ORDER]))
+# _SLOTS[side][k][j]: offset, within its row, of the amplitude with the
+# photon on `side` in state k and the other side in state j.
+_SLOTS = np.array([[[0, 1], [2, 3]], [[0, 2], [1, 3]]])
+# Keeps the slice of the observed bit and zeroes the other one.
+_KEEP = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
+# The row of a single photon in each state: side 1 held in |0>.
+_STATE_CODE = {state: code for code, state in enumerate(SingleState)}
+_SINGLE_ROWS = np.array([np.outer(SINGLE_STATE_VECTORS[s], [1, 0]) for s in SingleState])
 
-class _Group:
-    __slots__ = ("photons", "amps")
 
-    def __init__(self, photons: list[int], amps: np.ndarray):
-        self.photons = photons
-        self.amps = amps
+def _slots(rows: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Flat table indices of the rows, oriented so that axis 1 is the
+    photon on `sides` and axis 2 the other side of its row."""
+    return (4 * rows)[:, None, None] + _SLOTS[sides]
+
+
+def _check_norm(blocks: np.ndarray) -> None:
+    """Raise unless every (2, 2) amplitude block has unit norm."""
+    norm2 = (np.abs(blocks) ** 2).sum(axis=(1, 2))
+    bad = np.abs(norm2 - 1.0) > NORM_TOL
+    if bad.any():
+        raise RegisterError(f"state norm drifted: |amps|^2 = {float(norm2[bad][0])!r}")
+
+
+def _first_touch(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """Mask of the items whose rows no earlier item touches."""
+    n = len(rows_a)
+    # np.unique reports the first position of each row in item order.
+    _, first, inverse = np.unique(
+        np.stack((rows_a, rows_b), axis=1), return_index=True, return_inverse=True
+    )
+    first_item = (first // 2)[inverse].reshape(n, 2)
+    return (first_item == np.arange(n)[:, None]).all(axis=1)
+
+
+def _raise_not_live(photon: int):
+    raise ConsumedPhotonError(
+        f"photon {photon} is not live (never created or already measured)"
+    )
+
+
+def _grow(arr: np.ndarray, need: int, fill) -> np.ndarray:
+    if need <= len(arr):
+        return arr
+    out = np.full((max(need, 2 * len(arr)),) + arr.shape[1:], fill, dtype=arr.dtype)
+    out[: len(arr)] = arr
+    return out
 
 
 class Register:
@@ -120,162 +185,255 @@ class Register:
         self,
         rng: np.random.Generator | None = None,
         seed: int | None = None,
-        max_group_size: int = 16,
     ):
         if rng is None:
             rng = np.random.default_rng(seed)
         self.rng = rng
-        self.max_group_size = max_group_size
-        self._groups: dict[int, _Group] = {}
-        self._where: dict[int, int] = {}
+        self._amps = np.zeros((16, 2, 2), dtype=complex)
+        self._members = np.full((16, 2), -1, dtype=np.int64)
+        self._row = np.zeros(32, dtype=np.int64)
+        self._side = np.zeros(32, dtype=np.int64)
         self._next_photon = 0
-        self._next_group = 0
+        self._next_row = 0
 
     # -- bookkeeping ------------------------------------------------------
 
     @property
     def live_photons(self) -> frozenset[int]:
-        return frozenset(self._where)
+        members = self._members[: self._next_row]
+        return frozenset(members[members >= 0].tolist())
 
     def is_live(self, photon: int) -> bool:
-        return photon in self._where
+        return 0 <= photon < self._next_photon and bool(
+            self._members[self._row[photon], self._side[photon]] == photon
+        )
 
-    def _require(self, photon: int) -> _Group:
-        try:
-            return self._groups[self._where[photon]]
-        except KeyError:
-            raise ConsumedPhotonError(
-                f"photon {photon} is not live (never created or already measured)"
-            ) from None
-
-    def _new_group(self, photons: list[int], amps: np.ndarray) -> None:
-        gid = self._next_group
-        self._next_group += 1
-        self._groups[gid] = _Group(photons, amps)
-        for p in photons:
-            self._where[p] = gid
-
-    def _new_photon_ids(self, count: int) -> list[int]:
-        ids = list(range(self._next_photon, self._next_photon + count))
-        self._next_photon += count
+    def _require(self, photons: Sequence[int]) -> np.ndarray:
+        """The photon ids as an array; raises unless every one is live."""
+        ids = np.asarray(photons, dtype=np.int64)
+        # An id past the last photon is clipped onto some row, whose
+        # members never equal it.
+        rows, sides = self._row.take(ids, mode="clip"), self._side.take(ids, mode="clip")
+        live = (self._members[rows, sides] == ids) & (ids >= 0)
+        if not live.all():
+            _raise_not_live(int(ids[~live][0]))
         return ids
 
-    def _check_norm(self, group: _Group) -> None:
-        norm2 = float(np.sum(np.abs(group.amps) ** 2))
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise RegisterError(f"state norm drifted: |amps|^2 = {norm2!r}")
+    def _row_of(self, photon: int) -> int:
+        if not self.is_live(photon):
+            _raise_not_live(photon)
+        return self._row[photon]
+
+    def _new_rows(self, count: int) -> np.ndarray:
+        start = self._next_row
+        self._next_row += count
+        self._amps = _grow(self._amps, self._next_row, 0)
+        self._members = _grow(self._members, self._next_row, -1)
+        return np.arange(start, self._next_row)
+
+    def _new_photons(self, count: int) -> np.ndarray:
+        start = self._next_photon
+        self._next_photon += count
+        self._row = _grow(self._row, self._next_photon, 0)
+        self._side = _grow(self._side, self._next_photon, 0)
+        return np.arange(start, self._next_photon)
+
+    def _rounds(self, first: np.ndarray, second: np.ndarray):
+        """Yield the items of a call (index arrays, or a slice for all of
+        them) in rounds that touch distinct rows, each item after every
+        earlier item that shares a row with it.  Rows are looked up again
+        for each round, after the caller has processed the one before."""
+        if len(first) == 1:
+            yield slice(None)
+            return
+        items = np.arange(len(first))
+        while len(items):
+            now = _first_touch(self._row[first[items]], self._row[second[items]])
+            if len(items) == len(first) and now.all():
+                yield slice(None)
+                return
+            yield items[now]
+            items = items[~now]
 
     def group_norm_sq(self, photon: int) -> float:
-        """Squared norm of the amplitude vector holding `photon`."""
-        return float(np.sum(np.abs(self._require(photon).amps) ** 2))
+        """Squared norm of the amplitude row holding `photon`."""
+        return float(np.sum(np.abs(self._amps[self._row_of(photon)]) ** 2))
 
     def amplitudes_of(self, photon: int) -> tuple[list[int], np.ndarray]:
         """The entangled group containing `photon`: (photon ids, amplitude
         tensor of shape (2,)*k).  For inspection and tests only."""
-        group = self._require(photon)
-        return list(group.photons), group.amps.copy()
+        row = self._row_of(photon)
+        members = self._members[row]
+        amps = self._amps[row].copy()
+        # A dead side has one non-zero slice; summing over it drops it.
+        for side in (1, 0):
+            if members[side] < 0:
+                amps = amps.sum(axis=side)
+        return [int(m) for m in members if m >= 0], amps
 
     # -- preparation ------------------------------------------------------
 
+    def prepare_bells(self, n: int, label: BellLabel) -> tuple[list[int], list[int]]:
+        """Create `n` fresh pairs jointly in the named Bell state; returns
+        the first and the second photon of each pair."""
+        rows = self._new_rows(n)
+        photons = self._new_photons(2 * n).reshape(n, 2)
+        self._amps[rows] = BELL_TENSORS[label]
+        self._members[rows] = photons
+        self._row[photons] = rows[:, None]
+        self._side[photons] = (0, 1)
+        return photons[:, 0].tolist(), photons[:, 1].tolist()
+
+    def prepare_singles(self, states: Sequence[SingleState]) -> list[int]:
+        """Create one fresh photon per state in |0>, |1>, |+> or |->."""
+        rows = self._new_rows(len(states))
+        photons = self._new_photons(len(states))
+        codes = np.array([_STATE_CODE[s] for s in states], dtype=np.int64)
+        self._amps[rows] = _SINGLE_ROWS[codes]
+        self._members[rows] = -1
+        self._members[rows, 0] = photons
+        self._row[photons] = rows
+        self._side[photons] = 0
+        return photons.tolist()
+
     def prepare_bell(self, label: BellLabel) -> tuple[int, int]:
         """Create two fresh photons jointly in the named Bell state."""
-        a, b = self._new_photon_ids(2)
-        self._new_group([a, b], BELL_TENSORS[label].copy())
+        (a,), (b,) = self.prepare_bells(1, label)
         return a, b
 
     def prepare_single(self, state: SingleState) -> int:
         """Create one fresh photon in |0>, |1>, |+> or |->."""
-        (p,) = self._new_photon_ids(1)
-        self._new_group([p], SINGLE_STATE_VECTORS[state].copy())
-        return p
+        return self.prepare_singles([state])[0]
 
     # -- unitaries --------------------------------------------------------
 
+    def apply_gates(self, photons: Sequence[int], gates: Sequence[SingleGate]) -> None:
+        """Apply gates[i] to photons[i], in list order."""
+        ids = self._require(photons)
+        if len(gates) != len(ids):
+            raise RegisterError("apply_gates needs one gate per photon")
+        codes = np.array([_GATE_CODE[g] for g in gates], dtype=np.int64)
+        for items in self._rounds(ids, ids):
+            self._gate(ids[items], codes[items])
+
     def apply_gate(self, photon: int, gate: SingleGate) -> None:
-        group = self._require(photon)
-        axis = group.photons.index(photon)
-        mat = GATE_MATRICES[gate]
-        amps = np.tensordot(mat, group.amps, axes=([1], [axis]))
-        group.amps = np.moveaxis(amps, 0, axis)
-        self._check_norm(group)
+        self.apply_gates([photon], [gate])
+
+    def _gate(self, ids: np.ndarray, codes: np.ndarray) -> None:
+        """Apply one gate per photon; the photons' rows are distinct."""
+        slots = _slots(self._row[ids], self._side[ids])
+        flat = self._amps.reshape(-1)
+        a = flat[slots]
+        c = _GATE_COEFFS[codes]
+        blocks = c[:, :, 0] * a[:, None, 0] + c[:, :, 1] * a[:, None, 1]
+        flat[slots] = blocks
+        _check_norm(blocks)
 
     # -- measurements (destructive) ---------------------------------------
+
+    def measure_singles(self, photons: Sequence[int], bases: Sequence[Basis]) -> list[int]:
+        """Born-rule single-photon measurements, in list order; returns
+        0/1 per photon (in the X basis 0 means the '+' outcome).
+        Consumes the photons."""
+        ids = self._require(photons)
+        if len(bases) != len(ids):
+            raise RegisterError("measure_singles needs one basis per photon")
+        if len(set(ids.tolist())) != len(ids):
+            raise RegisterError("a measurement lists the same photon twice")
+        in_x = np.array([b is Basis.X for b in bases], dtype=bool)
+        any_x = Basis.X in bases
+        u = self.rng.random(len(ids))
+        out = np.zeros(len(ids), dtype=np.int64)
+        for items in self._rounds(ids, ids):
+            round_ids, x = ids[items], in_x[items]
+            if any_x and x.any():
+                self._gate(round_ids[x], np.full(x.sum(), _H_CODE))
+            out[items] = self._collapse(round_ids, u[items])
+        return out.tolist()
 
     def measure_single(self, photon: int, basis: Basis) -> int:
         """Born-rule single-photon measurement; returns 0/1 (in the X basis
         0 means the '+' outcome).  Consumes the photon."""
-        if basis is Basis.X:
-            self.apply_gate(photon, SingleGate.H)
-        group = self._require(photon)
-        axis = group.photons.index(photon)
-        p0 = float(np.sum(np.abs(np.take(group.amps, 0, axis=axis)) ** 2))
-        outcome = 0 if self.rng.random() < p0 else 1
-        prob = p0 if outcome == 0 else 1.0 - p0
-        residual = np.take(group.amps, outcome, axis=axis) / math.sqrt(prob)
-        self._drop_photons(group, [photon], residual)
-        return outcome
+        return self.measure_singles([photon], [basis])[0]
+
+    def _collapse(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Z-measure one photon per row; the photons' rows are distinct."""
+        rows, sides = self._row[ids], self._side[ids]
+        slots = _slots(rows, sides)
+        flat = self._amps.reshape(-1)
+        a = flat[slots]
+        p0 = (np.abs(a[:, 0]) ** 2).sum(axis=1)
+        bits = (u >= p0).astype(np.int64)
+        prob = np.where(bits == 1, 1.0 - p0, p0)
+        blocks = a * _KEEP[bits] / np.sqrt(prob)[:, None, None]
+        flat[slots] = blocks
+        self._members[rows, sides] = -1
+        _check_norm(blocks)
+        return bits
+
+    def measure_bells(self, a: Sequence[int], b: Sequence[int]) -> list[BellLabel]:
+        """Joint Bell-basis measurements of the pairs (a[i], b[i]), in
+        list order.
+
+        Each draws an outcome by the Born rule and leaves the surviving
+        photons in the correct post-measurement state (which is what makes
+        entanglement swapping work).  All listed photons are consumed."""
+        ids_a, ids_b = self._require(a), self._require(b)
+        if len(ids_a) != len(ids_b):
+            raise RegisterError("measure_bells needs two equally long photon lists")
+        if (ids_a == ids_b).any():
+            raise RegisterError("Bell measurement needs two distinct photons")
+        if len(set(ids_a.tolist()) | set(ids_b.tolist())) != 2 * len(ids_a):
+            raise RegisterError("a measurement lists the same photon twice")
+        u = self.rng.random(len(ids_a))
+        picks = np.zeros(len(ids_a), dtype=np.int64)
+        for items in self._rounds(ids_a, ids_b):
+            picks[items] = self._bell(ids_a[items], ids_b[items], u[items])
+        return [BELL_ORDER[k] for k in picks.tolist()]
 
     def measure_bell(self, a: int, b: int) -> BellLabel:
         """Joint Bell-basis measurement of two photons.
 
-        Merges entangled groups if needed, draws an outcome by the Born
-        rule, and leaves the surviving photons in the correct
-        post-measurement state (which is what makes entanglement swapping
-        work).  Both photons are consumed."""
-        if a == b:
-            raise RegisterError("Bell measurement needs two distinct photons")
-        ga = self._require(a)
-        gb = self._require(b)
-        if ga is not gb:
-            ga = self._merge(ga, gb)
-        ia, ib = ga.photons.index(a), ga.photons.index(b)
-        residuals = []
-        probs = []
-        for label in BELL_ORDER:
-            proj = np.conj(BELL_TENSORS[label])
-            res = np.tensordot(ga.amps, proj, axes=([ia, ib], [0, 1]))
-            residuals.append(res)
-            probs.append(float(np.sum(np.abs(res) ** 2)))
-        u = self.rng.random()
-        acc = 0.0
-        pick = len(BELL_ORDER) - 1
-        for i, p in enumerate(probs):
-            acc += p
-            if u < acc:
-                pick = i
-                break
-        label = BELL_ORDER[pick]
-        residual = residuals[pick] / math.sqrt(probs[pick])
-        self._drop_photons(ga, [a, b], residual)
-        return label
+        Draws an outcome by the Born rule and leaves the surviving photons
+        in the correct post-measurement state (which is what makes
+        entanglement swapping work).  Both photons are consumed."""
+        return self.measure_bells([a], [b])[0]
 
-    # -- internals --------------------------------------------------------
+    def _bell(self, ids_a: np.ndarray, ids_b: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Bell-measure each pair; no two pairs share a row."""
+        rows_a, rows_b = self._row[ids_a], self._row[ids_b]
+        sides_a, sides_b = self._side[ids_a], self._side[ids_b]
+        flat = self._amps.reshape(-1)
+        ta, tb = flat[_slots(rows_a, sides_a)], flat[_slots(rows_b, sides_b)]
+        # product[m, a, b, x, y]: the measured axes a, b and the other
+        # side x of row a and y of row b.  For two photons of one row, the
+        # row itself over (a, b), with no other axes left (x = y = 0).
+        product = ta[:, :, None, :, None] * tb[:, None, :, None, :]
+        same = rows_a == rows_b
+        if same.any():
+            product[same] = 0
+            product[same, :, :, 0, 0] = ta[same]
+        residuals = np.einsum("mabxy,lab->mlxy", product, _BELL_PROJECTORS)
+        probs = (np.abs(residuals) ** 2).sum(axis=(2, 3))
+        # The first outcome whose cumulative probability exceeds u, else
+        # the last one.
+        picks = (np.cumsum(probs, axis=1)[:, :3] <= u[:, None]).sum(axis=1)
+        idx = np.arange(len(ids_a))
+        blocks = residuals[idx, picks] / np.sqrt(probs[idx, picks])[:, None, None]
+        self._amps[rows_a] = blocks
 
-    def _merge(self, ga: _Group, gb: _Group) -> _Group:
-        if len(ga.photons) + len(gb.photons) > self.max_group_size:
-            raise CapacityError(
-                f"entangled group would exceed {self.max_group_size} photons"
-            )
-        amps = np.tensordot(ga.amps, gb.amps, axes=0)
-        merged = _Group(ga.photons + gb.photons, amps)
-        gid_a = self._where[ga.photons[0]]
-        gid_b = self._where[gb.photons[0]]
-        del self._groups[gid_b]
-        self._groups[gid_a] = merged
-        for p in merged.photons:
-            self._where[p] = gid_a
-        return merged
-
-    def _drop_photons(
-        self, group: _Group, consumed: list[int], residual: np.ndarray
-    ) -> None:
-        gid = self._where[consumed[0]]
-        for p in consumed:
-            del self._where[p]
-        survivors = [p for p in group.photons if p not in consumed]
-        if not survivors:
-            del self._groups[gid]
-            return
-        group.photons = survivors
-        group.amps = residual
-        self._check_norm(group)
+        # The survivors: the other side of each row, unless that side was
+        # dead or (for two photons of one row) just measured.
+        self._members[rows_a, sides_a] = -1
+        self._members[rows_b, sides_b] = -1
+        survivor_a = self._members[rows_a, 1 - sides_a]
+        survivor_b = self._members[rows_b, 1 - sides_b]
+        self._members[rows_b] = -1
+        self._members[rows_a, 0] = survivor_a
+        self._members[rows_a, 1] = survivor_b
+        self._side[survivor_a[survivor_a >= 0]] = 0
+        moved = survivor_b >= 0
+        self._row[survivor_b[moved]] = rows_a[moved]
+        self._side[survivor_b[moved]] = 1
+        _check_norm(blocks)
+        return picks

@@ -1,10 +1,12 @@
 """Tests for the batch runner, aggregation, report formats and the CLI."""
 
+import gc
 import json
 import math
 
 import pytest
 
+from qss_sim.adversaries import AdversarySpec
 from qss_sim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from qss_sim.harness import (
     BatchSpec,
@@ -16,6 +18,7 @@ from qss_sim.harness import (
     validate_batch,
 )
 from qss_sim.protocol import ConfigError, ScenarioConfig
+from qss_sim.register import Register
 
 
 def _spec(**kw):
@@ -61,6 +64,28 @@ def test_parallel_equals_serial():
     assert jsonl_report(serial, s_stats, s_reports) == jsonl_report(
         parallel, p_stats, p_reports
     )
+
+
+def test_batch_reports_retain_no_register():
+    # A report keeps its transcript and analysis data, never the engine
+    # state of its trial: run_batch holds every report until the batch
+    # is written out.
+    scenario = ScenarioConfig(
+        protocol="improved",
+        n_pairs=16,
+        agent_count=3,
+        step6_sample_count=8,
+        adversary=AdversarySpec(kind="bob_swap_attack"),
+    )
+
+    def registers() -> set[int]:
+        gc.collect()
+        return {id(o) for o in gc.get_objects() if isinstance(o, Register)}
+
+    before = registers()
+    stats, reports = run_batch(BatchSpec(scenario=scenario, trials=50, seed_base=7))
+    assert stats.trials == len(reports) == 50
+    assert registers() - before == set()
 
 
 def test_jsonl_structure():
@@ -233,10 +258,18 @@ def test_cli_ini_config_with_flag_override(tmp_path):
         ("validate", b"[scenario]\nprotocol = \xff\n", "can't decode byte 0xff"),
         ("validate", b"[scenario]\nn_pair = 8\n", "unknown key 'n_pair' in [scenario]"),
         ("validate", b"[scenaro]\nn_pairs = 8\n", "unknown section [scenaro]"),
+        ("validate", b"[DEFAULT]\nx = 1\n", "unknown section [DEFAULT]"),
+        ("validate", b"[DEFAULT]\nn_pairs = 8\n", "unknown section [DEFAULT]"),
+        (
+            "run",
+            b"[DEFAULT]\nn_pairs = 8\n[scenario]\nprotocol = original\n",
+            "unknown section [DEFAULT]",
+        ),
     ],
     ids=[
         "bad-int", "bad-batch-int", "bad-bool",
         "no-section", "not-utf8", "unknown-key", "unknown-section",
+        "default-unknown-key", "default-known-key", "default-beside-scenario",
     ],
 )
 def test_cli_bad_ini_is_config_error(tmp_path, capsys, command, text, message):

@@ -7,7 +7,6 @@ from qss_sim.pauli import Basis, BellLabel, PauliOp
 from qss_sim.register import (
     BELL_TENSORS,
     PAULI_GATES,
-    CapacityError,
     ConsumedPhotonError,
     Register,
     RegisterError,
@@ -116,14 +115,6 @@ def test_bell_measurement_needs_distinct_photons():
     a, _ = reg.prepare_bell(BellLabel.PHI_PLUS)
     with pytest.raises(RegisterError):
         reg.measure_bell(a, a)
-
-
-def test_max_group_size_enforced_on_merge():
-    reg = Register(seed=11, max_group_size=3)
-    a, _ = reg.prepare_bell(BellLabel.PSI_MINUS)
-    c, _ = reg.prepare_bell(BellLabel.PSI_MINUS)
-    with pytest.raises(CapacityError):
-        reg.measure_bell(a, c)
 
 
 def test_live_photon_bookkeeping():

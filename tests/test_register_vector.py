@@ -1,0 +1,177 @@
+"""Vector register calls against the loops of per-photon calls they stand for.
+
+Two registers with the same seed run the same operations, one through a
+vector call and one through the equivalent loop of per-photon calls; the
+outcomes must be equal and every live photon's amplitudes must agree to
+1e-12.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qss_sim.adversaries import PAULI_ORDER, random_pauli
+from qss_sim.pauli import Basis, BellLabel
+from qss_sim.register import Register, RegisterError, SingleGate, SingleState
+
+
+def _assert_same_state(vec: Register, ref: Register) -> None:
+    assert vec.live_photons == ref.live_photons
+    for p in vec.live_photons:
+        photons_v, amps_v = vec.amplitudes_of(p)
+        photons_r, amps_r = ref.amplitudes_of(p)
+        assert photons_v == photons_r
+        np.testing.assert_allclose(amps_v, amps_r, rtol=0, atol=1e-12)
+
+
+def _run(vec: Register, ref: Register, op: str, *args):
+    """One vector call on `vec`, its per-photon loop on `ref`; returns
+    the vector call's result after checking that both agree."""
+    if op == "prepare_bells":
+        n, label = args
+        got = vec.prepare_bells(n, label)
+        pairs = [ref.prepare_bell(label) for _ in range(n)]
+        want = ([a for a, _ in pairs], [b for _, b in pairs])
+    elif op == "prepare_singles":
+        (states,) = args
+        got = vec.prepare_singles(states)
+        want = [ref.prepare_single(s) for s in states]
+    elif op == "apply_gates":
+        photons, gates = args
+        got = vec.apply_gates(photons, gates)
+        for p, g in zip(photons, gates):
+            ref.apply_gate(p, g)
+        want = None
+    elif op == "measure_singles":
+        photons, bases = args
+        got = vec.measure_singles(photons, bases)
+        want = [ref.measure_single(p, b) for p, b in zip(photons, bases)]
+    else:
+        a, b = args
+        got = vec.measure_bells(a, b)
+        want = [ref.measure_bell(x, y) for x, y in zip(a, b)]
+    assert got == want
+    _assert_same_state(vec, ref)
+    return got
+
+
+_OPS = ("prepare_bells", "prepare_singles", "apply_gates", "measure_singles", "measure_bells")
+
+
+def _each(photons: list[int], values) -> st.SearchStrategy:
+    """One value per photon."""
+    return st.lists(st.sampled_from(values), min_size=len(photons), max_size=len(photons))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vector_calls_equal_per_photon_loops(data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    vec, ref = Register(seed=seed), Register(seed=seed)
+    _run(vec, ref, "prepare_bells", 3, BellLabel.PSI_MINUS)
+    for _ in range(data.draw(st.integers(1, 10), label="calls")):
+        live = sorted(vec.live_photons)
+        op = data.draw(st.sampled_from(_OPS))
+        if op == "prepare_bells":
+            n, label = data.draw(st.integers(0, 4)), data.draw(st.sampled_from(BellLabel))
+            _run(vec, ref, op, n, label)
+        elif op == "prepare_singles":
+            _run(vec, ref, op, data.draw(st.lists(st.sampled_from(SingleState), max_size=4)))
+        elif not live:
+            continue
+        elif op == "apply_gates":
+            # Repeats allowed: gates on one photon or one pair run in order.
+            photons = data.draw(st.lists(st.sampled_from(live), max_size=8))
+            gates = data.draw(_each(photons, SingleGate))
+            _run(vec, ref, op, photons, gates)
+        elif op == "measure_singles":
+            photons = data.draw(st.permutations(live))[: data.draw(st.integers(0, len(live)))]
+            bases = data.draw(_each(photons, Basis))
+            _run(vec, ref, op, photons, bases)
+        else:
+            chosen = data.draw(st.permutations(live))
+            k = data.draw(st.integers(0, len(chosen) // 2))
+            _run(vec, ref, op, chosen[:k], chosen[k : 2 * k])
+
+
+def _twins(seed: int = 11) -> tuple[Register, Register]:
+    return Register(seed=seed), Register(seed=seed)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_measure_both_photons_of_one_pair_in_one_call(basis):
+    vec, ref = _twins()
+    a, b = _run(vec, ref, "prepare_bells", 6, BellLabel.PSI_MINUS)
+    # Each pair's first-listed photon collapses before its partner.
+    photons = [p for pair in zip(b, a) for p in pair]
+    results = _run(vec, ref, "measure_singles", photons, [basis] * len(photons))
+    assert all(x ^ y == 1 for x, y in zip(results[::2], results[1::2]))
+
+
+def test_bell_measurements_leaving_zero_one_or_two_survivors():
+    vec, ref = _twins()
+    firsts, seconds = _run(vec, ref, "prepare_bells", 4, BellLabel.PSI_MINUS)
+    (a1, a2, a3, a4), (b1, b2, b3, b4) = firsts, seconds
+    (s,) = _run(vec, ref, "prepare_singles", [SingleState.PLUS])
+    _run(vec, ref, "measure_singles", [a4], [Basis.X])
+    # (a1, b1) shares a row and leaves no survivor; (b2, a3) spans two
+    # rows and leaves a2 and b3 in one row; (b3, s) then runs after it
+    # and leaves a2 alone.
+    _run(vec, ref, "measure_bells", [a1, b2, b3], [b1, a3, s])
+    assert vec.amplitudes_of(a2)[0] == [a2]
+    # Two rows whose other sides are both dead: no survivor.
+    _run(vec, ref, "measure_bells", [b4], [a2])
+    assert vec.live_photons == frozenset()
+
+
+def test_bell_measurements_in_one_call_that_share_a_row_run_in_order():
+    vec, ref = _twins()
+    (a1, a2), (b1, b2) = _run(vec, ref, "prepare_bells", 2, BellLabel.PSI_MINUS)
+    # The first measurement swaps a1 and b2 into one row; the second
+    # then measures that row.
+    labels = _run(vec, ref, "measure_bells", [b1, a1], [a2, b2])
+    assert len(labels) == 2
+    assert vec.live_photons == frozenset()
+
+
+def test_gates_on_both_photons_of_one_pair_in_one_call():
+    vec, ref = _twins()
+    (a,), (b,) = _run(vec, ref, "prepare_bells", 1, BellLabel.PSI_MINUS)
+    gates = [SingleGate.H, SingleGate.X, SingleGate.IY, SingleGate.H, SingleGate.Z]
+    _run(vec, ref, "apply_gates", [a, b, a, b, b], gates)
+
+
+def test_listing_a_photon_twice_in_a_measuring_call_raises():
+    reg = Register(seed=3)
+    (a,), (b,) = reg.prepare_bells(1, BellLabel.PSI_MINUS)
+    (c,), (d,) = reg.prepare_bells(1, BellLabel.PSI_MINUS)
+    with pytest.raises(RegisterError):
+        reg.measure_singles([a, a], [Basis.Z, Basis.Z])
+    with pytest.raises(RegisterError):
+        reg.measure_bells([a, b], [c, a])
+    with pytest.raises(RegisterError):
+        reg.measure_bells([a], [a])
+    assert reg.live_photons == {a, b, c, d}
+
+
+def test_vector_draws_equal_scalar_draws():
+    # The engine and the callers draw n uniforms or n Pauli indices in
+    # one call where the per-photon code drew them one at a time.
+    vec, ref = np.random.default_rng(5), np.random.default_rng(5)
+    assert vec.random(257).tolist() == [ref.random() for _ in range(257)]
+    paulis = [PAULI_ORDER[k] for k in vec.integers(4, size=257).tolist()]
+    assert paulis == [random_pauli(ref) for _ in range(257)]
+    assert vec.random() == ref.random()
+
+
+def test_vector_calls_need_one_entry_per_photon():
+    reg = Register(seed=4)
+    (a, b), (c, d) = reg.prepare_bells(2, BellLabel.PSI_MINUS)
+    with pytest.raises(RegisterError):
+        reg.apply_gates([a, b], [SingleGate.X])
+    with pytest.raises(RegisterError):
+        reg.measure_singles([a, b], [Basis.Z])
+    with pytest.raises(RegisterError):
+        reg.measure_bells([a, b], [c])
+    assert reg.live_photons == {a, b, c, d}
