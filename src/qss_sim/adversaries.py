@@ -22,10 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import Basis, BellLabel, PauliOp, compose, decode_bell_to_pauli
-from .register import PAULI_GATES, Register, SingleGate, SingleState
+from .pauli import BELL_CODES, Basis, BellLabel, PauliOp
+from .register import H_CODE, Register
 
 PAULI_ORDER = (PauliOp.I, PauliOp.X, PauliOp.IY, PauliOp.Z)
+# The code of the Pauli that a draw k of rng.integers(4) picks.
+_DRAW_CODES = np.array([p.code for p in PAULI_ORDER])
+_BASES = (Basis.Z, Basis.X)
 
 VALID_KINDS = ("none", "eve_intercept_resend", "bob_swap_attack")
 VALID_POLICIES = ("uniform", "fixed-Z", "fixed-X")
@@ -59,9 +62,10 @@ def random_pauli(rng: np.random.Generator) -> PauliOp:
     return PAULI_ORDER[int(rng.integers(4))]
 
 
-def _random_paulis(rng: np.random.Generator, count: int) -> list[PauliOp]:
-    """`count` uniform Paulis: the same draws as `count` random_pauli calls."""
-    return [PAULI_ORDER[k] for k in rng.integers(4, size=count).tolist()]
+def _random_paulis(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` uniform Pauli codes: the same draws as `count` random_pauli
+    calls."""
+    return _DRAW_CODES[rng.integers(4, size=count)]
 
 
 class EveInterceptResend:
@@ -74,45 +78,47 @@ class EveInterceptResend:
         self.policy = spec.basis_policy
         self.observations: list[tuple[Basis, int]] = []
 
-    def _pick_bases(self, count: int) -> list[Basis]:
+    def _pick_bases(self, count: int) -> np.ndarray:
+        """X-basis mask of `count` policy bases."""
         if self.policy == "fixed-Z":
-            return [Basis.Z] * count
+            return np.zeros(count, dtype=bool)
         if self.policy == "fixed-X":
-            return [Basis.X] * count
-        return [Basis.Z if z else Basis.X for z in (self.rng.random(count) < 0.5).tolist()]
+            return np.ones(count, dtype=bool)
+        return self.rng.random(count) >= 0.5
 
     def intercept(self, photon: int) -> int:
-        return self.intercept_sequence([photon])[0]
+        return int(self.intercept_sequence([photon])[0])
 
-    def intercept_sequence(self, photons: list[int]) -> list[int]:
+    def intercept_sequence(self, photons: np.ndarray) -> np.ndarray:
         """Measure every photon in a policy basis, in order, and return
         fresh photons in the observed eigenstates."""
-        bases = self._pick_bases(len(photons))
-        outcomes = self.register.measure_singles(photons, bases)
-        self.observations.extend(zip(bases, outcomes))
-        return self.register.prepare_singles(
-            [SingleState.from_basis_bit(b, bit) for b, bit in zip(bases, outcomes)]
+        in_x = self._pick_bases(len(photons))
+        outcomes = self.register.measure_singles(photons, in_x)
+        self.observations.extend(
+            zip([_BASES[x] for x in in_x.tolist()], outcomes.tolist())
         )
-
-
-@dataclass
-class _FakePair:
-    kept: int            # attacker-retained half
-    forwarded: int       # half sent down the line
-    op: PauliOp          # Pauli the attacker applied to the forwarded half
+        # State code 2*(basis is X) + bit.
+        return self.register.prepare_singles(2 * in_x + outcomes)
 
 
 def _fake_pairs(
-    register: Register, rng: np.random.Generator, positions: list[int]
-) -> dict[int, _FakePair]:
-    """One fresh singlet per position, its forwarded half shifted by a
-    uniformly random Pauli."""
-    kept, forwarded = register.prepare_bells(len(positions), BellLabel.PSI_MINUS)
-    ops = _random_paulis(rng, len(positions))
-    register.apply_gates(forwarded, [PAULI_GATES[op] for op in ops])
-    return {
-        pos: _FakePair(k, f, op) for pos, k, f, op in zip(positions, kept, forwarded, ops)
-    }
+    register: Register, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`count` fresh singlets, the forwarded half of each shifted by a
+    uniformly random Pauli: the kept halves, the forwarded halves and the
+    Pauli codes."""
+    kept, forwarded = register.prepare_bells(count, BellLabel.PSI_MINUS)
+    ops = _random_paulis(rng, count)
+    register.apply_gates(forwarded, ops)
+    return kept, forwarded, ops
+
+
+def _scatter(size: int, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A position-indexed array holding `values` at `positions` and -1
+    elsewhere."""
+    out = np.full(size, -1, dtype=np.int64)
+    out[positions] = values
+    return out
 
 
 class SwapAttackOriginal:
@@ -122,65 +128,69 @@ class SwapAttackOriginal:
     partner sequence, forwards halves of freshly prepared singlets
     instead, swaps entanglement onto announced check positions so the
     second check sees perfect Bell correlations, and finally intercepts
-    the dealer's encoded sequence to read her Paulis outright."""
+    the dealer's encoded sequence to read her Paulis outright.
+
+    Photon sequences are position-indexed photon-id arrays, and Paulis
+    are codes (see `pauli`); -1 marks a position with no such entry."""
 
     def __init__(self, register: Register, rng: np.random.Generator, spec: AdversarySpec):
         self.register = register
         self.rng = rng
         self.publish_true_ops = spec.publish_true_ops
-        self.kept_partner: dict[int, int] = {}     # position -> genuine photon
-        self.fakes: dict[int, _FakePair] = {}
-        self.inferred: dict[int, PauliOp] = {}     # dealer Pauli per position
+        self.kept_partner = np.zeros(0, dtype=np.int64)  # genuine photon per position
+        self.fake_kept = np.zeros(0, dtype=np.int64)     # retained fake half
+        self.fake_op = np.zeros(0, dtype=np.int64)       # Pauli on the forwarded half
+        self.inferred = np.zeros(0, dtype=np.int64)      # dealer Pauli per position
 
-    def on_send_to_third_party(self, partner_photons: dict[int, int]) -> dict[int, int]:
+    def on_send_to_third_party(
+        self, positions: np.ndarray, partner_photons: np.ndarray
+    ) -> np.ndarray:
         """Replace the sequence bound for the third party with fake-pair
         halves, one per surviving position; keep everything else."""
-        self.kept_partner = dict(partner_photons)
-        order = sorted(partner_photons)
-        self.fakes.update(_fake_pairs(self.register, self.rng, order))
-        return {pos: self.fakes[pos].forwarded for pos in order}
+        size = len(partner_photons)
+        self.kept_partner = _scatter(size, positions, partner_photons[positions])
+        kept, forwarded, ops = _fake_pairs(self.register, self.rng, len(positions))
+        self.fake_kept = _scatter(size, positions, kept)
+        self.fake_op = _scatter(size, positions, ops)
+        return _scatter(size, positions, forwarded)
 
-    def on_check_positions_announced(self, positions: list[int]) -> dict[int, PauliOp]:
+    def on_check_positions_announced(self, positions: np.ndarray) -> np.ndarray:
         """Entanglement-swap each announced position and announce the
         Pauli that makes the dealer/third-party pair pass the check."""
-        order = sorted(positions)
+        order = np.sort(positions)
         outcomes = self.register.measure_bells(
-            [self.kept_partner.pop(pos) for pos in order],
-            [self.fakes[pos].kept for pos in order],
+            self.kept_partner[order], self.fake_kept[order]
         )
-        return {
-            pos: compose(decode_bell_to_pauli(outcome), self.fakes[pos].op)
-            for pos, outcome in zip(order, outcomes)
-        }
+        return BELL_CODES[outcomes] ^ self.fake_op[order]
 
-    def on_intercept_dealer_sequence(self, dealer_photons: dict[int, int]) -> dict[int, int]:
+    def on_intercept_dealer_sequence(
+        self, positions: np.ndarray, dealer_photons: np.ndarray
+    ) -> np.ndarray:
         """Bell-measure each intercepted photon against the retained
         genuine partner, record the dealer's Pauli, re-apply it to the
         kept fake half, and forward that instead."""
-        order = sorted(dealer_photons)
         outcomes = self.register.measure_bells(
-            [dealer_photons[pos] for pos in order],
-            [self.kept_partner.pop(pos) for pos in order],
+            dealer_photons[positions], self.kept_partner[positions]
         )
-        ops = [decode_bell_to_pauli(outcome) for outcome in outcomes]
-        self.inferred.update(zip(order, ops))
-        kept = [self.fakes[pos].kept for pos in order]
-        self.register.apply_gates(kept, [PAULI_GATES[op] for op in ops])
-        return dict(zip(order, kept))
+        ops = BELL_CODES[outcomes]
+        self.inferred = _scatter(len(dealer_photons), positions, ops)
+        kept = self.fake_kept[positions]
+        self.register.apply_gates(kept, ops)
+        return _scatter(len(dealer_photons), positions, kept)
 
-    def check_op(self, pos: int) -> PauliOp:
-        """Operation published for the dealer's final sample check.  The
-        substitute-pair Pauli makes the check arithmetic work out, so the
-        truthful value is always announced here."""
-        return self.fakes[pos].op
+    def check_op(self, positions: np.ndarray) -> np.ndarray:
+        """Operations published for the dealer's final sample check.  The
+        substitute-pair Paulis make the check arithmetic work out, so the
+        truthful values are always announced here."""
+        return self.fake_op[positions]
 
-    def published_op(self, pos: int) -> PauliOp:
-        """Operation published at collaboration time.  Truthful if Bob
+    def published_op(self, positions: np.ndarray) -> np.ndarray:
+        """Operations published at collaboration time.  Truthful if Bob
         wants the third party to decode correctly, uniformly random
         otherwise."""
         if self.publish_true_ops:
-            return self.fakes[pos].op
-        return random_pauli(self.rng)
+            return self.fake_op[positions]
+        return _random_paulis(self.rng, len(positions))
 
 
 class SwapAttackImproved:
@@ -192,45 +202,54 @@ class SwapAttackImproved:
     everywhere else.  At later hop checks he has an announcement slot
     and swap-corrects exactly as in the original attack; at the dealer's
     final Hadamard verification he does not, and the unentangled sample
-    photons betray him."""
+    photons betray him.
+
+    The publish methods take sorted positions and return one Pauli code
+    per position."""
 
     def __init__(self, register: Register, rng: np.random.Generator, spec: AdversarySpec):
         self.register = register
         self.rng = rng
         self.publish_true_ops = spec.publish_true_ops
-        self.kept_travel: dict[int, int] = {}
-        self.fakes: dict[int, _FakePair] = {}
+        self.kept_travel = np.zeros(0, dtype=np.int64)
+        self.fake_kept = np.zeros(0, dtype=np.int64)
+        self.fake_op = np.zeros(0, dtype=np.int64)
 
     def on_forward(
         self,
-        travel_photons: dict[int, int],
-        own_samples: list[int],
-    ) -> dict[int, int]:
-        samples = set(own_samples)
-        order = sorted(travel_photons)
+        positions: np.ndarray,
+        travel_photons: np.ndarray,
+        own_samples: np.ndarray,
+    ) -> np.ndarray:
+        size = len(travel_photons)
+        is_sample = np.zeros(size, dtype=bool)
+        is_sample[own_samples] = True
+        sampled = is_sample[positions]
         # Behave honestly where the next check will look.
-        honest = [travel_photons[pos] for pos in order if pos in samples]
-        self.register.apply_gates(honest, [SingleGate.H] * len(honest))
-        swapped = [pos for pos in order if pos not in samples]
-        self.kept_travel.update((pos, travel_photons[pos]) for pos in swapped)
-        self.fakes.update(_fake_pairs(self.register, self.rng, swapped))
-        return {
-            pos: travel_photons[pos] if pos in samples else self.fakes[pos].forwarded
-            for pos in order
-        }
+        honest = travel_photons[positions[sampled]]
+        self.register.apply_gates(honest, np.full(len(honest), H_CODE))
+        swapped = positions[~sampled]
+        self.kept_travel = _scatter(size, swapped, travel_photons[swapped])
+        kept, forwarded, ops = _fake_pairs(self.register, self.rng, len(swapped))
+        self.fake_kept = _scatter(size, swapped, kept)
+        self.fake_op = _scatter(size, swapped, ops)
+        out = travel_photons.copy()
+        out[swapped] = forwarded
+        return out
 
-    def publish_for_hop_check(self, pos: int) -> PauliOp:
-        """Swap-correct an announced mid-chain check position."""
-        fake = self.fakes[pos]
-        outcome = self.register.measure_bell(self.kept_travel.pop(pos), fake.kept)
-        return compose(decode_bell_to_pauli(outcome), fake.op)
+    def publish_for_hop_check(self, positions: np.ndarray) -> np.ndarray:
+        """Swap-correct the announced mid-chain check positions."""
+        outcomes = self.register.measure_bells(
+            self.kept_travel[positions], self.fake_kept[positions]
+        )
+        return BELL_CODES[outcomes] ^ self.fake_op[positions]
 
-    def publish_for_step6(self, pos: int) -> PauliOp:
+    def publish_for_step6(self, positions: np.ndarray) -> np.ndarray:
         """No swap here: the original playbook has no correction move for
         the dealer's own Hadamard-and-Bell verification."""
-        return self.fakes[pos].op
+        return self.fake_op[positions]
 
-    def publish_final(self, pos: int) -> PauliOp:
+    def publish_final(self, positions: np.ndarray) -> np.ndarray:
         if self.publish_true_ops:
-            return self.fakes[pos].op
-        return random_pauli(self.rng)
+            return self.fake_op[positions]
+        return _random_paulis(self.rng, len(positions))

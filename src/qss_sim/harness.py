@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -123,8 +124,10 @@ def run_batch(spec: BatchSpec) -> tuple[AggregateStats, list[RunReport]]:
     validate_batch(spec)
     start = time.perf_counter()
     configs = [_trial_config(spec, t) for t in range(spec.trials)]
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+    # More threads than trials or cores would only add start-up cost.
+    workers = min(spec.workers, spec.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_trial, configs))
     else:
         reports = [run_trial(c) for c in configs]

@@ -7,6 +7,21 @@ message codec and the deterministic bookkeeping oracle for every
 Hadamard-free circuit in the protocols: which Bell state a pair occupies
 only ever shifts by the XOR of the Paulis applied to either photon.
 
+The protocol pipeline holds Paulis as integer codes, ``code = 2*xbit +
+zbit``, so that composing two of them is one XOR of their codes:
+
+    code  0  1  2  3
+    Pauli I  Z  X  iY
+
+``PAULI_BY_CODE`` maps a code back to its ``PauliOp``.  A Bell
+measurement reports the index of its outcome in ``BELL_ORDER``;
+``BELL_CODES`` gives the code of the Pauli that outcome decodes to
+(``decode_bell_to_pauli``):
+
+    index    0     1     2     3
+    outcome  phi+  phi-  psi+  psi-
+    code     3     2     1     0
+
 Bell-basis convention (fixed so tests are bit-exact):
 
     Phi+- = (|00> +- |11>)/sqrt(2)
@@ -19,6 +34,8 @@ from __future__ import annotations
 
 import enum
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class Basis(enum.Enum):
@@ -53,6 +70,11 @@ class PauliOp(enum.Enum):
     def bits(self) -> tuple[int, int]:
         return self.value
 
+    @property
+    def code(self) -> int:
+        """The 2-bit code 2*xbit + zbit."""
+        return 2 * self.value[0] + self.value[1]
+
     @classmethod
     def from_bits(cls, xbit: int, zbit: int) -> "PauliOp":
         return _BITS_TO_PAULI[(xbit, zbit)]
@@ -68,6 +90,17 @@ BELL_TO_PAULI = {
     BellLabel.PHI_PLUS: PauliOp.IY,
 }
 PAULI_TO_BELL = {p: b for b, p in BELL_TO_PAULI.items()}
+
+PAULI_BY_CODE = tuple(sorted(PauliOp, key=lambda p: p.code))
+
+# Draw order for Bell measurement outcomes; fixed so seeded runs replay.
+BELL_ORDER = (
+    BellLabel.PHI_PLUS,
+    BellLabel.PHI_MINUS,
+    BellLabel.PSI_PLUS,
+    BellLabel.PSI_MINUS,
+)
+BELL_CODES = np.array([BELL_TO_PAULI[label].code for label in BELL_ORDER])
 
 
 def compose(a: PauliOp, b: PauliOp) -> PauliOp:

@@ -41,19 +41,8 @@ from .adversaries import (
     SwapAttackOriginal,
     _random_paulis,
 )
-from .pauli import (
-    Basis,
-    BellLabel,
-    PauliOp,
-    compose,
-    compose_all,
-    decode_bell_to_pauli,
-    decode_message,
-    encode_message,
-    expected_parity,
-    recover_dealer_pauli,
-)
-from .register import PAULI_GATES, Register, SingleGate, SingleState
+from .pauli import BELL_CODES, BELL_ORDER, PAULI_BY_CODE, Basis, BellLabel, PauliOp
+from .register import H_CODE, Register
 
 
 class ConfigError(ValueError):
@@ -222,18 +211,48 @@ def validate_config(config: ScenarioConfig) -> None:
 
 # ---------------------------------------------------------------------------
 # shared machinery
+#
+# Positions are sorted int arrays.  Photon sequences and every party's
+# operations are arrays indexed by position; operations are Pauli codes
+# (see `pauli`), so composing two layers is one XOR.
+
+# Lookup tables by code.  Object arrays hand out the same str and enum
+# objects on every lookup, so a transcript holds no copies of them.
+_PAULIS = np.array(PAULI_BY_CODE, dtype=object)
+_PAULI_NAMES = np.array([p.name for p in PAULI_BY_CODE], dtype=object)
+_BELL_NAMES = np.array([label.name for label in BELL_ORDER], dtype=object)
+_BASIS_VALUES = np.array([Basis.Z.value, Basis.X.value], dtype=object)
 
 
-_BASES = (Basis.Z, Basis.X)
-_DECOY_STATES = (SingleState.ZERO, SingleState.ONE, SingleState.PLUS, SingleState.MINUS)
+def _without(positions: np.ndarray, removed: np.ndarray) -> np.ndarray:
+    """Mask of the sorted `positions` that are not in `removed`, a subset
+    of them."""
+    keep = np.ones(len(positions), dtype=bool)
+    keep[np.searchsorted(positions, removed)] = False
+    return keep
+
+
+def _op_dict(positions: np.ndarray, ops: np.ndarray) -> dict[int, PauliOp]:
+    """The position-indexed codes `ops` at `positions`, as PauliOps."""
+    return dict(zip(positions.tolist(), _PAULIS[ops[positions]].tolist()))
+
+
+def _names(positions: np.ndarray, codes: np.ndarray) -> dict[int, str]:
+    """One Pauli name per position, for the transcript."""
+    return dict(zip(positions.tolist(), _PAULI_NAMES[codes].tolist()))
+
+
+def _message_bits(codes: np.ndarray) -> list[int]:
+    """Two bits (xbit, zbit) per Pauli code: the inverse of encoding."""
+    return np.stack((codes >> 1, codes & 1), axis=1).ravel().tolist()
 
 
 def _transmit(
     hop: str,
-    photons: list[int],
+    photons: np.ndarray,
     eve: EveInterceptResend | None,
     transcript: Transcript,
-) -> list[int]:
+) -> np.ndarray:
     transcript.append("transmit", hop=hop, count=len(photons))
     if eve is not None and eve.hop == hop:
         return eve.intercept_sequence(photons)
@@ -242,10 +261,10 @@ def _transmit(
 
 def zx_check(
     check_id: str,
-    positions: list[int],
-    remote_photons: dict[int, int],
-    local_photons: dict[int, int],
-    expected: dict[int, PauliOp],
+    positions: np.ndarray,
+    remote_photons: np.ndarray,
+    local_photons: np.ndarray,
+    expected: np.ndarray,
     register: Register,
     rng_remote: np.random.Generator,
     transcript: Transcript,
@@ -257,30 +276,33 @@ def zx_check(
     For each sampled position the remote party measures its photon in a
     random basis and announces basis and result; the local party measures
     the partner in the same basis.  The outcome parity must match the
-    Bell correlation of the pair's announced Pauli shift."""
-    order = sorted(positions)
-    bases = [_BASES[x] for x in (rng_remote.random(len(order)) < 0.5).tolist()]
-    remote = [remote_photons[pos] for pos in order]
+    Bell correlation of the pair's announced Pauli shift.  The photon
+    arrays and the announced Pauli codes `expected` are indexed by
+    position."""
+    order = np.sort(positions)
+    in_x = rng_remote.random(len(order)) < 0.5
+    remote = remote_photons[order]
     if remote_applies_h:
-        register.apply_gates(remote, [SingleGate.H] * len(remote))
+        register.apply_gates(remote, np.full(len(remote), H_CODE))
     # Remote before local at each position: [r0, l0, r1, l1, ...].
-    photons = [p for pair in zip(remote, (local_photons[pos] for pos in order)) for p in pair]
-    results = register.measure_singles(photons, [b for b in bases for _ in (0, 1)])
-    mismatches = 0
-    for pos, basis, remote_out, local_out in zip(order, bases, results[::2], results[1::2]):
-        transcript.append(
-            "zx_remote",
-            check=check_id,
-            position=pos,
-            basis=basis.value,
-            result=remote_out,
+    photons = np.stack((remote, local_photons[order]), axis=1).ravel()
+    results = register.measure_singles(photons, np.repeat(in_x, 2)).reshape(-1, 2)
+    remote_out, local_out = results[:, 0], results[:, 1]
+    # A pair with code c has outcome parity 1 ^ xbit in the Z basis and
+    # 1 ^ zbit in the X basis (`expected_parity`).
+    parity = 1 ^ (expected[order] >> np.where(in_x, 0, 1)) & 1
+    mismatches = int(np.count_nonzero((remote_out ^ local_out) != parity))
+    for pos, basis, r, l in zip(
+        order.tolist(),
+        _BASIS_VALUES[in_x.astype(np.int64)].tolist(),
+        remote_out.tolist(),
+        local_out.tolist(),
+    ):
+        transcript.events += (
+            {"kind": "zx_remote", "check": check_id, "position": pos, "basis": basis, "result": r},
+            {"kind": "zx_local", "check": check_id, "position": pos, "result": l},
         )
-        transcript.append(
-            "zx_local", check=check_id, position=pos, result=local_out
-        )
-        if (remote_out ^ local_out) != expected_parity(expected[pos], basis):
-            mismatches += 1
-    report = CheckReport(check_id, len(positions), mismatches, threshold)
+    report = CheckReport(check_id, len(order), mismatches, threshold)
     transcript.append("check_report", **report.to_dict())
     return report
 
@@ -290,56 +312,53 @@ def decoy_round(
     register: Register,
     rng_dealer: np.random.Generator,
     count: int,
-    payload: list[int],
+    payload: np.ndarray,
     hop: str,
     eve: EveInterceptResend | None,
     transcript: Transcript,
     threshold: float,
-) -> tuple[CheckReport, list[int]]:
+) -> tuple[CheckReport, np.ndarray]:
     """Send `payload` photons with `count` checking photons mixed in at
     secret positions; after transit, announce positions and preparation
     bases, measure the checking photons, and compare with preparation.
 
     Returns the check report and the payload photons (ids may have been
     replaced in transit) in their original order."""
-    states = [_DECOY_STATES[k] for k in rng_dealer.integers(4, size=count).tolist()]
-    decoys = iter(register.prepare_singles(states))
+    # A draw k picks state code k: basis X if k >= 2, bit k & 1.
+    states = rng_dealer.integers(4, size=count)
+    decoys = register.prepare_singles(states)
     total = len(payload) + count
-    slots = set(
-        int(i) for i in rng_dealer.choice(total, size=count, replace=False)
-    )
+    slots = np.sort(rng_dealer.choice(total, size=count, replace=False))
     # The k-th checking photon sits at the k-th slot, in slot order.
-    ordered_slots = sorted(slots)
-    rest = iter(payload)
-    sequence = [next(decoys) if slot in slots else next(rest) for slot in range(total)]
+    is_decoy = np.zeros(total, dtype=bool)
+    is_decoy[slots] = True
+    sequence = np.empty(total, dtype=np.int64)
+    sequence[slots] = decoys
+    sequence[~is_decoy] = payload
     received = _transmit(hop, sequence, eve, transcript)
+    in_x = states >> 1
     transcript.append(
         "decoy_positions",
         check=check_id,
-        slots=ordered_slots,
-        bases=[s.basis.value for s in states],
+        slots=slots.tolist(),
+        bases=_BASIS_VALUES[in_x].tolist(),
     )
-    outcomes = register.measure_singles(
-        [received[slot] for slot in ordered_slots], [s.basis for s in states]
+    outcomes = register.measure_singles(received[slots], in_x)
+    transcript.events += (
+        {"kind": "decoy_result", "check": check_id, "slot": slot, "result": outcome}
+        for slot, outcome in zip(slots.tolist(), outcomes.tolist())
     )
-    mismatches = 0
-    for slot, state, outcome in zip(ordered_slots, states, outcomes):
-        transcript.append(
-            "decoy_result", check=check_id, slot=slot, result=outcome
-        )
-        if outcome != state.bit:
-            mismatches += 1
-    out_payload = [photon for slot, photon in enumerate(received) if slot not in slots]
+    mismatches = int(np.count_nonzero(outcomes != states & 1))
     report = CheckReport(check_id, count, mismatches, threshold)
     transcript.append("check_report", **report.to_dict())
-    return report, out_payload
+    return report, received[~is_decoy]
 
 
 def verify_step6(
-    positions: list[int],
-    published: dict[int, PauliOp],
-    dealer_photons: dict[int, int],
-    returned_photons: dict[int, int],
+    positions: np.ndarray,
+    published: np.ndarray,
+    dealer_photons: np.ndarray,
+    returned_photons: np.ndarray,
     register: Register,
     transcript: Transcript,
     threshold: float,
@@ -349,17 +368,19 @@ def verify_step6(
     For each sampled position the dealer undoes the last agent's
     Hadamard, Bell-measures the returned photon against its retained
     partner, and requires the decoded Pauli to equal the XOR of the
-    agents' published operations."""
-    order = sorted(positions)
-    returned = [returned_photons[pos] for pos in order]
-    register.apply_gates(returned, [SingleGate.H] * len(returned))
-    labels = register.measure_bells([dealer_photons[pos] for pos in order], returned)
-    outcomes = {pos: label.name for pos, label in zip(order, labels)}
-    mismatches = sum(
-        decode_bell_to_pauli(label) != published[pos] for pos, label in zip(order, labels)
+    agents' published operations.  The photon arrays and the published
+    Pauli codes are indexed by position."""
+    order = np.sort(positions)
+    returned = returned_photons[order]
+    register.apply_gates(returned, np.full(len(returned), H_CODE))
+    outcomes = register.measure_bells(dealer_photons[order], returned)
+    mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published[order]))
+    report = CheckReport("step6_check", len(order), mismatches, threshold)
+    transcript.append(
+        "bell_outcomes",
+        check="step6_check",
+        outcomes=dict(zip(order.tolist(), _BELL_NAMES[outcomes].tolist())),
     )
-    report = CheckReport("step6_check", len(positions), mismatches, threshold)
-    transcript.append("bell_outcomes", check="step6_check", outcomes=outcomes)
     transcript.append("check_report", **report.to_dict())
     return report
 
@@ -373,9 +394,10 @@ class _Run:
     two halves of every surviving pair, and the steps both protocol
     modes share.
 
-    ``dealer`` maps each surviving position to the dealer's half of its
-    pair, ``partner`` to the other half; both always hold exactly the
-    positions in ``positions``, which stays sorted."""
+    ``positions`` is the sorted array of surviving positions.
+    ``dealer`` holds the dealer's half of each position's pair and
+    ``partner`` the other half, both indexed by position; entries at
+    retired positions are stale."""
 
     def __init__(
         self, config: ScenarioConfig, protocol: str, n_parties: int, attack_cls
@@ -399,9 +421,8 @@ class _Run:
         self.threshold = config.error_threshold
         self.transcript = Transcript()
         self.checks: list[CheckReport] = []
-        self.positions = list(range(config.n_pairs))
-        self.dealer: dict[int, int] = {}
-        self.partner: dict[int, int] = {}
+        self.positions = np.arange(config.n_pairs)
+        self.dealer = self.partner = np.zeros(0, dtype=np.int64)
         self.dealer_bits: list[int] = []
         self.recovered: list[int] | None = None
         self.eavesdropper_bits: list[int] | None = None
@@ -426,50 +447,56 @@ class _Run:
             extra=self.extra,
         )
 
+    def identity(self) -> np.ndarray:
+        """Position-indexed Pauli codes, I everywhere."""
+        return np.zeros(self.config.n_pairs, dtype=np.int64)
+
     def prepare(self, party: str) -> None:
         """`party` prepares one singlet per position; the dealer's half is
         the first photon of each pair."""
-        first, second = self.register.prepare_bells(len(self.positions), BellLabel.PSI_MINUS)
-        self.dealer = dict(zip(self.positions, first))
-        self.partner = dict(zip(self.positions, second))
+        self.dealer, self.partner = self.register.prepare_bells(
+            len(self.positions), BellLabel.PSI_MINUS
+        )
         self.transcript.append("prepare", party=party, pairs=self.config.n_pairs)
 
     def transmit(
-        self, hop: str, photons: dict[int, int], party: str | None = None
-    ) -> dict[int, int]:
+        self, hop: str, photons: np.ndarray, party: str | None = None
+    ) -> np.ndarray:
         """Send one photon per surviving position over `hop` and log its
         receipt; returns the photons that arrive."""
-        out = _transmit(
-            hop, [photons[p] for p in self.positions], self.eve, self.transcript
+        out = photons.copy()
+        out[self.positions] = _transmit(
+            hop, photons[self.positions], self.eve, self.transcript
         )
         receipt = {} if party is None else {"party": party}
         self.transcript.append("receipt", **receipt, hop=hop)
-        return dict(zip(self.positions, out))
+        return out
 
-    def draw(self, rng: np.random.Generator, count: int | None = None) -> list[int]:
+    def draw(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
         """Sample `count` surviving positions (by default the configured
         fraction of them), sorted."""
         if count is None:
             count = _sample_size(len(self.positions), self.config.sample_fraction)
-        picked = rng.choice(np.array(self.positions), size=count, replace=False)
-        return sorted(int(p) for p in picked)
+        return np.sort(rng.choice(self.positions, size=count, replace=False))
 
-    def settle(self, report: CheckReport, sampled: list[int]) -> None:
+    def sample_event(self, check: str, sampled: np.ndarray) -> None:
+        """Announce the positions a check has sampled."""
+        self.transcript.append("sample_positions", check=check, positions=sampled.tolist())
+
+    def settle(self, report: CheckReport, sampled: np.ndarray | None = None) -> None:
         """Record a check and retire the positions it consumed; an abort
         verdict ends the run here."""
         self.checks.append(report)
-        retired = set(sampled)
-        self.positions = [p for p in self.positions if p not in retired]
-        for p in sampled:
-            del self.dealer[p], self.partner[p]
+        if sampled is not None:
+            self.positions = self.positions[_without(self.positions, sampled)]
         if report.verdict == "abort":
             raise _Abort(report.check_id)
 
     def check_pairs(
         self,
         check_id: str,
-        sampled: list[int],
-        expected: dict[int, PauliOp],
+        sampled: np.ndarray,
+        expected: np.ndarray,
         rng_remote: np.random.Generator,
         remote_applies_h: bool = False,
     ) -> None:
@@ -489,62 +516,68 @@ class _Run:
         )
         self.settle(report, sampled)
 
-    def announce(self, check: str, party: str, ops: dict[int, PauliOp]) -> None:
-        """`party` publishes its operations on some positions."""
-        names = {p: ops[p].name for p in sorted(ops)}
-        self.transcript.append("publish_ops", check=check, party=party, ops=names)
+    def announce(self, check: str, party: str, positions: np.ndarray, ops: np.ndarray) -> None:
+        """`party` publishes its operations `ops` on the sorted `positions`."""
+        self.transcript.append(
+            "publish_ops", check=check, party=party, ops=_names(positions, ops)
+        )
 
-    def encode(self, positions: list[int]) -> dict[int, PauliOp]:
+    def encode(self, positions: np.ndarray) -> np.ndarray:
         """Draw the dealer's message, two bits per position, and return
-        the Pauli that encodes each position's pair of bits."""
-        self.dealer_bits = self.rng_dealer.integers(2, size=2 * len(positions)).tolist()
-        return dict(zip(positions, encode_message(self.dealer_bits)))
+        the code of the Pauli that encodes each position's pair of bits,
+        indexed by position (-1 elsewhere)."""
+        bits = self.rng_dealer.integers(2, size=2 * len(positions))
+        self.dealer_bits = bits.tolist()
+        codes = np.full(self.config.n_pairs, -1, dtype=np.int64)
+        codes[positions] = 2 * bits[0::2] + bits[1::2]
+        return codes
 
     def encrypt(
         self,
-        photons: dict[int, int],
+        photons: np.ndarray,
         rng: np.random.Generator,
-        fixed: dict[int, PauliOp] | None = None,
-        rotated: set[int] | frozenset[int] = frozenset(),
-    ) -> dict[int, PauliOp]:
-        """One party's pass over its surviving photons: H at `rotated`
-        positions, the `fixed` Pauli where one is given, and a fresh
-        random Pauli from `rng` everywhere else.  Returns the Paulis."""
-        fixed = fixed or {}
-        ops = {pos: fixed.get(pos) for pos in self.positions if pos not in rotated}
-        free = [pos for pos, op in ops.items() if op is None]
-        ops.update(zip(free, _random_paulis(rng, len(free))))
-        gates = [
-            SingleGate.H if pos in rotated else PAULI_GATES[ops[pos]] for pos in self.positions
-        ]
-        self.register.apply_gates([photons[pos] for pos in self.positions], gates)
+        fixed: np.ndarray | None = None,
+        rotated: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """One party's pass over its surviving photons: H at the `rotated`
+        positions (some of the surviving ones), the `fixed` code where it
+        is not negative, and a fresh random Pauli from `rng` everywhere
+        else.  Returns the Pauli codes, indexed by position (I where no
+        Pauli was applied)."""
+        positions = self.positions
+        gates = np.full(len(positions), -1) if fixed is None else fixed[positions]
+        if rotated is not None:
+            gates[np.searchsorted(positions, rotated)] = H_CODE
+        free = gates < 0
+        gates[free] = _random_paulis(rng, np.count_nonzero(free))
+        self.register.apply_gates(photons[positions], gates)
+        ops = self.identity()
+        ops[positions] = np.where(gates == H_CODE, 0, gates)
         return ops
 
-    def readout(self) -> dict[int, PauliOp]:
+    def readout(self) -> np.ndarray:
         """The reader's Bell measurement of every surviving pair, decoded
-        to the total Pauli applied to it."""
+        to the code of the total Pauli applied to it, indexed by
+        position."""
         outcomes = self.register.measure_bells(
-            [self.dealer[pos] for pos in self.positions],
-            [self.partner[pos] for pos in self.positions],
+            self.dealer[self.positions], self.partner[self.positions]
         )
-        return {
-            pos: decode_bell_to_pauli(outcome)
-            for pos, outcome in zip(self.positions, outcomes)
-        }
+        totals = self.identity()
+        totals[self.positions] = BELL_CODES[outcomes]
+        return totals
 
-    def collaborate(self, reader: str, totals: dict[int, PauliOp], publishers) -> None:
+    def collaborate(self, reader: str, totals: np.ndarray, publishers) -> None:
         """Each (party, publish) in `publishers` announces its operation on
         every surviving position; `reader` strips them from the readout
         and decodes the dealer's message."""
         positions = self.positions
-        self.transcript.append("collaboration_positions", positions=positions)
-        layers: list[dict[int, PauliOp]] = []
+        self.transcript.append("collaboration_positions", positions=positions.tolist())
+        dealer_codes = totals[positions]
         for party, publish in publishers:
-            layers.append({pos: publish(pos) for pos in positions})
-            self.announce("collaboration", party, layers[-1])
-        self.recovered = decode_message(
-            [recover_dealer_pauli(totals[p], [o[p] for o in layers]) for p in positions]
-        )
+            ops = publish(positions)
+            self.announce("collaboration", party, positions, ops)
+            dealer_codes = dealer_codes ^ ops
+        self.recovered = _message_bits(dealer_codes)
         self.transcript.append("recovered", party=reader, bits=_bits_str(self.recovered))
 
 
@@ -561,14 +594,15 @@ def _original_steps(run: _Run) -> None:
 
     # First eavesdropping check (Alice-Bob).
     q1 = run.draw(rng_alice)
-    run.transcript.append("sample_positions", check="zx_check_1", positions=q1)
-    run.check_pairs("zx_check_1", q1, {p: PauliOp.I for p in q1}, rng_bob)
+    run.sample_event("zx_check_1", q1)
+    run.check_pairs("zx_check_1", q1, run.identity(), rng_bob)
 
     # Bob encrypts his sequence and sends it to Charlie -- or substitutes
     # halves of his own pairs.
-    bob_ops: dict[int, PauliOp] = {}
+    bob_positions = run.positions
+    bob_ops = run.identity()
     if attack is not None:
-        run.partner = attack.on_send_to_third_party(run.partner)
+        run.partner = attack.on_send_to_third_party(run.positions, run.partner)
     else:
         bob_ops = run.encrypt(run.partner, rng_bob)
     run.partner = run.transmit("bob->charlie", run.partner, "charlie")
@@ -576,22 +610,22 @@ def _original_steps(run: _Run) -> None:
     # Second eavesdropping check (Alice-Charlie), with Bob's operations
     # published first.
     q2 = run.draw(rng_alice)
-    run.transcript.append("sample_positions", check="zx_check_2", positions=q2)
-    if attack is not None:
-        announced = attack.on_check_positions_announced(q2)
-    else:
-        announced = {p: bob_ops[p] for p in q2}
-    run.announce("zx_check_2", "bob", announced)
-    run.check_pairs("zx_check_2", q2, announced, rng_charlie)
+    run.sample_event("zx_check_2", q2)
+    announced = (
+        attack.on_check_positions_announced(q2) if attack is not None else bob_ops[q2]
+    )
+    run.announce("zx_check_2", "bob", q2, announced)
+    expected = run.identity()
+    expected[q2] = announced
+    run.check_pairs("zx_check_2", q2, expected, rng_charlie)
 
     # Alice picks her own samples, encodes the message elsewhere, and
     # sends her sequence to Charlie.
     q3 = run.draw(rng_alice)
-    sampled = set(q3)
-    message_positions = [p for p in run.positions if p not in sampled]
+    message_positions = run.positions[_without(run.positions, q3)]
     alice_ops = run.encrypt(run.dealer, rng_alice, fixed=run.encode(message_positions))
     if attack is not None:
-        run.dealer = attack.on_intercept_dealer_sequence(run.dealer)
+        run.dealer = attack.on_intercept_dealer_sequence(run.positions, run.dealer)
     run.dealer = run.transmit("alice->charlie", run.dealer, "charlie")
 
     # Charlie's Bell readout over every surviving position.
@@ -599,33 +633,29 @@ def _original_steps(run: _Run) -> None:
 
     # Final sample check: Charlie's outcomes against Alice's and Bob's
     # announced operations.
-    run.transcript.append("sample_positions", check="final_sample_check", positions=q3)
+    run.sample_event("final_sample_check", q3)
     run.transcript.append(
-        "bell_outcomes",
-        check="final_sample_check",
-        outcomes={p: totals[p].name for p in q3},
+        "bell_outcomes", check="final_sample_check", outcomes=_names(q3, totals[q3])
     )
-    published = {
-        p: attack.check_op(p) if attack is not None else bob_ops[p] for p in q3
-    }
-    run.announce("final_sample_check", "bob", published)
-    mism = sum(1 for p in q3 if totals[p] != compose(alice_ops[p], published[p]))
+    published = attack.check_op(q3) if attack is not None else bob_ops[q3]
+    run.announce("final_sample_check", "bob", q3, published)
+    mism = int(np.count_nonzero(totals[q3] != alice_ops[q3] ^ published))
     report = CheckReport("final_sample_check", len(q3), mism, run.threshold)
     run.transcript.append("check_report", **report.to_dict())
     run.extra = {
-        "totals": totals,
-        "alice_ops": alice_ops,
-        "bob_ops": bob_ops,
-        "message_positions": message_positions,
+        "totals": _op_dict(run.positions, totals),
+        "alice_ops": _op_dict(run.positions, alice_ops),
+        "bob_ops": {} if attack is not None else _op_dict(bob_positions, bob_ops),
+        "message_positions": message_positions.tolist(),
     }
     run.settle(report, q3)
 
     # Collaboration: Bob publishes his operations on the message
     # positions and Charlie decodes.
-    bob_publish = attack.published_op if attack is not None else lambda p: bob_ops[p]
+    bob_publish = attack.published_op if attack is not None else bob_ops.__getitem__
     run.collaborate("charlie", totals, [("bob", bob_publish)])
     if attack is not None:
-        run.eavesdropper_bits = decode_message([attack.inferred[p] for p in run.positions])
+        run.eavesdropper_bits = _message_bits(attack.inferred[run.positions])
 
 
 def run_original(config: ScenarioConfig) -> RunReport:
@@ -648,45 +678,46 @@ def _improved_steps(run: _Run) -> None:
 
     # Step 2: Z/X check between the dealer and the first agent.
     q = run.draw(run.rng_dealer)
-    run.transcript.append("sample_positions", check="zx_check_step2", positions=q)
-    run.check_pairs("zx_check_step2", q, {p: PauliOp.I for p in q}, rng_agents[0])
+    run.sample_event("zx_check_step2", q)
+    run.check_pairs("zx_check_step2", q, run.identity(), rng_agents[0])
 
-    # Steps 3-6: the encryption chain through agents 0..M-2.
-    agent_ops: list[dict[int, PauliOp]] = [dict() for _ in range(m)]
-    run.extra["agent_ops"] = agent_ops
+    # Steps 3-6: the encryption chain through agents 0..M-2.  Each
+    # agent's codes are I where it applied no Pauli.
+    agent_ops = [run.identity() for _ in range(m)]
+    agent_op_dicts: list[dict[int, PauliOp]] = [dict() for _ in range(m)]
+    run.extra["agent_ops"] = agent_op_dicts
 
     def publisher(j: int, attack_move: str):
-        """How agent j announces its operation on a position; the
+        """How agent j announces its operations on sorted positions; the
         dishonest first agent answers with the attack's `attack_move`."""
         if j == 0 and attack is not None:
             return getattr(attack, attack_move)
-        return lambda pos: agent_ops[j].get(pos, PauliOp.I)
+        return lambda positions: agent_ops[j][positions]
 
     for k in range(m - 1):
         last_chain_agent = k == m - 2
         count = run.config.step6_sample_count if last_chain_agent else None
         samples = run.draw(rng_agents[k], count)
         if k == 0 and attack is not None:
-            run.partner = attack.on_forward(run.partner, samples)
+            run.partner = attack.on_forward(run.positions, run.partner, samples)
         else:
-            agent_ops[k] = run.encrypt(run.partner, rng_agents[k], rotated=set(samples))
+            agent_ops[k] = run.encrypt(run.partner, rng_agents[k], rotated=samples)
+            encrypted = run.positions[_without(run.positions, samples)]
+            agent_op_dicts[k] = _op_dict(encrypted, agent_ops[k])
 
         hop = f"agent{k}->agent{k + 1}" if not last_chain_agent else f"agent{k}->alice"
         check_id = f"hop_check_{k}" if not last_chain_agent else "step6_check"
         move = "publish_for_hop_check" if not last_chain_agent else "publish_for_step6"
         run.partner = run.transmit(hop, run.partner)
-        run.transcript.append("sample_positions", check=check_id, positions=samples)
+        run.sample_event(check_id, samples)
 
         # Publication of the earlier agents' operations on the sampled
         # photons; agent k itself only Hadamard-rotated them.
-        announcers = [publisher(j, move) for j in range(k)]
-        layers = [{p: publish(p) for p in samples} for publish in announcers]
-        published = {p: compose_all(ops[p] for ops in layers) for p in samples}
+        layers = [publisher(j, move)(samples) for j in range(k)]
+        published = run.identity()
         if layers:
-            names = {
-                f"agent{j}": {p: op.name for p, op in ops.items()}
-                for j, ops in enumerate(layers)
-            }
+            published[samples] = np.bitwise_xor.reduce(layers)
+            names = {f"agent{j}": _names(samples, ops) for j, ops in enumerate(layers)}
             run.transcript.append("publish_ops", check=check_id, ops=names)
 
         if not last_chain_agent:
@@ -710,7 +741,10 @@ def _improved_steps(run: _Run) -> None:
     # Step 7: message encoding.
     alice_ops = run.encode(run.positions)
     run.encrypt(run.dealer, run.rng_dealer, fixed=alice_ops)
-    run.extra.update(alice_ops=alice_ops, message_positions=run.positions)
+    run.extra.update(
+        alice_ops=_op_dict(run.positions, alice_ops),
+        message_positions=run.positions.tolist(),
+    )
 
     # Steps 7-9: both sequences go to the last agent behind checking photons.
     run.partner = _guarded(run, "decoy_check_t", "alice->zach:t", run.partner)
@@ -718,16 +752,14 @@ def _improved_steps(run: _Run) -> None:
 
     # Step 10: Bell readout by the last agent.
     totals = run.readout()
-    run.extra["totals"] = totals
+    run.extra["totals"] = _op_dict(run.positions, totals)
 
     # Step 11: collaboration.
     publishers = [(f"agent{k}", publisher(k, "publish_final")) for k in range(m - 1)]
     run.collaborate("zach", totals, publishers)
 
 
-def _guarded(
-    run: _Run, check_id: str, hop: str, photons: dict[int, int]
-) -> dict[int, int]:
+def _guarded(run: _Run, check_id: str, hop: str, photons: np.ndarray) -> np.ndarray:
     """Send one photon per surviving position to the last agent with the
     dealer's checking photons mixed in; returns the photons that arrive."""
     report, received = decoy_round(
@@ -735,14 +767,16 @@ def _guarded(
         run.register,
         run.rng_dealer,
         run.config.checking_photon_count,
-        [photons[p] for p in run.positions],
+        photons[run.positions],
         hop,
         run.eve,
         run.transcript,
         run.threshold,
     )
-    run.settle(report, [])
-    return dict(zip(run.positions, received))
+    run.settle(report)
+    out = photons.copy()
+    out[run.positions] = received
+    return out
 
 
 def run_improved(config: ScenarioConfig) -> RunReport:

@@ -18,9 +18,12 @@ under every operation.
 
 The vector methods (``prepare_bells``, ``prepare_singles``,
 ``apply_gates``, ``measure_singles``, ``measure_bells``) act on a whole
-list of photons per call, and the per-photon methods are their
-one-element case.  Operations of one call that touch the same row run in
-list order.  A measuring call draws its Born-rule uniforms with one
+array of photons per call and speak integer codes: gate codes and state
+codes (tables below), an X-basis mask, and Bell-outcome indices into
+``BELL_ORDER``.  The per-photon methods are their one-element case,
+typed with the ``SingleGate``, ``SingleState``, ``Basis`` and
+``BellLabel`` enums.  Operations of one call that touch the same row run
+in list order.  A measuring call draws its Born-rule uniforms with one
 ``rng.random(n)`` in list order, which yields the same numbers as n
 scalar draws, so a vector call replays exactly the outcomes of the loop
 of per-photon calls it stands for.
@@ -37,7 +40,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .pauli import Basis, BellLabel, PauliOp
+from .pauli import BELL_ORDER, Basis, BellLabel, PauliOp
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -74,12 +77,6 @@ class SingleState(enum.Enum):
     def bit(self) -> int:
         return 0 if self in (SingleState.ZERO, SingleState.PLUS) else 1
 
-    @classmethod
-    def from_basis_bit(cls, basis: Basis, bit: int) -> "SingleState":
-        if basis is Basis.Z:
-            return cls.ONE if bit else cls.ZERO
-        return cls.MINUS if bit else cls.PLUS
-
 
 PAULI_GATES = {
     PauliOp.I: SingleGate.I,
@@ -111,21 +108,20 @@ BELL_TENSORS = {
     BellLabel.PSI_MINUS: np.array([[0, _SQ2], [-_SQ2, 0]], dtype=complex),
 }
 
-# Draw order for Bell measurement outcomes; fixed so seeded runs replay.
-BELL_ORDER = (
-    BellLabel.PHI_PLUS,
-    BellLabel.PHI_MINUS,
-    BellLabel.PSI_PLUS,
-    BellLabel.PSI_MINUS,
-)
+# Gate codes.  The four Paulis keep their 2-bit code from `pauli`, so an
+# array of Pauli codes is an array of gate codes.
+_GATES_BY_CODE = (SingleGate.I, SingleGate.Z, SingleGate.X, SingleGate.IY, SingleGate.H)
+GATE_CODES = {gate: code for code, gate in enumerate(_GATES_BY_CODE)}
+H_CODE = GATE_CODES[SingleGate.H]
+# State codes, 2*(basis is X) + bit: |0>, |1>, |+>, |->.
+_STATES_BY_CODE = (SingleState.ZERO, SingleState.ONE, SingleState.PLUS, SingleState.MINUS)
+STATE_CODES = {state: code for code, state in enumerate(_STATES_BY_CODE)}
 
 # Gate g sends its photon's amplitude slices (a0, a1) to
 # (m00*a0 + m01*a1, m10*a0 + m11*a1).  The Pauli entries are 0 and +-1,
 # so for them this is an exact flip and/or negation; for H it is
 # _SQ2*a0 +- _SQ2*a1.
-_GATE_CODE = {gate: code for code, gate in enumerate(SingleGate)}
-_GATE_COEFFS = np.array([GATE_MATRICES[gate] for gate in SingleGate])[:, :, :, None]
-_H_CODE = _GATE_CODE[SingleGate.H]
+_GATE_COEFFS = np.array([GATE_MATRICES[gate] for gate in _GATES_BY_CODE])[:, :, :, None]
 # Contracting a pair of measured axes with entry l gives the residual of
 # outcome BELL_ORDER[l].
 _BELL_PROJECTORS = np.conj(np.array([BELL_TENSORS[label] for label in BELL_ORDER]))
@@ -135,8 +131,7 @@ _SLOTS = np.array([[[0, 1], [2, 3]], [[0, 2], [1, 3]]])
 # Keeps the slice of the observed bit and zeroes the other one.
 _KEEP = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
 # The row of a single photon in each state: side 1 held in |0>.
-_STATE_CODE = {state: code for code, state in enumerate(SingleState)}
-_SINGLE_ROWS = np.array([np.outer(SINGLE_STATE_VECTORS[s], [1, 0]) for s in SingleState])
+_SINGLE_ROWS = np.array([np.outer(SINGLE_STATE_VECTORS[s], [1, 0]) for s in _STATES_BY_CODE])
 
 
 def _slots(rows: np.ndarray, sides: np.ndarray) -> np.ndarray:
@@ -162,6 +157,15 @@ def _first_touch(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     )
     first_item = (first // 2)[inverse].reshape(n, 2)
     return (first_item == np.arange(n)[:, None]).all(axis=1)
+
+
+def _codes(values: Sequence[int], table: tuple, what: str) -> np.ndarray:
+    """The codes as an array; raises unless each one indexes `table`."""
+    codes = np.asarray(values, dtype=np.int64)
+    if codes.size and (codes.min() < 0 or codes.max() >= len(table)):
+        bad = codes[(codes < 0) | (codes >= len(table))][0]
+        raise RegisterError(f"unknown {what} code {int(bad)}")
+    return codes
 
 
 def _raise_not_live(photon: int):
@@ -273,7 +277,7 @@ class Register:
 
     # -- preparation ------------------------------------------------------
 
-    def prepare_bells(self, n: int, label: BellLabel) -> tuple[list[int], list[int]]:
+    def prepare_bells(self, n: int, label: BellLabel) -> tuple[np.ndarray, np.ndarray]:
         """Create `n` fresh pairs jointly in the named Bell state; returns
         the first and the second photon of each pair."""
         rows = self._new_rows(n)
@@ -282,42 +286,43 @@ class Register:
         self._members[rows] = photons
         self._row[photons] = rows[:, None]
         self._side[photons] = (0, 1)
-        return photons[:, 0].tolist(), photons[:, 1].tolist()
+        return photons[:, 0], photons[:, 1]
 
-    def prepare_singles(self, states: Sequence[SingleState]) -> list[int]:
-        """Create one fresh photon per state in |0>, |1>, |+> or |->."""
-        rows = self._new_rows(len(states))
-        photons = self._new_photons(len(states))
-        codes = np.array([_STATE_CODE[s] for s in states], dtype=np.int64)
+    def prepare_singles(self, states: Sequence[int]) -> np.ndarray:
+        """Create one fresh photon per state code (``STATE_CODES``)."""
+        codes = _codes(states, _STATES_BY_CODE, "state")
+        rows = self._new_rows(len(codes))
+        photons = self._new_photons(len(codes))
         self._amps[rows] = _SINGLE_ROWS[codes]
         self._members[rows] = -1
         self._members[rows, 0] = photons
         self._row[photons] = rows
         self._side[photons] = 0
-        return photons.tolist()
+        return photons
 
     def prepare_bell(self, label: BellLabel) -> tuple[int, int]:
         """Create two fresh photons jointly in the named Bell state."""
         (a,), (b,) = self.prepare_bells(1, label)
-        return a, b
+        return int(a), int(b)
 
     def prepare_single(self, state: SingleState) -> int:
         """Create one fresh photon in |0>, |1>, |+> or |->."""
-        return self.prepare_singles([state])[0]
+        return int(self.prepare_singles([STATE_CODES[state]])[0])
 
     # -- unitaries --------------------------------------------------------
 
-    def apply_gates(self, photons: Sequence[int], gates: Sequence[SingleGate]) -> None:
-        """Apply gates[i] to photons[i], in list order."""
+    def apply_gates(self, photons: Sequence[int], gates: Sequence[int]) -> None:
+        """Apply the gate with code gates[i] (``GATE_CODES``) to
+        photons[i], in list order."""
         ids = self._require(photons)
-        if len(gates) != len(ids):
+        codes = _codes(gates, _GATES_BY_CODE, "gate")
+        if len(codes) != len(ids):
             raise RegisterError("apply_gates needs one gate per photon")
-        codes = np.array([_GATE_CODE[g] for g in gates], dtype=np.int64)
         for items in self._rounds(ids, ids):
             self._gate(ids[items], codes[items])
 
     def apply_gate(self, photon: int, gate: SingleGate) -> None:
-        self.apply_gates([photon], [gate])
+        self.apply_gates([photon], [GATE_CODES[gate]])
 
     def _gate(self, ids: np.ndarray, codes: np.ndarray) -> None:
         """Apply one gate per photon; the photons' rows are distinct."""
@@ -331,30 +336,31 @@ class Register:
 
     # -- measurements (destructive) ---------------------------------------
 
-    def measure_singles(self, photons: Sequence[int], bases: Sequence[Basis]) -> list[int]:
-        """Born-rule single-photon measurements, in list order; returns
+    def measure_singles(self, photons: Sequence[int], in_x: Sequence[bool]) -> np.ndarray:
+        """Born-rule single-photon measurements, in list order, in the X
+        basis where `in_x` is set and in the Z basis elsewhere; returns
         0/1 per photon (in the X basis 0 means the '+' outcome).
         Consumes the photons."""
         ids = self._require(photons)
-        if len(bases) != len(ids):
+        in_x = np.asarray(in_x, dtype=bool)
+        if len(in_x) != len(ids):
             raise RegisterError("measure_singles needs one basis per photon")
         if len(set(ids.tolist())) != len(ids):
             raise RegisterError("a measurement lists the same photon twice")
-        in_x = np.array([b is Basis.X for b in bases], dtype=bool)
-        any_x = Basis.X in bases
+        any_x = in_x.any()
         u = self.rng.random(len(ids))
         out = np.zeros(len(ids), dtype=np.int64)
         for items in self._rounds(ids, ids):
             round_ids, x = ids[items], in_x[items]
             if any_x and x.any():
-                self._gate(round_ids[x], np.full(x.sum(), _H_CODE))
+                self._gate(round_ids[x], np.full(x.sum(), H_CODE))
             out[items] = self._collapse(round_ids, u[items])
-        return out.tolist()
+        return out
 
     def measure_single(self, photon: int, basis: Basis) -> int:
         """Born-rule single-photon measurement; returns 0/1 (in the X basis
         0 means the '+' outcome).  Consumes the photon."""
-        return self.measure_singles([photon], [basis])[0]
+        return int(self.measure_singles([photon], [basis is Basis.X])[0])
 
     def _collapse(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Z-measure one photon per row; the photons' rows are distinct."""
@@ -371,9 +377,9 @@ class Register:
         _check_norm(blocks)
         return bits
 
-    def measure_bells(self, a: Sequence[int], b: Sequence[int]) -> list[BellLabel]:
+    def measure_bells(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
         """Joint Bell-basis measurements of the pairs (a[i], b[i]), in
-        list order.
+        list order; returns each outcome's index in ``BELL_ORDER``.
 
         Each draws an outcome by the Born rule and leaves the surviving
         photons in the correct post-measurement state (which is what makes
@@ -389,7 +395,7 @@ class Register:
         picks = np.zeros(len(ids_a), dtype=np.int64)
         for items in self._rounds(ids_a, ids_b):
             picks[items] = self._bell(ids_a[items], ids_b[items], u[items])
-        return [BELL_ORDER[k] for k in picks.tolist()]
+        return picks
 
     def measure_bell(self, a: int, b: int) -> BellLabel:
         """Joint Bell-basis measurement of two photons.
@@ -397,7 +403,7 @@ class Register:
         Draws an outcome by the Born rule and leaves the surviving photons
         in the correct post-measurement state (which is what makes
         entanglement swapping work).  Both photons are consumed."""
-        return self.measure_bells([a], [b])[0]
+        return BELL_ORDER[int(self.measure_bells([a], [b])[0])]
 
     def _bell(self, ids_a: np.ndarray, ids_b: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Bell-measure each pair; no two pairs share a row."""

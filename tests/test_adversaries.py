@@ -143,11 +143,11 @@ def test_adversaries_see_only_channel_state():
         params = list(inspect.signature(cls).parameters)
         assert params == ["register", "rng", "spec"]
     handler_params = {
-        "on_send_to_third_party": ["partner_photons"],
+        "on_send_to_third_party": ["positions", "partner_photons"],
         "on_check_positions_announced": ["positions"],
-        "on_intercept_dealer_sequence": ["dealer_photons"],
-        "check_op": ["pos"],
-        "published_op": ["pos"],
+        "on_intercept_dealer_sequence": ["positions", "dealer_photons"],
+        "check_op": ["positions"],
+        "published_op": ["positions"],
     }
     for name, expected in handler_params.items():
         sig = inspect.signature(getattr(SwapAttackOriginal, name))

@@ -1,12 +1,16 @@
-"""Golden JSON-lines digests for a fixed set of small batch specs.
+"""Golden digests for a fixed set of small batch specs.
 
 Every spec runs a seeded batch and compares the sha256 of its
-``jsonl_report`` text with a recorded digest.  A refactor of the engine
-or the protocol pipeline must leave every digest unchanged; a change
-that alters the order of random draws changes them and has to say so.
+``jsonl_report`` text with a recorded digest, and the sha256 of every
+trial's transcript events and ``extra`` (which the JSON lines leave out)
+with a second one.  A refactor of the engine or the protocol pipeline
+must leave every digest unchanged; a change that alters the order of
+random draws changes them and has to say so.
 """
 
+import enum
 import hashlib
+import json
 
 import pytest
 
@@ -99,6 +103,22 @@ GOLDEN = {
     ),
 }
 
+# name -> sha256 of its trials' transcripts and `extra` (see golden_trials_json)
+GOLDEN_TRIALS = {
+    "improved-eve-agent0-agent1-t1": "dd86003d778a0894503f0ac23853abc5cdcbfc2099b6eb11b93d51a5d5e4e8b6",
+    "improved-eve-zach-a-t1": "932ad52c18d3f53f4f4480a1413012e917267c91979baadd7960154e1b7b6869",
+    "improved-eve-zach-t-t0": "8f87567c0ef1cf2401cb3614baea8a7d633291f4470c4afb1ad747076560227b",
+    "improved-honest-3": "deb7f3bb55979f813cd085b7103a8bc73d7490dd17141ca072467e3b6bc31d23",
+    "improved-swap-false-4": "73cc69acd9efa47494b89fc512497e03bd649319412b21307ed3b4d3ad5c5691",
+    "improved-swap-true-3-t1": "952ee6e94b9a42f2192061ce168c1ec1502774f4ca92f05ad8ac4c8f0f97d7a8",
+    "original-eve-alice-charlie-t1": "28ed844778ddbf9cb3a6e1ba5a6809f115a8b6c75770761f8c98ad87a1839ae0",
+    "original-eve-bob-alice-t0": "9d54424bcf225e314272c0a758b50e7a40c45f85279df0749a97c786904a5fa4",
+    "original-eve-bob-charlie-t1": "9c5aa832e40c96513a5d319ef41569b986edaaac4870e362dbfb7bf05b749537",
+    "original-honest": "5507c399213f31818dd180b27f44f98132b80aa0d1449bae9f69731453dc4bf5",
+    "original-swap-false": "67f751cccff6f2e4450baaa10ae773713734f4170c1d6d4ae158fb1285831c90",
+    "original-swap-true": "3b6bcb16149646b8a6d07d66f261bb7e0a16f4c661e8d59261d61d9222f717c5",
+}
+
 
 def golden_jsonl(scenario: ScenarioConfig) -> str:
     spec = BatchSpec(scenario=scenario, trials=8, seed_base=500)
@@ -111,3 +131,23 @@ def test_golden_jsonl_digest(name):
     scenario, digest = GOLDEN[name]
     text = golden_jsonl(scenario)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _by_name(obj):
+    if isinstance(obj, enum.Enum):
+        return obj.name
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def golden_trials_json(scenario: ScenarioConfig) -> str:
+    """Every trial's transcript events and ``extra`` as JSON, enums by
+    name, dict keys in insertion order."""
+    _, reports = run_batch(BatchSpec(scenario=scenario, trials=8, seed_base=500))
+    trials = [{"events": r.transcript.to_list(), "extra": r.extra} for r in reports]
+    return json.dumps(trials, default=_by_name, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRIALS))
+def test_golden_transcript_and_extra_digest(name):
+    text = golden_trials_json(GOLDEN[name][0])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_TRIALS[name]

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from qss_sim import harness
 from qss_sim.adversaries import AdversarySpec
 from qss_sim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from qss_sim.harness import (
@@ -64,6 +65,38 @@ def test_parallel_equals_serial():
     assert jsonl_report(serial, s_stats, s_reports) == jsonl_report(
         parallel, p_stats, p_reports
     )
+
+
+@pytest.mark.parametrize(
+    "workers, trials, cpus, pool_size",
+    [(5000, 5, 64, 5), (5000, 7, 2, 2), (3, 7, 64, 3), (4, 1, 64, None), (4, 7, None, None)],
+)
+def test_worker_pool_is_capped(monkeypatch, workers, trials, cpus, pool_size):
+    # The pool never has more threads than trials or cores; a cap of one
+    # runs serially.  A fake executor records the size asked for, so no
+    # large pool is ever started.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    spec = _spec(trials=trials, workers=workers)
+    stats, reports = run_batch(spec)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    serial = _spec(trials=trials)
+    assert jsonl_report(spec, stats, reports) == jsonl_report(serial, *run_batch(serial))
 
 
 def test_batch_reports_retain_no_register():

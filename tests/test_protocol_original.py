@@ -167,16 +167,23 @@ def test_nonzero_threshold_tolerates_small_error():
     assert all(c.threshold == 0.5 for c in rep.checks)
 
 
+def _by_position(remote, local, expected):
+    """zx_check's position-indexed arguments: photon ids and Pauli codes."""
+    return np.array(remote), np.array(local), np.array([op.code for op in expected])
+
+
 def test_zx_check_unit_honest_pairs():
     reg = Register(seed=50)
     rng = np.random.default_rng(51)
-    remote, local, expected = {}, {}, {}
+    remote, local, expected = [], [], []
     for pos in range(40):
         a, b = reg.prepare_bell(BellLabel.PSI_MINUS)
-        local[pos], remote[pos] = a, b
-        expected[pos] = PauliOp.I
+        local.append(a)
+        remote.append(b)
+        expected.append(PauliOp.I)
+    remote, local, expected = _by_position(remote, local, expected)
     rep = zx_check(
-        "unit", list(range(40)), remote, local, expected, reg, rng, Transcript(), 0.0
+        "unit", np.arange(40), remote, local, expected, reg, rng, Transcript(), 0.0
     )
     assert rep.samples == 40
     assert rep.mismatches == 0
@@ -188,16 +195,18 @@ def test_zx_check_unit_shifted_pairs_with_announced_op():
 
     reg = Register(seed=52)
     rng = np.random.default_rng(53)
-    remote, local, expected = {}, {}, {}
+    remote, local, expected = [], [], []
     ops = list(PauliOp)
     for pos in range(40):
         a, b = reg.prepare_bell(BellLabel.PSI_MINUS)
         op = ops[pos % 4]
         reg.apply_gate(b, PAULI_GATES[op])
-        local[pos], remote[pos] = a, b
-        expected[pos] = op
+        local.append(a)
+        remote.append(b)
+        expected.append(op)
+    remote, local, expected = _by_position(remote, local, expected)
     rep = zx_check(
-        "unit", list(range(40)), remote, local, expected, reg, rng, Transcript(), 0.0
+        "unit", np.arange(40), remote, local, expected, reg, rng, Transcript(), 0.0
     )
     assert rep.mismatches == 0
 
@@ -207,14 +216,16 @@ def test_zx_check_unit_wrong_announcement_shows_errors():
 
     reg = Register(seed=54)
     rng = np.random.default_rng(55)
-    remote, local, expected = {}, {}, {}
+    remote, local, expected = [], [], []
     for pos in range(60):
         a, b = reg.prepare_bell(BellLabel.PSI_MINUS)
         reg.apply_gate(b, PAULI_GATES[PauliOp.IY])  # flips both correlations
-        local[pos], remote[pos] = a, b
-        expected[pos] = PauliOp.I
+        local.append(a)
+        remote.append(b)
+        expected.append(PauliOp.I)
+    remote, local, expected = _by_position(remote, local, expected)
     rep = zx_check(
-        "unit", list(range(60)), remote, local, expected, reg, rng, Transcript(), 0.0
+        "unit", np.arange(60), remote, local, expected, reg, rng, Transcript(), 0.0
     )
     # An iY shift against an announced identity fails in every basis.
     assert rep.mismatches == 60

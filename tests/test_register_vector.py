@@ -1,9 +1,9 @@
 """Vector register calls against the loops of per-photon calls they stand for.
 
 Two registers with the same seed run the same operations, one through a
-vector call and one through the equivalent loop of per-photon calls; the
-outcomes must be equal and every live photon's amplitudes must agree to
-1e-12.
+vector call (integer codes) and one through the equivalent loop of
+per-photon calls (enums); the outcomes must be equal and every live
+photon's amplitudes must agree to 1e-12.
 """
 
 import numpy as np
@@ -11,9 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qss_sim.adversaries import PAULI_ORDER, random_pauli
-from qss_sim.pauli import Basis, BellLabel
-from qss_sim.register import Register, RegisterError, SingleGate, SingleState
+from qss_sim.adversaries import PAULI_ORDER, _random_paulis, random_pauli
+from qss_sim.pauli import (
+    BELL_CODES,
+    BELL_ORDER,
+    Basis,
+    BellLabel,
+    PauliOp,
+    decode_bell_to_pauli,
+)
+from qss_sim.register import (
+    GATE_CODES,
+    H_CODE,
+    PAULI_GATES,
+    STATE_CODES,
+    Register,
+    RegisterError,
+    SingleGate,
+    SingleState,
+)
 
 
 def _assert_same_state(vec: Register, ref: Register) -> None:
@@ -27,29 +43,31 @@ def _assert_same_state(vec: Register, ref: Register) -> None:
 
 def _run(vec: Register, ref: Register, op: str, *args):
     """One vector call on `vec`, its per-photon loop on `ref`; returns
-    the vector call's result after checking that both agree."""
+    the vector call's result, as enums and lists, after checking that
+    both agree."""
     if op == "prepare_bells":
         n, label = args
-        got = vec.prepare_bells(n, label)
+        a, b = vec.prepare_bells(n, label)
+        got = (a.tolist(), b.tolist())
         pairs = [ref.prepare_bell(label) for _ in range(n)]
         want = ([a for a, _ in pairs], [b for _, b in pairs])
     elif op == "prepare_singles":
         (states,) = args
-        got = vec.prepare_singles(states)
+        got = vec.prepare_singles([STATE_CODES[s] for s in states]).tolist()
         want = [ref.prepare_single(s) for s in states]
     elif op == "apply_gates":
         photons, gates = args
-        got = vec.apply_gates(photons, gates)
+        got = vec.apply_gates(photons, [GATE_CODES[g] for g in gates])
         for p, g in zip(photons, gates):
             ref.apply_gate(p, g)
         want = None
     elif op == "measure_singles":
         photons, bases = args
-        got = vec.measure_singles(photons, bases)
+        got = vec.measure_singles(photons, [b is Basis.X for b in bases]).tolist()
         want = [ref.measure_single(p, b) for p, b in zip(photons, bases)]
     else:
         a, b = args
-        got = vec.measure_bells(a, b)
+        got = [BELL_ORDER[k] for k in vec.measure_bells(a, b).tolist()]
         want = [ref.measure_bell(x, y) for x, y in zip(a, b)]
     assert got == want
     _assert_same_state(vec, ref)
@@ -147,7 +165,7 @@ def test_listing_a_photon_twice_in_a_measuring_call_raises():
     (a,), (b,) = reg.prepare_bells(1, BellLabel.PSI_MINUS)
     (c,), (d,) = reg.prepare_bells(1, BellLabel.PSI_MINUS)
     with pytest.raises(RegisterError):
-        reg.measure_singles([a, a], [Basis.Z, Basis.Z])
+        reg.measure_singles([a, a], [False, False])
     with pytest.raises(RegisterError):
         reg.measure_bells([a, b], [c, a])
     with pytest.raises(RegisterError):
@@ -162,16 +180,44 @@ def test_vector_draws_equal_scalar_draws():
     assert vec.random(257).tolist() == [ref.random() for _ in range(257)]
     paulis = [PAULI_ORDER[k] for k in vec.integers(4, size=257).tolist()]
     assert paulis == [random_pauli(ref) for _ in range(257)]
+    assert _random_paulis(vec, 64).tolist() == [random_pauli(ref).code for _ in range(64)]
     assert vec.random() == ref.random()
+
+
+def test_code_tables_agree_with_the_enums():
+    # Pauli codes are gate codes, a Bell-outcome index decodes to the
+    # Pauli code in BELL_CODES, and a state code is 2*(basis is X) + bit.
+    for p in PauliOp:
+        assert p.code == 2 * p.xbit + p.zbit
+        assert GATE_CODES[PAULI_GATES[p]] == p.code
+    assert GATE_CODES[SingleGate.H] == H_CODE
+    for index, label in enumerate(BELL_ORDER):
+        assert BELL_CODES[index] == decode_bell_to_pauli(label).code
+    for state in SingleState:
+        assert STATE_CODES[state] == 2 * (state.basis is Basis.X) + state.bit
+
+
+def test_vector_calls_reject_unknown_codes():
+    reg = Register(seed=6)
+    (a,), (b,) = reg.prepare_bells(1, BellLabel.PSI_MINUS)
+    before = reg.amplitudes_of(a)[1].copy()
+    for code in (-1, H_CODE + 1):
+        with pytest.raises(RegisterError):
+            reg.apply_gates([a], [code])
+    for code in (-1, 4):
+        with pytest.raises(RegisterError):
+            reg.prepare_singles([code])
+    assert reg.live_photons == {a, b}
+    np.testing.assert_array_equal(reg.amplitudes_of(a)[1], before)
 
 
 def test_vector_calls_need_one_entry_per_photon():
     reg = Register(seed=4)
     (a, b), (c, d) = reg.prepare_bells(2, BellLabel.PSI_MINUS)
     with pytest.raises(RegisterError):
-        reg.apply_gates([a, b], [SingleGate.X])
+        reg.apply_gates([a, b], [GATE_CODES[SingleGate.X]])
     with pytest.raises(RegisterError):
-        reg.measure_singles([a, b], [Basis.Z])
+        reg.measure_singles([a, b], [False])
     with pytest.raises(RegisterError):
         reg.measure_bells([a, b], [c])
     assert reg.live_photons == {a, b, c, d}
