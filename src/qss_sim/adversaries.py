@@ -28,7 +28,8 @@ from .register import H_CODE, Register
 PAULI_ORDER = (PauliOp.I, PauliOp.X, PauliOp.IY, PauliOp.Z)
 # The code of the Pauli that a draw k of rng.integers(4) picks.
 _DRAW_CODES = np.array([p.code for p in PAULI_ORDER])
-_BASES = (Basis.Z, Basis.X)
+# The basis of an X-basis mask entry.
+_BASES = np.array([Basis.Z, Basis.X], dtype=object)
 
 VALID_KINDS = ("none", "eve_intercept_resend", "bob_swap_attack")
 VALID_POLICIES = ("uniform", "fixed-Z", "fixed-X")
@@ -76,7 +77,19 @@ class EveInterceptResend:
         self.rng = rng
         self.hop = spec.hop
         self.policy = spec.basis_policy
-        self.observations: list[tuple[Basis, int]] = []
+        self._observed: list[tuple[Basis, int]] = []
+        # The X-basis mask and outcomes of each sequence intercepted since
+        # `observations` was last read.
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+
+    @property
+    def observations(self) -> list[tuple[Basis, int]]:
+        """(basis, outcome) of every photon measured so far, in order."""
+        for in_x, outcomes in self._pending:
+            bases = _BASES[in_x.astype(np.int64)]
+            self._observed += zip(bases.tolist(), outcomes.tolist())
+        self._pending.clear()
+        return self._observed
 
     def _pick_bases(self, count: int) -> np.ndarray:
         """X-basis mask of `count` policy bases."""
@@ -94,9 +107,7 @@ class EveInterceptResend:
         fresh photons in the observed eigenstates."""
         in_x = self._pick_bases(len(photons))
         outcomes = self.register.measure_singles(photons, in_x)
-        self.observations.extend(
-            zip([_BASES[x] for x in in_x.tolist()], outcomes.tolist())
-        )
+        self._pending.append((in_x, outcomes))
         # State code 2*(basis is X) + bit.
         return self.register.prepare_singles(2 * in_x + outcomes)
 

@@ -99,17 +99,78 @@ class CheckReport:
         }
 
 
+class _Deferred:
+    """A value built on first read, as ``build(*args)``.  The arguments
+    are arrays and strings that the run never changes afterwards, so a
+    deferred value holds no register, rng or runner."""
+
+    __slots__ = ("build", "args")
+
+    def __init__(self, build, *args: Any) -> None:
+        self.build = build
+        self.args = args
+
+    def __call__(self) -> Any:
+        return self.build(*self.args)
+
+
 class Transcript:
-    """Append-only public log of classical announcements."""
+    """Append-only public log of classical announcements.
+
+    A step may record a run of events whose payloads grow with the
+    number of pairs as a `_Deferred` that builds them from the step's
+    arrays.  Deferred runs are expanded in place, in order, the first time
+    `events` or `to_list()` is read."""
 
     def __init__(self) -> None:
-        self.events: list[dict[str, Any]] = []
+        self._events: list[dict[str, Any] | _Deferred] = []
+        self._pending = False
 
     def append(self, kind: str, **payload: Any) -> None:
-        self.events.append({"kind": kind, **payload})
+        self._events.append({"kind": kind, **payload})
+
+    def defer(self, build, *args: Any) -> None:
+        """Record the events that ``build(*args)`` returns, built on
+        first read."""
+        self._events.append(_Deferred(build, *args))
+        self._pending = True
+
+    @property
+    def events(self) -> list[dict[str, Any]]:
+        """Every event in order, deferred runs expanded."""
+        if self._pending:
+            events = []
+            for item in self._events:
+                if isinstance(item, _Deferred):
+                    events += item()
+                else:
+                    events.append(item)
+            self._events = events
+            self._pending = False
+        return self._events
 
     def to_list(self) -> list[dict[str, Any]]:
         return list(self.events)
+
+
+class _BuiltOnRead:
+    """A dataclass field that may be set to a `_Deferred`: the first read
+    builds the value and keeps it.  Unset, it holds an empty dict."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None) -> Any:
+        if obj is None:  # the dataclass asks for the field's default
+            return None
+        value = getattr(obj, self.slot)
+        if isinstance(value, _Deferred):
+            value = value()
+            setattr(obj, self.slot, value)
+        return value
+
+    def __set__(self, obj, value: Any) -> None:
+        setattr(obj, self.slot, {} if value is None else value)
 
 
 @dataclass
@@ -121,8 +182,9 @@ class RunReport:
     eavesdropper_message: list[int] | None
     detected: bool
     transcript: Transcript
-    # Analysis-only data (per-position Paulis etc.); never serialized.
-    extra: dict[str, Any] = field(default_factory=dict)
+    # Analysis-only data (per-position Paulis etc.); never serialized, and
+    # built from the run's arrays on first read.
+    extra: dict[str, Any] = _BuiltOnRead()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -142,8 +204,11 @@ class RunReport:
         }
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _bits_str(bits: list[int]) -> str:
-    return "".join(str(b) for b in bits)
+    return bytes(bits).translate(_BIT_CHARS).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +302,87 @@ def _op_dict(positions: np.ndarray, ops: np.ndarray) -> dict[int, PauliOp]:
     return dict(zip(positions.tolist(), _PAULIS[ops[positions]].tolist()))
 
 
-def _names(positions: np.ndarray, codes: np.ndarray) -> dict[int, str]:
-    """One Pauli name per position, for the transcript."""
-    return dict(zip(positions.tolist(), _PAULI_NAMES[codes].tolist()))
+def _built(parts: dict[str, Any]) -> dict[str, Any]:
+    """`parts` with every `_Deferred` value built, also inside lists."""
+
+    def build(value: Any) -> Any:
+        if isinstance(value, _Deferred):
+            return value()
+        if isinstance(value, list):
+            return [build(v) for v in value]
+        return value
+
+    return {key: build(value) for key, value in parts.items()}
+
+
+def _named(positions: np.ndarray, codes: np.ndarray, names: np.ndarray) -> dict[int, str]:
+    """One name per position, names[code], for the transcript."""
+    return dict(zip(positions.tolist(), names[codes].tolist()))
+
+
+# Builders of deferred transcript events (see `Transcript.defer`).
+
+
+def _sample_events(check: str, positions: np.ndarray) -> list[dict[str, Any]]:
+    return [{"kind": "sample_positions", "check": check, "positions": positions.tolist()}]
+
+
+def _collaboration_events(positions: np.ndarray) -> list[dict[str, Any]]:
+    return [{"kind": "collaboration_positions", "positions": positions.tolist()}]
+
+
+def _publish_events(
+    check: str, party: str, positions: np.ndarray, codes: np.ndarray
+) -> list[dict[str, Any]]:
+    ops = _named(positions, codes, _PAULI_NAMES)
+    return [{"kind": "publish_ops", "check": check, "party": party, "ops": ops}]
+
+
+def _chain_publish_events(
+    check: str, positions: np.ndarray, layers: np.ndarray
+) -> list[dict[str, Any]]:
+    """One publication of agents 0..k-1, whose codes are the rows of
+    `layers`."""
+    ops = {
+        f"agent{j}": _named(positions, codes, _PAULI_NAMES) for j, codes in enumerate(layers)
+    }
+    return [{"kind": "publish_ops", "check": check, "ops": ops}]
+
+
+def _outcome_events(
+    check: str, positions: np.ndarray, codes: np.ndarray, names: np.ndarray
+) -> list[dict[str, Any]]:
+    outcomes = _named(positions, codes, names)
+    return [{"kind": "bell_outcomes", "check": check, "outcomes": outcomes}]
+
+
+def _zx_events(
+    check: str,
+    positions: np.ndarray,
+    in_x: np.ndarray,
+    remote: np.ndarray,
+    local: np.ndarray,
+) -> list[dict[str, Any]]:
+    """The remote and then the local announcement at each position."""
+    events = []
+    for pos, basis, r, l in zip(
+        positions.tolist(),
+        _BASIS_VALUES[in_x.astype(np.int64)].tolist(),
+        remote.tolist(),
+        local.tolist(),
+    ):
+        events += (
+            {"kind": "zx_remote", "check": check, "position": pos, "basis": basis, "result": r},
+            {"kind": "zx_local", "check": check, "position": pos, "result": l},
+        )
+    return events
+
+
+def _decoy_events(check: str, slots: np.ndarray, outcomes: np.ndarray) -> list[dict[str, Any]]:
+    return [
+        {"kind": "decoy_result", "check": check, "slot": slot, "result": outcome}
+        for slot, outcome in zip(slots.tolist(), outcomes.tolist())
+    ]
 
 
 def _message_bits(codes: np.ndarray) -> list[int]:
@@ -292,16 +435,7 @@ def zx_check(
     # 1 ^ zbit in the X basis (`expected_parity`).
     parity = 1 ^ (expected[order] >> np.where(in_x, 0, 1)) & 1
     mismatches = int(np.count_nonzero((remote_out ^ local_out) != parity))
-    for pos, basis, r, l in zip(
-        order.tolist(),
-        _BASIS_VALUES[in_x.astype(np.int64)].tolist(),
-        remote_out.tolist(),
-        local_out.tolist(),
-    ):
-        transcript.events += (
-            {"kind": "zx_remote", "check": check_id, "position": pos, "basis": basis, "result": r},
-            {"kind": "zx_local", "check": check_id, "position": pos, "result": l},
-        )
+    transcript.defer(_zx_events, check_id, order, in_x, remote_out, local_out)
     report = CheckReport(check_id, len(order), mismatches, threshold)
     transcript.append("check_report", **report.to_dict())
     return report
@@ -344,10 +478,7 @@ def decoy_round(
         bases=_BASIS_VALUES[in_x].tolist(),
     )
     outcomes = register.measure_singles(received[slots], in_x)
-    transcript.events += (
-        {"kind": "decoy_result", "check": check_id, "slot": slot, "result": outcome}
-        for slot, outcome in zip(slots.tolist(), outcomes.tolist())
-    )
+    transcript.defer(_decoy_events, check_id, slots, outcomes)
     mismatches = int(np.count_nonzero(outcomes != states & 1))
     report = CheckReport(check_id, count, mismatches, threshold)
     transcript.append("check_report", **report.to_dict())
@@ -376,11 +507,7 @@ def verify_step6(
     outcomes = register.measure_bells(dealer_photons[order], returned)
     mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published[order]))
     report = CheckReport("step6_check", len(order), mismatches, threshold)
-    transcript.append(
-        "bell_outcomes",
-        check="step6_check",
-        outcomes=dict(zip(order.tolist(), _BELL_NAMES[outcomes].tolist())),
-    )
+    transcript.defer(_outcome_events, "step6_check", order, outcomes, _BELL_NAMES)
     transcript.append("check_report", **report.to_dict())
     return report
 
@@ -426,7 +553,8 @@ class _Run:
         self.dealer_bits: list[int] = []
         self.recovered: list[int] | None = None
         self.eavesdropper_bits: list[int] | None = None
-        # Analysis-only data, as far as the run got.
+        # Analysis-only data, as far as the run got; values may be
+        # `_Deferred`, also inside lists.
         self.extra: dict[str, Any] = {}
 
     def execute(self, steps, reader: str) -> RunReport:
@@ -444,7 +572,7 @@ class _Run:
             eavesdropper_message=self.eavesdropper_bits,
             detected=detected,
             transcript=self.transcript,
-            extra=self.extra,
+            extra=_Deferred(_built, self.extra),
         )
 
     def identity(self) -> np.ndarray:
@@ -481,7 +609,7 @@ class _Run:
 
     def sample_event(self, check: str, sampled: np.ndarray) -> None:
         """Announce the positions a check has sampled."""
-        self.transcript.append("sample_positions", check=check, positions=sampled.tolist())
+        self.transcript.defer(_sample_events, check, sampled)
 
     def settle(self, report: CheckReport, sampled: np.ndarray | None = None) -> None:
         """Record a check and retire the positions it consumed; an abort
@@ -518,9 +646,7 @@ class _Run:
 
     def announce(self, check: str, party: str, positions: np.ndarray, ops: np.ndarray) -> None:
         """`party` publishes its operations `ops` on the sorted `positions`."""
-        self.transcript.append(
-            "publish_ops", check=check, party=party, ops=_names(positions, ops)
-        )
+        self.transcript.defer(_publish_events, check, party, positions, ops)
 
     def encode(self, positions: np.ndarray) -> np.ndarray:
         """Draw the dealer's message, two bits per position, and return
@@ -571,7 +697,7 @@ class _Run:
         every surviving position; `reader` strips them from the readout
         and decodes the dealer's message."""
         positions = self.positions
-        self.transcript.append("collaboration_positions", positions=positions.tolist())
+        self.transcript.defer(_collaboration_events, positions)
         dealer_codes = totals[positions]
         for party, publish in publishers:
             ops = publish(positions)
@@ -634,8 +760,8 @@ def _original_steps(run: _Run) -> None:
     # Final sample check: Charlie's outcomes against Alice's and Bob's
     # announced operations.
     run.sample_event("final_sample_check", q3)
-    run.transcript.append(
-        "bell_outcomes", check="final_sample_check", outcomes=_names(q3, totals[q3])
+    run.transcript.defer(
+        _outcome_events, "final_sample_check", q3, totals[q3], _PAULI_NAMES
     )
     published = attack.check_op(q3) if attack is not None else bob_ops[q3]
     run.announce("final_sample_check", "bob", q3, published)
@@ -643,10 +769,10 @@ def _original_steps(run: _Run) -> None:
     report = CheckReport("final_sample_check", len(q3), mism, run.threshold)
     run.transcript.append("check_report", **report.to_dict())
     run.extra = {
-        "totals": _op_dict(run.positions, totals),
-        "alice_ops": _op_dict(run.positions, alice_ops),
-        "bob_ops": {} if attack is not None else _op_dict(bob_positions, bob_ops),
-        "message_positions": message_positions.tolist(),
+        "totals": _Deferred(_op_dict, run.positions, totals),
+        "alice_ops": _Deferred(_op_dict, run.positions, alice_ops),
+        "bob_ops": {} if attack is not None else _Deferred(_op_dict, bob_positions, bob_ops),
+        "message_positions": _Deferred(np.ndarray.tolist, message_positions),
     }
     run.settle(report, q3)
 
@@ -684,7 +810,7 @@ def _improved_steps(run: _Run) -> None:
     # Steps 3-6: the encryption chain through agents 0..M-2.  Each
     # agent's codes are I where it applied no Pauli.
     agent_ops = [run.identity() for _ in range(m)]
-    agent_op_dicts: list[dict[int, PauliOp]] = [dict() for _ in range(m)]
+    agent_op_dicts: list[dict[int, PauliOp] | _Deferred] = [dict() for _ in range(m)]
     run.extra["agent_ops"] = agent_op_dicts
 
     def publisher(j: int, attack_move: str):
@@ -703,7 +829,7 @@ def _improved_steps(run: _Run) -> None:
         else:
             agent_ops[k] = run.encrypt(run.partner, rng_agents[k], rotated=samples)
             encrypted = run.positions[_without(run.positions, samples)]
-            agent_op_dicts[k] = _op_dict(encrypted, agent_ops[k])
+            agent_op_dicts[k] = _Deferred(_op_dict, encrypted, agent_ops[k])
 
         hop = f"agent{k}->agent{k + 1}" if not last_chain_agent else f"agent{k}->alice"
         check_id = f"hop_check_{k}" if not last_chain_agent else "step6_check"
@@ -713,12 +839,11 @@ def _improved_steps(run: _Run) -> None:
 
         # Publication of the earlier agents' operations on the sampled
         # photons; agent k itself only Hadamard-rotated them.
-        layers = [publisher(j, move)(samples) for j in range(k)]
         published = run.identity()
-        if layers:
+        if k > 0:
+            layers = np.array([publisher(j, move)(samples) for j in range(k)])
             published[samples] = np.bitwise_xor.reduce(layers)
-            names = {f"agent{j}": _names(samples, ops) for j, ops in enumerate(layers)}
-            run.transcript.append("publish_ops", check=check_id, ops=names)
+            run.transcript.defer(_chain_publish_events, check_id, samples, layers)
 
         if not last_chain_agent:
             # The receiving agent undoes the Hadamard and the pair is
@@ -742,8 +867,8 @@ def _improved_steps(run: _Run) -> None:
     alice_ops = run.encode(run.positions)
     run.encrypt(run.dealer, run.rng_dealer, fixed=alice_ops)
     run.extra.update(
-        alice_ops=_op_dict(run.positions, alice_ops),
-        message_positions=run.positions.tolist(),
+        alice_ops=_Deferred(_op_dict, run.positions, alice_ops),
+        message_positions=_Deferred(np.ndarray.tolist, run.positions),
     )
 
     # Steps 7-9: both sequences go to the last agent behind checking photons.
@@ -752,7 +877,7 @@ def _improved_steps(run: _Run) -> None:
 
     # Step 10: Bell readout by the last agent.
     totals = run.readout()
-    run.extra["totals"] = _op_dict(run.positions, totals)
+    run.extra["totals"] = _Deferred(_op_dict, run.positions, totals)
 
     # Step 11: collaboration.
     publishers = [(f"agent{k}", publisher(k, "publish_final")) for k in range(m - 1)]

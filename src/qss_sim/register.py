@@ -1,11 +1,21 @@
 """Array-at-a-time statevector engine for polarization photons.
 
-The register keeps the whole state in one complex table of shape
+The register keeps the whole state in one float64 table of shape
 (rows, 2, 2).  Every Bell pair and every single photon owns one row: a
 normalized amplitude tensor over (side 0, side 1).  A single photon sits
 on side 0, with side 1 held in |0>.  Per-photon arrays give each photon's
 row and side, and a per-row member array gives the live photon on each
 side (or -1).
+
+Real amplitudes suffice.  Every state, gate and Bell tensor the protocols
+use is a Clifford object with real entries (iY is [[0, 1], [-1, 0]]), and
+measurement only projects and rescales, so no amplitude ever acquires an
+imaginary part; Born probabilities are a*a.  The kernel tables are
+derived from ``GATE_MATRICES``, ``SINGLE_STATE_VECTORS`` and
+``BELL_TENSORS`` at import, which raises if any entry has a non-zero
+imaginary part.  Every amplitude is rounded exactly as a complex table
+would round its real part, so seeded outcomes are those of a complex
+engine.
 
 Measurements are destructive.  A measured side collapses in place: the
 slice of the outcome not seen is set to exactly 0, so the side stays in
@@ -86,27 +96,40 @@ PAULI_GATES = {
 }
 
 GATE_MATRICES = {
-    SingleGate.I: np.eye(2, dtype=complex),
-    SingleGate.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    SingleGate.IY: np.array([[0, 1], [-1, 0]], dtype=complex),
-    SingleGate.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    SingleGate.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    SingleGate.I: np.eye(2),
+    SingleGate.X: np.array([[0.0, 1.0], [1.0, 0.0]]),
+    SingleGate.IY: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    SingleGate.Z: np.array([[1.0, 0.0], [0.0, -1.0]]),
+    SingleGate.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]]),
 }
 
 SINGLE_STATE_VECTORS = {
-    SingleState.ZERO: np.array([1, 0], dtype=complex),
-    SingleState.ONE: np.array([0, 1], dtype=complex),
-    SingleState.PLUS: np.array([_SQ2, _SQ2], dtype=complex),
-    SingleState.MINUS: np.array([_SQ2, -_SQ2], dtype=complex),
+    SingleState.ZERO: np.array([1.0, 0.0]),
+    SingleState.ONE: np.array([0.0, 1.0]),
+    SingleState.PLUS: np.array([_SQ2, _SQ2]),
+    SingleState.MINUS: np.array([_SQ2, -_SQ2]),
 }
 
 # Amplitude tensors over (photon_a, photon_b), computational ordering.
 BELL_TENSORS = {
-    BellLabel.PHI_PLUS: np.array([[_SQ2, 0], [0, _SQ2]], dtype=complex),
-    BellLabel.PHI_MINUS: np.array([[_SQ2, 0], [0, -_SQ2]], dtype=complex),
-    BellLabel.PSI_PLUS: np.array([[0, _SQ2], [_SQ2, 0]], dtype=complex),
-    BellLabel.PSI_MINUS: np.array([[0, _SQ2], [-_SQ2, 0]], dtype=complex),
+    BellLabel.PHI_PLUS: np.array([[_SQ2, 0.0], [0.0, _SQ2]]),
+    BellLabel.PHI_MINUS: np.array([[_SQ2, 0.0], [0.0, -_SQ2]]),
+    BellLabel.PSI_PLUS: np.array([[0.0, _SQ2], [_SQ2, 0.0]]),
+    BellLabel.PSI_MINUS: np.array([[0.0, _SQ2], [-_SQ2, 0.0]]),
 }
+
+
+def _real_table(entries: list) -> np.ndarray:
+    """The entries stacked into one float64 kernel table.  The amplitude
+    table is real, so a gate, state or Bell tensor with a non-zero
+    imaginary part cannot be represented: raise rather than drop it."""
+    table = np.array(entries)
+    if np.iscomplexobj(table):
+        if np.any(table.imag != 0):
+            raise RegisterError("the register's amplitude table is real; got a complex entry")
+        table = table.real
+    return np.ascontiguousarray(table, dtype=np.float64)
+
 
 # Gate codes.  The four Paulis keep their 2-bit code from `pauli`, so an
 # array of Pauli codes is an array of gate codes.
@@ -121,17 +144,24 @@ STATE_CODES = {state: code for code, state in enumerate(_STATES_BY_CODE)}
 # (m00*a0 + m01*a1, m10*a0 + m11*a1).  The Pauli entries are 0 and +-1,
 # so for them this is an exact flip and/or negation; for H it is
 # _SQ2*a0 +- _SQ2*a1.
-_GATE_COEFFS = np.array([GATE_MATRICES[gate] for gate in _GATES_BY_CODE])[:, :, :, None]
-# Contracting a pair of measured axes with entry l gives the residual of
-# outcome BELL_ORDER[l].
-_BELL_PROJECTORS = np.conj(np.array([BELL_TENSORS[label] for label in BELL_ORDER]))
+_GATE_COEFFS = _real_table([GATE_MATRICES[gate] for gate in _GATES_BY_CODE])[:, :, :, None]
+# _BELL_PROJECTORS[l, 2*a + b]: contracting a pair of measured axes (a, b)
+# with row l gives the residual of outcome BELL_ORDER[l].  Every entry is
+# real, so the projector is the Bell tensor itself.
+_BELL_PROJECTORS = _real_table([BELL_TENSORS[label] for label in BELL_ORDER]).reshape(4, 4)
+# The two non-zero entries of each projector row, their columns and values
+# (the reshape fails at import unless every row has exactly two).
+_BELL_COLS = np.nonzero(_BELL_PROJECTORS)[1].reshape(4, 2)
+_BELL_COEFFS = np.take_along_axis(_BELL_PROJECTORS, _BELL_COLS, axis=1)
 # _SLOTS[side][k][j]: offset, within its row, of the amplitude with the
 # photon on `side` in state k and the other side in state j.
 _SLOTS = np.array([[[0, 1], [2, 3]], [[0, 2], [1, 3]]])
 # Keeps the slice of the observed bit and zeroes the other one.
 _KEEP = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
 # The row of a single photon in each state: side 1 held in |0>.
-_SINGLE_ROWS = np.array([np.outer(SINGLE_STATE_VECTORS[s], [1, 0]) for s in _STATES_BY_CODE])
+_SINGLE_ROWS = _real_table(
+    [np.outer(SINGLE_STATE_VECTORS[s], [1, 0]) for s in _STATES_BY_CODE]
+)
 
 
 def _slots(rows: np.ndarray, sides: np.ndarray) -> np.ndarray:
@@ -142,10 +172,40 @@ def _slots(rows: np.ndarray, sides: np.ndarray) -> np.ndarray:
 
 def _check_norm(blocks: np.ndarray) -> None:
     """Raise unless every (2, 2) amplitude block has unit norm."""
-    norm2 = (np.abs(blocks) ** 2).sum(axis=(1, 2))
+    norm2 = (blocks * blocks).sum(axis=(1, 2))
     bad = np.abs(norm2 - 1.0) > NORM_TOL
     if bad.any():
         raise RegisterError(f"state norm drifted: |amps|^2 = {float(norm2[bad][0])!r}")
+
+
+def _bell_residuals(terms: np.ndarray) -> np.ndarray:
+    """out[m, l, ...] = sum over k of _BELL_PROJECTORS[l, k] * terms[m, k, ...].
+
+    Each projector row has two non-zero entries, so each sum is two
+    rounded products and one addition: it rounds as every unfused sum of
+    the four products does, and no fused multiply-add (which a BLAS
+    product may use) changes a bit."""
+    shape = (1, 4) + (1,) * (terms.ndim - 2)
+    out = terms[:, _BELL_COLS[:, 0]] * _BELL_COEFFS[:, 0].reshape(shape)
+    out += terms[:, _BELL_COLS[:, 1]] * _BELL_COEFFS[:, 1].reshape(shape)
+    return out
+
+
+def _cross_row_residuals(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """Bell residuals [m, l, x, y] of two photons in different rows, each
+    row oriented with the measured photon on axis 1: x and y are the
+    other sides of the two rows."""
+    # product[m, (a, b), (x, y)]
+    product = ta[:, :, None, :, None] * tb[:, None, :, None, :]
+    return _bell_residuals(product.reshape(-1, 4, 4)).reshape(-1, 4, 2, 2)
+
+
+def _renormalize(blocks: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """The (2, 2) blocks divided by sqrt(prob), as a product with the
+    rounded reciprocal.  numpy divides complex numbers that way, so the
+    amplitudes keep every bit they would have in a complex table, and
+    seeded outcomes do not move."""
+    return blocks * (1.0 / np.sqrt(prob))[:, None, None]
 
 
 def _first_touch(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
@@ -166,6 +226,13 @@ def _codes(values: Sequence[int], table: tuple, what: str) -> np.ndarray:
         bad = codes[(codes < 0) | (codes >= len(table))][0]
         raise RegisterError(f"unknown {what} code {int(bad)}")
     return codes
+
+
+def _require_distinct(ids: np.ndarray) -> None:
+    """Raise if a measuring call lists a photon twice."""
+    ordered = np.sort(ids)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise RegisterError("a measurement lists the same photon twice")
 
 
 def _raise_not_live(photon: int):
@@ -193,7 +260,7 @@ class Register:
         if rng is None:
             rng = np.random.default_rng(seed)
         self.rng = rng
-        self._amps = np.zeros((16, 2, 2), dtype=complex)
+        self._amps = np.zeros((16, 2, 2))
         self._members = np.full((16, 2), -1, dtype=np.int64)
         self._row = np.zeros(32, dtype=np.int64)
         self._side = np.zeros(32, dtype=np.int64)
@@ -261,7 +328,8 @@ class Register:
 
     def group_norm_sq(self, photon: int) -> float:
         """Squared norm of the amplitude row holding `photon`."""
-        return float(np.sum(np.abs(self._amps[self._row_of(photon)]) ** 2))
+        row = self._amps[self._row_of(photon)]
+        return float(np.sum(row * row))
 
     def amplitudes_of(self, photon: int) -> tuple[list[int], np.ndarray]:
         """The entangled group containing `photon`: (photon ids, amplitude
@@ -345,8 +413,7 @@ class Register:
         in_x = np.asarray(in_x, dtype=bool)
         if len(in_x) != len(ids):
             raise RegisterError("measure_singles needs one basis per photon")
-        if len(set(ids.tolist())) != len(ids):
-            raise RegisterError("a measurement lists the same photon twice")
+        _require_distinct(ids)
         any_x = in_x.any()
         u = self.rng.random(len(ids))
         out = np.zeros(len(ids), dtype=np.int64)
@@ -368,10 +435,10 @@ class Register:
         slots = _slots(rows, sides)
         flat = self._amps.reshape(-1)
         a = flat[slots]
-        p0 = (np.abs(a[:, 0]) ** 2).sum(axis=1)
+        p0 = (a[:, 0] * a[:, 0]).sum(axis=1)
         bits = (u >= p0).astype(np.int64)
         prob = np.where(bits == 1, 1.0 - p0, p0)
-        blocks = a * _KEEP[bits] / np.sqrt(prob)[:, None, None]
+        blocks = _renormalize(a * _KEEP[bits], prob)
         flat[slots] = blocks
         self._members[rows, sides] = -1
         _check_norm(blocks)
@@ -389,8 +456,7 @@ class Register:
             raise RegisterError("measure_bells needs two equally long photon lists")
         if (ids_a == ids_b).any():
             raise RegisterError("Bell measurement needs two distinct photons")
-        if len(set(ids_a.tolist()) | set(ids_b.tolist())) != 2 * len(ids_a):
-            raise RegisterError("a measurement lists the same photon twice")
+        _require_distinct(np.concatenate((ids_a, ids_b)))
         u = self.rng.random(len(ids_a))
         picks = np.zeros(len(ids_a), dtype=np.int64)
         for items in self._rounds(ids_a, ids_b):
@@ -411,21 +477,24 @@ class Register:
         sides_a, sides_b = self._side[ids_a], self._side[ids_b]
         flat = self._amps.reshape(-1)
         ta, tb = flat[_slots(rows_a, sides_a)], flat[_slots(rows_b, sides_b)]
-        # product[m, a, b, x, y]: the measured axes a, b and the other
-        # side x of row a and y of row b.  For two photons of one row, the
-        # row itself over (a, b), with no other axes left (x = y = 0).
-        product = ta[:, :, None, :, None] * tb[:, None, :, None, :]
+        # residuals[m, l, x, y]: the residual of outcome l over the other
+        # side x of row a and y of row b.
         same = rows_a == rows_b
-        if same.any():
-            product[same] = 0
-            product[same, :, :, 0, 0] = ta[same]
-        residuals = np.einsum("mabxy,lab->mlxy", product, _BELL_PROJECTORS)
-        probs = (np.abs(residuals) ** 2).sum(axis=(2, 3))
+        if not same.any():
+            residuals = _cross_row_residuals(ta, tb)
+        else:
+            # Two photons of one row: the row itself is the pair over
+            # (a, b), and no other axis is left (only x = y = 0).
+            residuals = np.zeros((len(ids_a), 4, 2, 2))
+            residuals[same, :, 0, 0] = _bell_residuals(ta[same].reshape(-1, 4))
+            if not same.all():
+                residuals[~same] = _cross_row_residuals(ta[~same], tb[~same])
+        probs = (residuals * residuals).sum(axis=(2, 3))
         # The first outcome whose cumulative probability exceeds u, else
         # the last one.
         picks = (np.cumsum(probs, axis=1)[:, :3] <= u[:, None]).sum(axis=1)
         idx = np.arange(len(ids_a))
-        blocks = residuals[idx, picks] / np.sqrt(probs[idx, picks])[:, None, None]
+        blocks = _renormalize(residuals[idx, picks], probs[idx, picks])
         self._amps[rows_a] = blocks
 
         # The survivors: the other side of each row, unless that side was

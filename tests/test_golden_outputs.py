@@ -120,6 +120,21 @@ GOLDEN_TRIALS = {
 }
 
 
+# One spec at the size of the long single-trial runs, whose array shapes
+# the 24-pair specs never reach: (scenario, trials, JSON-lines digest,
+# transcript and `extra` digest), at seed_base 500.
+LARGE = (
+    _original(_eve("bob->charlie"), threshold=1.0, n_pairs=4096),
+    2,
+    "bf259c916d0f1641f1e82a550cb7944dfc5bf36af36642465259fab2625b0144",
+    "4566ae8aa32fd0feb19f445c16bba9c5a26fa20f84b1a6d8838ade6b7e13c30d",
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def golden_jsonl(scenario: ScenarioConfig) -> str:
     spec = BatchSpec(scenario=scenario, trials=8, seed_base=500)
     stats, reports = run_batch(spec)
@@ -129,8 +144,7 @@ def golden_jsonl(scenario: ScenarioConfig) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_jsonl_digest(name):
     scenario, digest = GOLDEN[name]
-    text = golden_jsonl(scenario)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert _sha256(golden_jsonl(scenario)) == digest
 
 
 def _by_name(obj):
@@ -139,15 +153,26 @@ def _by_name(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def golden_trials_json(scenario: ScenarioConfig) -> str:
+def trials_json(reports) -> str:
     """Every trial's transcript events and ``extra`` as JSON, enums by
     name, dict keys in insertion order."""
-    _, reports = run_batch(BatchSpec(scenario=scenario, trials=8, seed_base=500))
     trials = [{"events": r.transcript.to_list(), "extra": r.extra} for r in reports]
     return json.dumps(trials, default=_by_name, separators=(",", ":"))
 
 
+def golden_trials_json(scenario: ScenarioConfig) -> str:
+    _, reports = run_batch(BatchSpec(scenario=scenario, trials=8, seed_base=500))
+    return trials_json(reports)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRIALS))
 def test_golden_transcript_and_extra_digest(name):
-    text = golden_trials_json(GOLDEN[name][0])
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_TRIALS[name]
+    assert _sha256(golden_trials_json(GOLDEN[name][0])) == GOLDEN_TRIALS[name]
+
+
+def test_large_golden_digests():
+    scenario, trials, jsonl_digest, trials_digest = LARGE
+    spec = BatchSpec(scenario=scenario, trials=trials, seed_base=500)
+    stats, reports = run_batch(spec)
+    assert _sha256(jsonl_report(spec, stats, reports)) == jsonl_digest
+    assert _sha256(trials_json(reports)) == trials_digest

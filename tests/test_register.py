@@ -6,12 +6,15 @@ import pytest
 from qss_sim.pauli import Basis, BellLabel, PauliOp
 from qss_sim.register import (
     BELL_TENSORS,
+    GATE_MATRICES,
     PAULI_GATES,
+    SINGLE_STATE_VECTORS,
     ConsumedPhotonError,
     Register,
     RegisterError,
     SingleGate,
     SingleState,
+    _real_table,
 )
 
 
@@ -147,3 +150,27 @@ def test_norm_stays_unit_through_gates():
         reg.apply_gate(a, gate)
         reg.apply_gate(b, gate)
         assert abs(reg.group_norm_sq(a) - 1.0) <= 1e-12
+
+
+def test_amplitude_table_and_public_tables_are_real():
+    # Every gate, state and Bell tensor is real, so the engine keeps a
+    # float64 table and spends nothing on imaginary parts.
+    reg = Register(seed=8)
+    a, _ = reg.prepare_bell(BellLabel.PSI_MINUS)
+    reg.apply_gate(a, SingleGate.H)
+    assert reg._amps.dtype == np.float64
+    assert reg.amplitudes_of(a)[1].dtype == np.float64
+    for table in (GATE_MATRICES, SINGLE_STATE_VECTORS, BELL_TENSORS):
+        for entry in table.values():
+            assert entry.dtype == np.float64
+
+
+def test_complex_table_entries_fail_loudly():
+    # The kernel tables are derived through _real_table at import: a
+    # complex gate raises there instead of losing its phase.
+    pauli_y = np.array([[0, -1j], [1j, 0]])
+    with pytest.raises(RegisterError):
+        _real_table([GATE_MATRICES[SingleGate.X], pauli_y])
+    table = _real_table([np.eye(2, dtype=complex), GATE_MATRICES[SingleGate.IY]])
+    assert table.dtype == np.float64
+    np.testing.assert_array_equal(table, [np.eye(2), [[0, 1], [-1, 0]]])
