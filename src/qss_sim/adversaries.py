@@ -18,7 +18,7 @@ transcript.  They are handed no other party's private state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,9 +45,9 @@ class AdversarySpec:
     the dishonest agent reveals his real substitute-pair operations at
     collaboration time."""
 
-    kind: str = "none"
+    kind: str = field(default="none", metadata={"choices": VALID_KINDS})
     hop: str | None = None
-    basis_policy: str = "uniform"
+    basis_policy: str = field(default="uniform", metadata={"choices": VALID_POLICIES})
     publish_true_ops: bool = True
 
     def __post_init__(self):

@@ -2,26 +2,34 @@
 
 Subcommands:
 
-* ``qss-sim run --config scenario.ini [--trials N] [--seed-base S]
-  [--out path] [--format jsonl|table]`` -- execute a trial batch.
-* ``qss-sim validate --config scenario.ini`` -- feasibility check only.
+* ``qss-sim run [--config scenario.ini] [flags]`` -- execute a trial batch.
+* ``qss-sim validate [--config scenario.ini] [flags]`` -- feasibility
+  check only.
 * ``qss-sim oracle [--table bell-pauli|swap|decoy]`` -- print the
   brute-force statevector reference tables.
 
-Configuration files are flat INI (key = value in [scenario],
-[adversary] and [batch] sections); every key has a matching CLI flag
-and flags override file values.  Unknown sections and keys are
-rejected.  Exit codes: 0 success, 1 configuration error, 2 I/O error.
+The fields of ``ScenarioConfig``, ``AdversarySpec`` and ``BatchSpec``
+are the configuration schema.  Every field but the per-trial
+``master_seed`` is a key in the flat INI section [scenario], [adversary]
+or [batch] and a flag of ``run``; ``validate`` takes the first two
+sections' flags.  Casts follow the field types and choice lists the
+fields' ``choices`` metadata; ``_ALIASES`` holds the public names that
+differ from the field names.  Flags override file values.  Unknown
+sections and keys are rejected.  Exit codes: 0 success, 1 configuration
+error, 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
+import typing
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
-from .adversaries import AdversarySpec
+from .adversaries import VALID_POLICIES, AdversarySpec
 from .harness import BatchSpec, emit_report, run_batch, validate_batch
 from .oracles import (
     bell_pauli_table,
@@ -37,57 +45,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 
+_SECTIONS = {"scenario": ScenarioConfig, "adversary": AdversarySpec, "batch": BatchSpec}
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qss-sim",
-        description="Quantum secret splitting protocol simulator",
-    )
-    parser.add_argument("--version", action="version", version=f"qss-sim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_scenario_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="INI scenario file")
-        p.add_argument("--protocol", choices=["original", "improved"])
-        p.add_argument("--n-pairs", type=int)
-        p.add_argument("--agent-count", type=int)
-        p.add_argument("--sample-fraction", type=float)
-        p.add_argument("--step6-sample-count", type=int)
-        p.add_argument("--checking-photon-count", type=int)
-        p.add_argument("--error-threshold", type=float)
-        p.add_argument(
-            "--adversary",
-            choices=["none", "eve_intercept_resend", "bob_swap_attack"],
-        )
-        p.add_argument("--adversary-hop")
-        p.add_argument(
-            "--basis-policy", choices=["uniform", "fixed-Z", "fixed-X"]
-        )
-        p.add_argument(
-            "--publish-false-ops",
-            action="store_true",
-            default=None,
-            help="dishonest agent falsifies his published operations",
-        )
-
-    p_run = sub.add_parser("run", help="execute a batch of seeded trials")
-    add_scenario_flags(p_run)
-    p_run.add_argument("--trials", type=int)
-    p_run.add_argument("--seed-base", type=int)
-    p_run.add_argument("--out", help="output path (default: stdout)")
-    p_run.add_argument("--format", choices=["jsonl", "table"], dest="fmt")
-    p_run.add_argument("--workers", type=int)
-
-    p_val = sub.add_parser("validate", help="check a configuration for feasibility")
-    add_scenario_flags(p_val)
-
-    p_orc = sub.add_parser("oracle", help="print brute-force reference tables")
-    p_orc.add_argument(
-        "--table",
-        choices=["bell-pauli", "swap", "decoy"],
-        help="print one table instead of all",
-    )
-    return parser
+# Public names that differ from the field name: field -> (INI key, flag),
+# or None for a field that is not settable.
+_ALIASES = {
+    "master_seed": None,  # seed_base + t for trial t
+    "kind": ("kind", "--adversary"),
+    "hop": ("hop", "--adversary-hop"),
+    "publish_true_ops": ("publish_true_ops", "--publish-false-ops"),
+    "output_format": ("format", "--format"),
+    "out_path": ("out", "--out"),
+}
 
 
 def _boolean(value: str) -> bool:
@@ -97,31 +66,77 @@ def _boolean(value: str) -> bool:
         raise ValueError(f"not a boolean: {value!r}") from None
 
 
-# Every INI key: section -> key -> (field name, cast).
-_INI_KEYS = {
-    "scenario": {
-        "protocol": ("protocol", str),
-        "n_pairs": ("n_pairs", int),
-        "agent_count": ("agent_count", int),
-        "sample_fraction": ("sample_fraction", float),
-        "step6_sample_count": ("step6_sample_count", int),
-        "checking_photon_count": ("checking_photon_count", int),
-        "error_threshold": ("error_threshold", float),
-    },
-    "adversary": {
-        "kind": ("kind", str),
-        "hop": ("hop", str),
-        "basis_policy": ("basis_policy", str),
-        "publish_true_ops": ("publish_true_ops", _boolean),
-    },
-    "batch": {
-        "trials": ("trials", int),
-        "seed_base": ("seed_base", int),
-        "format": ("output_format", str),
-        "out": ("out_path", str),
-        "workers": ("workers", int),
-    },
-}
+class _Option(NamedTuple):
+    field: str
+    key: str
+    flag: str
+    cast: Callable[[str], Any]
+    default: Any
+    choices: tuple[str, ...] | None
+
+
+def _options(cls: type) -> dict[str, _Option]:
+    """INI key -> option for every settable field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    options = {}
+    for f in dataclasses.fields(cls):
+        names = _ALIASES.get(f.name, (f.name, "--" + f.name.replace("_", "-")))
+        hint = hints[f.name]
+        if names is None or dataclasses.is_dataclass(hint):
+            continue
+        # `int | None` casts as int.
+        cast = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+        options[names[0]] = _Option(
+            f.name, *names, _boolean if cast is bool else cast, f.default,
+            f.metadata.get("choices"),
+        )
+    return options
+
+
+# Every INI key: section -> key -> option.
+_INI_KEYS = {section: _options(cls) for section, cls in _SECTIONS.items()}
+
+
+def _add_flags(parser: argparse.ArgumentParser, sections: tuple[str, ...]) -> None:
+    parser.add_argument("--config", help="INI scenario file")
+    for section in sections:
+        for key, o in _INI_KEYS[section].items():
+            if o.cast is _boolean:
+                # A boolean flag sets the opposite of the default.
+                value = not o.default
+                parser.add_argument(
+                    o.flag, dest=o.field, action="store_const", const=value,
+                    help=f"[{section}] {key} = {str(value).lower()}",
+                )
+            else:
+                default = "" if o.default is None else f", default {o.default}"
+                parser.add_argument(
+                    o.flag, dest=o.field, type=o.cast, choices=o.choices,
+                    help=f"[{section}] {key}{default}",
+                )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qss-sim",
+        description="Quantum secret splitting protocol simulator",
+    )
+    parser.add_argument("--version", action="version", version=f"qss-sim {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_run = sub.add_parser("run", help="execute a batch of seeded trials")
+    _add_flags(p_run, ("scenario", "adversary", "batch"))
+
+    p_val = sub.add_parser("validate", help="check a configuration for feasibility")
+    _add_flags(p_val, ("scenario", "adversary"))
+
+    p_orc = sub.add_parser("oracle", help="print brute-force reference tables")
+    p_orc.add_argument(
+        "--table",
+        choices=["bell-pauli", "swap", "decoy"],
+        help="print one table instead of all",
+    )
+    return parser
 
 
 def _read_ini(path: str) -> dict[str, dict]:
@@ -146,9 +161,9 @@ def _read_ini(path: str) -> dict[str, dict]:
         for key, raw in items.items():
             if key not in _INI_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            name, cast = _INI_KEYS[section][key]
+            option = _INI_KEYS[section][key]
             try:
-                values[section][name] = cast(raw)
+                values[section][option.field] = option.cast(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value {raw!r} for {key!r} in [{section}]: {exc}"
@@ -156,55 +171,25 @@ def _read_ini(path: str) -> dict[str, dict]:
     return values
 
 
-def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    ini = _read_ini(args.config) if args.config else {name: {} for name in _INI_KEYS}
-    scenario, adversary, batch = ini["scenario"], ini["adversary"], ini["batch"]
-    args._batch_from_file = batch
-
-    overrides = {
-        "protocol": args.protocol,
-        "n_pairs": args.n_pairs,
-        "agent_count": args.agent_count,
-        "sample_fraction": args.sample_fraction,
-        "step6_sample_count": args.step6_sample_count,
-        "checking_photon_count": args.checking_photon_count,
-        "error_threshold": args.error_threshold,
-    }
-    scenario.update({k: v for k, v in overrides.items() if v is not None})
-    if args.adversary is not None:
-        adversary["kind"] = args.adversary
-    if args.adversary_hop is not None:
-        adversary["hop"] = args.adversary_hop
-    if args.basis_policy is not None:
-        adversary["basis_policy"] = args.basis_policy
-    if args.publish_false_ops:
-        adversary["publish_true_ops"] = False
+def _spec_from_args(args: argparse.Namespace) -> BatchSpec:
+    """The batch that the config file and the flags describe; a flag
+    overrides the file."""
+    values = _read_ini(args.config) if args.config else {s: {} for s in _INI_KEYS}
+    for section, options in _INI_KEYS.items():
+        for o in options.values():
+            flag_value = getattr(args, o.field, None)
+            if flag_value is not None:
+                values[section][o.field] = flag_value
     try:
-        spec = AdversarySpec(**adversary)
-        return ScenarioConfig(adversary=spec, **scenario)
-    except (TypeError, ValueError) as exc:
+        adversary = AdversarySpec(**values["adversary"])
+        scenario = ScenarioConfig(adversary=adversary, **values["scenario"])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _batch_from_args(args: argparse.Namespace, scenario: ScenarioConfig) -> BatchSpec:
-    batch = dict(getattr(args, "_batch_from_file", {}))
-    if args.trials is not None:
-        batch["trials"] = args.trials
-    if args.seed_base is not None:
-        batch["seed_base"] = args.seed_base
-    if args.out is not None:
-        batch["out_path"] = args.out
-    if args.fmt is not None:
-        batch["output_format"] = args.fmt
-    if args.workers is not None:
-        batch["workers"] = args.workers
-    return BatchSpec(scenario=scenario, **batch)
+    return BatchSpec(scenario=scenario, **values["batch"])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args)
-    spec = _batch_from_args(args, scenario)
-    validate_batch(spec)
+    spec = _spec_from_args(args)
     stats, reports = run_batch(spec)
     text = emit_report(spec, stats, reports)
     if spec.out_path:
@@ -220,10 +205,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args)
-    from .protocol import validate_config
-
-    validate_config(scenario)
+    validate_batch(_spec_from_args(args))
     print("configuration OK")
     return EXIT_OK
 
@@ -244,7 +226,7 @@ def _print_swap() -> None:
 
 def _print_decoy() -> None:
     print("# Intercept-resend error rates (exact enumeration)")
-    for policy in ("uniform", "fixed-Z", "fixed-X"):
+    for policy in VALID_POLICIES:
         zx = intercept_resend_check_error(policy)
         dec = decoy_error_rate(policy)
         print(f"policy {policy:<8} zx-check error {zx:.4f}   decoy error {dec:.4f}")

@@ -1,11 +1,10 @@
 """Batch scenario runner and report aggregation.
 
-Trials are embarrassingly parallel: trial t runs with master seed
+Trials run one after another: trial t runs with master seed
 ``seed_base + t`` and owns its register, transcript and random streams
-exclusively.  Aggregation is a deterministic fold in trial order no
-matter how many workers ran the trials, and the structured JSON-lines
-output contains nothing time-dependent, so identical batch specs yield
-byte-identical output.
+exclusively.  Aggregation is a deterministic fold in trial order, and
+the structured JSON-lines output contains nothing time-dependent, so
+identical batch specs yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,17 +12,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from . import __version__
 from .protocol import ConfigError, RunReport, ScenarioConfig, run_trial, validate_config
 
 _Z95 = 1.959963984540054
+
+OUTPUT_FORMATS = ("jsonl", "table")
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,7 @@ class BatchSpec:
     trials: int = 100
     seed_base: int = 0
     out_path: str | None = None
-    output_format: str = "jsonl"
-    workers: int = 1
+    output_format: str = field(default="jsonl", metadata={"choices": OUTPUT_FORMATS})
 
 
 @dataclass
@@ -108,29 +106,21 @@ def empirical_mutual_information(pairs: list[tuple[Any, Any]]) -> float:
 def validate_batch(spec: BatchSpec) -> None:
     if spec.trials < 1:
         raise ConfigError("trials must be at least 1")
-    if spec.output_format not in ("jsonl", "table"):
+    if spec.seed_base < 0:
+        raise ConfigError("seed_base must be non-negative")
+    if spec.output_format not in OUTPUT_FORMATS:
         raise ConfigError(f"unknown output format {spec.output_format!r}")
-    if spec.workers < 1:
-        raise ConfigError("workers must be at least 1")
     validate_config(spec.scenario)
-
-
-def _trial_config(spec: BatchSpec, t: int) -> ScenarioConfig:
-    return dataclasses.replace(spec.scenario, master_seed=spec.seed_base + t)
 
 
 def run_batch(spec: BatchSpec) -> tuple[AggregateStats, list[RunReport]]:
     """Run all trials and fold their reports into aggregate statistics."""
     validate_batch(spec)
     start = time.perf_counter()
-    configs = [_trial_config(spec, t) for t in range(spec.trials)]
-    # More threads than trials or cores would only add start-up cost.
-    workers = min(spec.workers, spec.trials, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_trial, configs))
-    else:
-        reports = [run_trial(c) for c in configs]
+    reports = [
+        run_trial(dataclasses.replace(spec.scenario, master_seed=spec.seed_base + t))
+        for t in range(spec.trials)
+    ]
     stats = aggregate(reports)
     stats.wall_clock_seconds = time.perf_counter() - start
     return stats, reports

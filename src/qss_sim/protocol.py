@@ -52,10 +52,12 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration and reports
 
+PROTOCOLS = ("original", "improved")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    protocol: str = "original"
+    protocol: str = field(default="original", metadata={"choices": PROTOCOLS})
     n_pairs: int = 64
     master_seed: int = 0
     agent_count: int = 2
@@ -66,9 +68,7 @@ class ScenarioConfig:
     adversary: AdversarySpec = field(default_factory=AdversarySpec)
 
     def to_dict(self) -> dict[str, Any]:
-        d = dataclasses.asdict(self)
-        d["adversary"] = dataclasses.asdict(self.adversary)
-        return d
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -231,8 +231,10 @@ def _sample_size(pool: int, fraction: float) -> int:
 
 def validate_config(config: ScenarioConfig) -> None:
     """Raise ConfigError if the scenario cannot run to completion."""
-    if config.protocol not in ("original", "improved"):
+    if config.protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {config.protocol!r}")
+    if config.master_seed < 0:
+        raise ConfigError("master_seed must be non-negative")
     if config.n_pairs < 2:
         raise ConfigError("n_pairs must be at least 2")
     if not 0.0 < config.sample_fraction < 1.0:

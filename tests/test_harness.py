@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from qss_sim import harness
 from qss_sim.adversaries import AdversarySpec
 from qss_sim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from qss_sim.harness import (
@@ -55,48 +54,6 @@ def test_jsonl_output_is_byte_identical_across_runs():
     out1 = jsonl_report(spec, *run_batch(spec))
     out2 = jsonl_report(spec, *run_batch(spec))
     assert out1 == out2
-
-
-def test_parallel_equals_serial():
-    serial = _spec(workers=1)
-    parallel = _spec(workers=4)
-    s_stats, s_reports = run_batch(serial)
-    p_stats, p_reports = run_batch(parallel)
-    assert jsonl_report(serial, s_stats, s_reports) == jsonl_report(
-        parallel, p_stats, p_reports
-    )
-
-
-@pytest.mark.parametrize(
-    "workers, trials, cpus, pool_size",
-    [(5000, 5, 64, 5), (5000, 7, 2, 2), (3, 7, 64, 3), (4, 1, 64, None), (4, 7, None, None)],
-)
-def test_worker_pool_is_capped(monkeypatch, workers, trials, cpus, pool_size):
-    # The pool never has more threads than trials or cores; a cap of one
-    # runs serially.  A fake executor records the size asked for, so no
-    # large pool is ever started.
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", FakePool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    spec = _spec(trials=trials, workers=workers)
-    stats, reports = run_batch(spec)
-    assert sizes == ([] if pool_size is None else [pool_size])
-    serial = _spec(trials=trials)
-    assert jsonl_report(spec, stats, reports) == jsonl_report(serial, *run_batch(serial))
 
 
 def test_batch_reports_retain_no_register():
@@ -172,7 +129,7 @@ def test_validate_batch_rejects_bad_specs():
     with pytest.raises(ConfigError):
         validate_batch(_spec(output_format="xml"))
     with pytest.raises(ConfigError):
-        validate_batch(_spec(workers=0))
+        validate_batch(_spec(seed_base=-1))
     with pytest.raises(ConfigError):
         validate_batch(BatchSpec(scenario=ScenarioConfig(n_pairs=1)))
 
@@ -229,6 +186,14 @@ def test_cli_bad_adversary_hop_is_config_error(capsys):
     assert "valid hops" in capsys.readouterr().err
 
 
+def test_cli_negative_seed_base_is_config_error(capsys):
+    rc = main(["run", "--protocol", "original", "--n-pairs", "16", "--seed-base", "-1"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "seed_base must be non-negative" in err
+
+
 def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
     rc = main(
         ["run", "--protocol", "original", "--n-pairs", "16", "--trials", "1",
@@ -282,6 +247,9 @@ def test_cli_ini_config_with_flag_override(tmp_path):
             "bad value 'abc' for 'n_pairs' in [scenario]",
         ),
         ("run", b"[batch]\ntrials = x\n", "bad value 'x' for 'trials' in [batch]"),
+        ("validate", b"[batch]\ntrials = 0\n", "trials must be at least 1"),
+        ("run", b"[batch]\nseed_base = -3\n", "seed_base must be non-negative"),
+        ("run", b"[batch]\nworkers = 2\n", "unknown key 'workers' in [batch]"),
         (
             "validate",
             b"[adversary]\npublish_true_ops = maybe\n",
@@ -300,7 +268,8 @@ def test_cli_ini_config_with_flag_override(tmp_path):
         ),
     ],
     ids=[
-        "bad-int", "bad-batch-int", "bad-bool",
+        "bad-int", "bad-batch-int", "validate-checks-batch", "negative-seed-base",
+        "workers-removed", "bad-bool",
         "no-section", "not-utf8", "unknown-key", "unknown-section",
         "default-unknown-key", "default-known-key", "default-beside-scenario",
     ],

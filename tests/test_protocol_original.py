@@ -88,6 +88,8 @@ def test_validate_config_rejects_bad_scenarios():
     with pytest.raises(ConfigError):
         validate_config(ScenarioConfig(protocol="other"))
     with pytest.raises(ConfigError):
+        validate_config(ScenarioConfig(master_seed=-1))
+    with pytest.raises(ConfigError):
         validate_config(ScenarioConfig(n_pairs=1))
     with pytest.raises(ConfigError):
         validate_config(ScenarioConfig(sample_fraction=0.0))
