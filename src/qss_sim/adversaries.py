@@ -12,8 +12,9 @@ Three kinds are supported:
   correlation check he has an announcement slot for.
 
 Adversary objects only ever see what a real attacker would: photons that
-pass through their hands, the shared register, and the public
-transcript.  They are handed no other party's private state.
+pass through their hands, the shared register, and the positions the
+protocol announces, which it passes to their methods.  They are never
+handed the transcript or any other party's private state.
 """
 
 from __future__ import annotations

@@ -140,8 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_ini(path: str) -> dict[str, dict]:
-    """Read a config file into one dict of field values per section."""
-    ini = configparser.ConfigParser()
+    """Read a config file into one dict of field values per section.
+    Values are taken literally: no ``%`` interpolation."""
+    ini = configparser.ConfigParser(interpolation=None)
     try:
         read = ini.read(path, encoding="utf-8")
         sections = {name: dict(ini[name]) for name in ini.sections()}

@@ -1,6 +1,6 @@
 """Protocol orchestration for EPR-pair secret splitting.
 
-Two modes are implemented over the same statevector register, public
+Two modes are implemented over the same statevector register,
 transcript, and adversary seams:
 
 * ``original`` -- the three-party protocol: the first agent prepares the
@@ -41,7 +41,7 @@ from .adversaries import (
     SwapAttackOriginal,
     _random_paulis,
 )
-from .pauli import BELL_CODES, BELL_ORDER, PAULI_BY_CODE, Basis, BellLabel, PauliOp
+from .pauli import BELL_CODES, BELL_ORDER, PAULI_BY_CODE, Basis, BellLabel
 from .register import H_CODE, Register
 
 
@@ -101,12 +101,16 @@ class CheckReport:
 
 class _Deferred:
     """A value built on first read, as ``build(*args)``.  The arguments
-    are arrays and strings that the run never changes afterwards, so a
-    deferred value holds no register, rng or runner."""
+    are arrays and strings, so a deferred value holds no register, rng or
+    runner; its arrays are made read-only, so no later step can change
+    what a read builds."""
 
     __slots__ = ("build", "args")
 
     def __init__(self, build, *args: Any) -> None:
+        for arg in args:
+            if isinstance(arg, np.ndarray):
+                arg.flags.writeable = False
         self.build = build
         self.args = args
 
@@ -115,7 +119,11 @@ class _Deferred:
 
 
 class Transcript:
-    """Append-only public log of classical announcements.
+    """Append-only record of a run: the public classical announcements,
+    in order, and among them the private events, marked ``"private":
+    True``, that record what no party announces (each party's Pauli
+    operations, the reader's decoded totals, the message positions) for
+    analysis.
 
     A step may record a run of events whose payloads grow with the
     number of pairs as a `_Deferred` that builds them from the step's
@@ -153,26 +161,6 @@ class Transcript:
         return list(self.events)
 
 
-class _BuiltOnRead:
-    """A dataclass field that may be set to a `_Deferred`: the first read
-    builds the value and keeps it.  Unset, it holds an empty dict."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None) -> Any:
-        if obj is None:  # the dataclass asks for the field's default
-            return None
-        value = getattr(obj, self.slot)
-        if isinstance(value, _Deferred):
-            value = value()
-            setattr(obj, self.slot, value)
-        return value
-
-    def __set__(self, obj, value: Any) -> None:
-        setattr(obj, self.slot, {} if value is None else value)
-
-
 @dataclass
 class RunReport:
     config: ScenarioConfig
@@ -182,9 +170,6 @@ class RunReport:
     eavesdropper_message: list[int] | None
     detected: bool
     transcript: Transcript
-    # Analysis-only data (per-position Paulis etc.); never serialized, and
-    # built from the run's arrays on first read.
-    extra: dict[str, Any] = _BuiltOnRead()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -283,9 +268,8 @@ def validate_config(config: ScenarioConfig) -> None:
 # operations are arrays indexed by position; operations are Pauli codes
 # (see `pauli`), so composing two layers is one XOR.
 
-# Lookup tables by code.  Object arrays hand out the same str and enum
-# objects on every lookup, so a transcript holds no copies of them.
-_PAULIS = np.array(PAULI_BY_CODE, dtype=object)
+# Lookup tables by code.  Object arrays hand out the same str objects on
+# every lookup, so a transcript holds no copies of them.
 _PAULI_NAMES = np.array([p.name for p in PAULI_BY_CODE], dtype=object)
 _BELL_NAMES = np.array([label.name for label in BELL_ORDER], dtype=object)
 _BASIS_VALUES = np.array([Basis.Z.value, Basis.X.value], dtype=object)
@@ -297,24 +281,6 @@ def _without(positions: np.ndarray, removed: np.ndarray) -> np.ndarray:
     keep = np.ones(len(positions), dtype=bool)
     keep[np.searchsorted(positions, removed)] = False
     return keep
-
-
-def _op_dict(positions: np.ndarray, ops: np.ndarray) -> dict[int, PauliOp]:
-    """The position-indexed codes `ops` at `positions`, as PauliOps."""
-    return dict(zip(positions.tolist(), _PAULIS[ops[positions]].tolist()))
-
-
-def _built(parts: dict[str, Any]) -> dict[str, Any]:
-    """`parts` with every `_Deferred` value built, also inside lists."""
-
-    def build(value: Any) -> Any:
-        if isinstance(value, _Deferred):
-            return value()
-        if isinstance(value, list):
-            return [build(v) for v in value]
-        return value
-
-    return {key: build(value) for key, value in parts.items()}
 
 
 def _named(positions: np.ndarray, codes: np.ndarray, names: np.ndarray) -> dict[int, str]:
@@ -385,6 +351,23 @@ def _decoy_events(check: str, slots: np.ndarray, outcomes: np.ndarray) -> list[d
         {"kind": "decoy_result", "check": check, "slot": slot, "result": outcome}
         for slot, outcome in zip(slots.tolist(), outcomes.tolist())
     ]
+
+
+def _private_ops_events(
+    kind: str, positions: np.ndarray, ops: np.ndarray
+) -> list[dict[str, Any]]:
+    """The position-indexed codes `ops` at `positions`, for analysis."""
+    ops = _named(positions, ops[positions], _PAULI_NAMES)
+    return [{"kind": kind, "private": True, "ops": ops}]
+
+
+def _agent_ops_events(party: str, positions: np.ndarray, ops: np.ndarray) -> list[dict[str, Any]]:
+    ops = _named(positions, ops[positions], _PAULI_NAMES)
+    return [{"kind": "agent_ops", "private": True, "party": party, "ops": ops}]
+
+
+def _message_positions_events(positions: np.ndarray) -> list[dict[str, Any]]:
+    return [{"kind": "message_positions", "private": True, "positions": positions.tolist()}]
 
 
 def _message_bits(codes: np.ndarray) -> list[int]:
@@ -555,9 +538,6 @@ class _Run:
         self.dealer_bits: list[int] = []
         self.recovered: list[int] | None = None
         self.eavesdropper_bits: list[int] | None = None
-        # Analysis-only data, as far as the run got; values may be
-        # `_Deferred`, also inside lists.
-        self.extra: dict[str, Any] = {}
 
     def execute(self, steps, reader: str) -> RunReport:
         """Run `steps` until they finish or a check aborts the run."""
@@ -574,7 +554,6 @@ class _Run:
             eavesdropper_message=self.eavesdropper_bits,
             detected=detected,
             transcript=self.transcript,
-            extra=_Deferred(_built, self.extra),
         )
 
     def identity(self) -> np.ndarray:
@@ -770,12 +749,11 @@ def _original_steps(run: _Run) -> None:
     mism = int(np.count_nonzero(totals[q3] != alice_ops[q3] ^ published))
     report = CheckReport("final_sample_check", len(q3), mism, run.threshold)
     run.transcript.append("check_report", **report.to_dict())
-    run.extra = {
-        "totals": _Deferred(_op_dict, run.positions, totals),
-        "alice_ops": _Deferred(_op_dict, run.positions, alice_ops),
-        "bob_ops": {} if attack is not None else _Deferred(_op_dict, bob_positions, bob_ops),
-        "message_positions": _Deferred(np.ndarray.tolist, message_positions),
-    }
+    run.transcript.defer(_private_ops_events, "totals", run.positions, totals)
+    run.transcript.defer(_private_ops_events, "alice_ops", run.positions, alice_ops)
+    if attack is None:
+        run.transcript.defer(_private_ops_events, "bob_ops", bob_positions, bob_ops)
+    run.transcript.defer(_message_positions_events, message_positions)
     run.settle(report, q3)
 
     # Collaboration: Bob publishes his operations on the message
@@ -812,8 +790,6 @@ def _improved_steps(run: _Run) -> None:
     # Steps 3-6: the encryption chain through agents 0..M-2.  Each
     # agent's codes are I where it applied no Pauli.
     agent_ops = [run.identity() for _ in range(m)]
-    agent_op_dicts: list[dict[int, PauliOp] | _Deferred] = [dict() for _ in range(m)]
-    run.extra["agent_ops"] = agent_op_dicts
 
     def publisher(j: int, attack_move: str):
         """How agent j announces its operations on sorted positions; the
@@ -831,7 +807,7 @@ def _improved_steps(run: _Run) -> None:
         else:
             agent_ops[k] = run.encrypt(run.partner, rng_agents[k], rotated=samples)
             encrypted = run.positions[_without(run.positions, samples)]
-            agent_op_dicts[k] = _Deferred(_op_dict, encrypted, agent_ops[k])
+            run.transcript.defer(_agent_ops_events, f"agent{k}", encrypted, agent_ops[k])
 
         hop = f"agent{k}->agent{k + 1}" if not last_chain_agent else f"agent{k}->alice"
         check_id = f"hop_check_{k}" if not last_chain_agent else "step6_check"
@@ -868,10 +844,8 @@ def _improved_steps(run: _Run) -> None:
     # Step 7: message encoding.
     alice_ops = run.encode(run.positions)
     run.encrypt(run.dealer, run.rng_dealer, fixed=alice_ops)
-    run.extra.update(
-        alice_ops=_Deferred(_op_dict, run.positions, alice_ops),
-        message_positions=_Deferred(np.ndarray.tolist, run.positions),
-    )
+    run.transcript.defer(_private_ops_events, "alice_ops", run.positions, alice_ops)
+    run.transcript.defer(_message_positions_events, run.positions)
 
     # Steps 7-9: both sequences go to the last agent behind checking photons.
     run.partner = _guarded(run, "decoy_check_t", "alice->zach:t", run.partner)
@@ -879,7 +853,7 @@ def _improved_steps(run: _Run) -> None:
 
     # Step 10: Bell readout by the last agent.
     totals = run.readout()
-    run.extra["totals"] = _Deferred(_op_dict, run.positions, totals)
+    run.transcript.defer(_private_ops_events, "totals", run.positions, totals)
 
     # Step 11: collaboration.
     publishers = [(f"agent{k}", publisher(k, "publish_final")) for k in range(m - 1)]

@@ -36,6 +36,8 @@ from qss_sim.pauli import BellLabel, PauliOp, compose, compose_all, decode_bell_
 from qss_sim.protocol import ScenarioConfig, run_improved, run_original
 from qss_sim.register import PAULI_GATES, Basis, Register, SingleGate, SingleState
 
+from private_records import private_record
+
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -128,10 +130,11 @@ def test_acceptance_4_honest_improved_all_chain_lengths():
         detections += round(stats.detection_frequency * stats.trials)
         for r in reports:
             exact &= r.recovered["zach"] == r.dealer_message
-            totals, alice = r.extra["totals"], r.extra["alice_ops"]
-            for pos in r.extra["message_positions"]:
+            record = private_record(r)
+            totals, alice = record["totals"], record["alice_ops"]
+            for pos in record["message_positions"]:
                 layered = [alice[pos]] + [
-                    ops.get(pos, PauliOp.I) for ops in r.extra["agent_ops"]
+                    ops.get(pos, PauliOp.I) for ops in record["agent_ops"]
                 ]
                 decomposition_ok &= totals[pos] == compose_all(layered)
     elapsed = time.perf_counter() - start

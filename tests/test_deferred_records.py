@@ -1,23 +1,19 @@
-"""Transcript events and ``RunReport.extra`` recorded as arrays and built on
-first read.
+"""Transcript events recorded as arrays and built on first read.
 
-Steps record the payloads that grow with the number of pairs as deferred
-builders over their arrays; reading ``events``, ``to_list()`` or
-``extra`` must give the same events and dicts, in the same order, on
-every read.
+Steps record the events whose payloads grow with the number of pairs --
+public announcements and the private, analysis-only record alike -- as
+deferred builders over their arrays, which are made read-only when
+deferred.  Reading ``events`` or ``to_list()`` must give the same
+events, in the same order, on every read.
 """
 
 import numpy as np
 
 from qss_sim.adversaries import AdversarySpec
 from qss_sim.pauli import PauliOp
-from qss_sim.protocol import (
-    RunReport,
-    ScenarioConfig,
-    Transcript,
-    _Deferred,
-    run_trial,
-)
+from qss_sim.protocol import ScenarioConfig, Transcript, _Deferred, run_trial
+
+from private_records import private_record
 
 
 def _numbered(kind: str, values: np.ndarray) -> list[dict]:
@@ -58,8 +54,8 @@ def test_report_reads_are_repeatable():
     assert report.transcript.events is events
     kinds = {e["kind"] for e in events}
     assert {"zx_remote", "zx_local", "decoy_result", "publish_ops", "bell_outcomes"} <= kinds
-    extra = report.extra
-    assert report.extra is extra
+    extra = private_record(report)
+    assert private_record(report) == extra
     assert set(extra) == {"agent_ops", "alice_ops", "message_positions", "totals"}
     assert all(isinstance(op, PauliOp) for op in extra["totals"].values())
     assert sorted(extra["totals"]) == extra["message_positions"]
@@ -79,28 +75,11 @@ def test_deferred_values_hold_only_arrays_and_strings():
     ):
         report = run_trial(scenario)
         deferred = [e for e in report.transcript._events if isinstance(e, _Deferred)]
-        parts = report.__dict__["_extra"].args[0]
-        for value in parts.values():
-            values = value if isinstance(value, list) else [value]
-            deferred += [v for v in values if isinstance(v, _Deferred)]
         assert len(deferred) > 10
         for block in deferred:
             for arg in block.args:
                 assert isinstance(arg, (np.ndarray, str)), type(arg)
+                # No step may change what a later read builds.
+                if isinstance(arg, np.ndarray):
+                    assert not arg.flags.writeable
 
-
-def test_report_extra_as_given():
-    common = dict(
-        config=ScenarioConfig(),
-        checks=[],
-        dealer_message=[],
-        recovered={},
-        eavesdropper_message=None,
-        detected=False,
-        transcript=Transcript(),
-    )
-    assert RunReport(**common).extra == {}
-    given = {"totals": {0: PauliOp.I}}
-    assert RunReport(**common, extra=given).extra is given
-    built = RunReport(**common, extra=_Deferred(dict, given))
-    assert built.extra == given and built.extra is not given

@@ -2,10 +2,10 @@
 
 Every spec runs a seeded batch and compares the sha256 of its
 ``jsonl_report`` text with a recorded digest, and the sha256 of every
-trial's transcript events and ``extra`` (which the JSON lines leave out)
-with a second one.  A refactor of the engine or the protocol pipeline
-must leave every digest unchanged; a change that alters the order of
-random draws changes them and has to say so.
+trial's public transcript events and of its private ones (which the JSON
+lines leave out) with two more.  A refactor of the engine or the protocol
+pipeline must leave every digest unchanged; a change that alters the
+order of random draws changes them and has to say so.
 """
 
 import enum
@@ -16,7 +16,10 @@ import pytest
 
 from qss_sim.adversaries import AdversarySpec
 from qss_sim.harness import BatchSpec, jsonl_report, run_batch
+from qss_sim.pauli import PAULI_BY_CODE
 from qss_sim.protocol import ScenarioConfig
+
+from private_records import private_events
 
 _NONE = AdversarySpec()
 _SWAP_TRUE = AdversarySpec(kind="bob_swap_attack", publish_true_ops=True)
@@ -103,31 +106,69 @@ GOLDEN = {
     ),
 }
 
-# name -> sha256 of its trials' transcripts and `extra` (see golden_trials_json)
+# name -> (sha256 of its trials' public events, of their private events),
+# see trials_json
 GOLDEN_TRIALS = {
-    "improved-eve-agent0-agent1-t1": "dd86003d778a0894503f0ac23853abc5cdcbfc2099b6eb11b93d51a5d5e4e8b6",
-    "improved-eve-zach-a-t1": "932ad52c18d3f53f4f4480a1413012e917267c91979baadd7960154e1b7b6869",
-    "improved-eve-zach-t-t0": "8f87567c0ef1cf2401cb3614baea8a7d633291f4470c4afb1ad747076560227b",
-    "improved-honest-3": "deb7f3bb55979f813cd085b7103a8bc73d7490dd17141ca072467e3b6bc31d23",
-    "improved-swap-false-4": "73cc69acd9efa47494b89fc512497e03bd649319412b21307ed3b4d3ad5c5691",
-    "improved-swap-true-3-t1": "952ee6e94b9a42f2192061ce168c1ec1502774f4ca92f05ad8ac4c8f0f97d7a8",
-    "original-eve-alice-charlie-t1": "28ed844778ddbf9cb3a6e1ba5a6809f115a8b6c75770761f8c98ad87a1839ae0",
-    "original-eve-bob-alice-t0": "9d54424bcf225e314272c0a758b50e7a40c45f85279df0749a97c786904a5fa4",
-    "original-eve-bob-charlie-t1": "9c5aa832e40c96513a5d319ef41569b986edaaac4870e362dbfb7bf05b749537",
-    "original-honest": "5507c399213f31818dd180b27f44f98132b80aa0d1449bae9f69731453dc4bf5",
-    "original-swap-false": "67f751cccff6f2e4450baaa10ae773713734f4170c1d6d4ae158fb1285831c90",
-    "original-swap-true": "3b6bcb16149646b8a6d07d66f261bb7e0a16f4c661e8d59261d61d9222f717c5",
+    "improved-eve-agent0-agent1-t1": (
+        "32dd2ca4228a57f87c4c9c922eec11fb5cf218210aa2a2fa54321fc4b0205dac",
+        "1b27a68fdecbf40d36f8d80730ce48af2832c600ecc25edcc9780b5183bace36",
+    ),
+    "improved-eve-zach-a-t1": (
+        "de4d1cbd821b7a30978323669102b6b8f0ad2d3eb7da56d0e4bc420cdf3c0c57",
+        "10a6ca0994272593b4800ce880c3fe5b3c791ac12802c56bcdf28fb681199bda",
+    ),
+    "improved-eve-zach-t-t0": (
+        "2ec3ab3425667c1fb9ad740478f5b808e182a5616d98cb584dfaf62581e3b46d",
+        "4d268aa7d6c9a3822130bebba40899a9d951fa3948327e4a0bbbbb9b76b8b882",
+    ),
+    "improved-honest-3": (
+        "9d0f9138790384eb8684cf51c0a373b73a1c5b019e4edf11af1fc5180eadef29",
+        "ff33523009e1f38f1eb223b396e9f32dc2564c3364e359f0addd9d728142990c",
+    ),
+    "improved-swap-false-4": (
+        "ee48a76571d13a5d6810e7c05c5d381b9456e235d17650e976337d101c93b6d2",
+        "9415d8b6de470a79e1f8657054019f327afb15ad2b97b4edc95ec51d412453ea",
+    ),
+    "improved-swap-true-3-t1": (
+        "9ca8983c8da946043c1bc655df98252a162156cebcccb44ef25733f98de08ca2",
+        "aa7f5d08493d273a771c41f247c8416489b1189f0b1772a3ec543d5d79191cc1",
+    ),
+    "original-eve-alice-charlie-t1": (
+        "33212ac1b52abc1b2bf0014bf9c22e955a096e76481f339aade2c2375c314285",
+        "23e7adfe4ff2d5bd7d9a7626b46badde801f1b02234d48093a78f9a68b9f772a",
+    ),
+    "original-eve-bob-alice-t0": (
+        "0423fa4ba65732f41c515411c1283dafe9a8777512b2e9616bdcb18fca3af097",
+        "fdbe274dfb6fdf2e63df5fe56c4ef676477280dff1a4758ad13d74cbcbea5954",
+    ),
+    "original-eve-bob-charlie-t1": (
+        "68ac551ca0978e58856bc3f0c0f01f41df24d0097f2cccbd65b72a8022b1b6e8",
+        "26b4b845f90f2f3e480ce4b43d305f7e06a9f170bf2985dca20b52747f955b33",
+    ),
+    "original-honest": (
+        "64977d5b42361f5ffaae276a0de2fafbf9e468ee6ee89d8bcab9bc93437f512d",
+        "33e56b2c4bb95b98ed84f6a30261f91ddf841322a5e98b45ef5cfc77934af794",
+    ),
+    "original-swap-false": (
+        "4c86475d82fed67a946493e85410f057205e6c0a7a785a26954d0d463862d820",
+        "fef9d409df03f1657d9ac0fb4a6c0dec22b837ae30a13d92f2d833f05ac1b298",
+    ),
+    "original-swap-true": (
+        "838a98992a5bb7f8ec0d7dd9b4f92bb976edffdf9bd7362eb3e14a4283939cce",
+        "fef9d409df03f1657d9ac0fb4a6c0dec22b837ae30a13d92f2d833f05ac1b298",
+    ),
 }
 
 
 # One spec at the size of the long single-trial runs, whose array shapes
 # the 24-pair specs never reach: (scenario, trials, JSON-lines digest,
-# transcript and `extra` digest), at seed_base 500.
+# public-events digest, private-events digest), at seed_base 500.
 LARGE = (
     _original(_eve("bob->charlie"), threshold=1.0, n_pairs=4096),
     2,
     "bf259c916d0f1641f1e82a550cb7944dfc5bf36af36642465259fab2625b0144",
-    "4566ae8aa32fd0feb19f445c16bba9c5a26fa20f84b1a6d8838ade6b7e13c30d",
+    "844e2240f416cfa43eab834bf4e503bc527045a625ee300e0dcc0b4e68fe3456",
+    "8733ff078956fe459ec81640fb49abd9b0951acff7b543c3aec49c763f0d8a7c",
 )
 
 
@@ -153,26 +194,61 @@ def _by_name(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def trials_json(reports) -> str:
-    """Every trial's transcript events and ``extra`` as JSON, enums by
-    name, dict keys in insertion order."""
-    trials = [{"events": r.transcript.to_list(), "extra": r.extra} for r in reports]
+def trials_json(reports, private: bool) -> str:
+    """Every trial's public events, or its private ones, as one JSON list
+    per trial, enums by name, dict keys in insertion order."""
+    trials = [
+        [e for e in r.transcript.to_list() if e.get("private", False) == private]
+        for r in reports
+    ]
     return json.dumps(trials, default=_by_name, separators=(",", ":"))
 
 
-def golden_trials_json(scenario: ScenarioConfig) -> str:
-    _, reports = run_batch(BatchSpec(scenario=scenario, trials=8, seed_base=500))
-    return trials_json(reports)
+def golden_reports(scenario: ScenarioConfig):
+    return run_batch(BatchSpec(scenario=scenario, trials=8, seed_base=500))[1]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRIALS))
 def test_golden_transcript_and_extra_digest(name):
-    assert _sha256(golden_trials_json(GOLDEN[name][0])) == GOLDEN_TRIALS[name]
+    # Public events pin what the parties announce, private ones the
+    # analysis-only record kept beside them.
+    reports = golden_reports(GOLDEN[name][0])
+    public, private = GOLDEN_TRIALS[name]
+    assert _sha256(trials_json(reports, private=False)) == public
+    assert _sha256(trials_json(reports, private=True)) == private
 
 
 def test_large_golden_digests():
-    scenario, trials, jsonl_digest, trials_digest = LARGE
+    scenario, trials, jsonl_digest, public, private = LARGE
     spec = BatchSpec(scenario=scenario, trials=trials, seed_base=500)
     stats, reports = run_batch(spec)
     assert _sha256(jsonl_report(spec, stats, reports)) == jsonl_digest
-    assert _sha256(trials_json(reports)) == trials_digest
+    assert _sha256(trials_json(reports, private=False)) == public
+    assert _sha256(trials_json(reports, private=True)) == private
+
+
+_CODES = {p.name: p.code for p in PAULI_BY_CODE}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_private_record_reproduces_recovered_message(name):
+    # The reader's totals XOR every collaboration publication, decoded two
+    # bits per message position, is the message the reader announced --
+    # whatever the adversary published.
+    for report in golden_reports(GOLDEN[name][0]):
+        events = report.transcript.events
+        recovered = [e["bits"] for e in events if e["kind"] == "recovered"]
+        [reader_bits] = report.recovered.values()
+        if reader_bits is None:
+            assert recovered == []
+            continue
+        record = {e["kind"]: e for e in private_events(report)}
+        positions = record["message_positions"]["positions"]
+        codes = {pos: _CODES[op] for pos, op in record["totals"]["ops"].items()}
+        for e in events:
+            if e["kind"] == "publish_ops" and e["check"] == "collaboration":
+                assert list(e["ops"]) == positions
+                for pos, op in e["ops"].items():
+                    codes[pos] ^= _CODES[op]
+        bits = "".join(f"{codes[pos] >> 1}{codes[pos] & 1}" for pos in positions)
+        assert recovered == [bits]

@@ -238,6 +238,17 @@ def test_cli_ini_config_with_flag_override(tmp_path):
     assert summary2["detection_frequency"] == 0.0
 
 
+def test_cli_ini_values_are_literal(tmp_path):
+    # A '%' in a value is part of the value, not an interpolation.
+    out = tmp_path / "results_50%.jsonl"
+    ini = tmp_path / "batch.ini"
+    ini.write_text(
+        f"[scenario]\nprotocol = original\nn_pairs = 16\n[batch]\ntrials = 1\nout = {out}\n"
+    )
+    assert main(["run", "--config", str(ini)]) == EXIT_OK
+    assert json.loads(out.read_text().splitlines()[-1])["record"] == "summary"
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [

@@ -9,11 +9,14 @@ import pytest
 from qss_sim.adversaries import AdversarySpec
 from qss_sim.protocol import ScenarioConfig, run_trial
 
+from private_records import private_events
+
 AFTER_READOUT = {"totals", "alice_ops", "bob_ops", "message_positions"}
 CHAIN = {"agent_ops"}
 AFTER_ENCODING = {"agent_ops", "alice_ops", "message_positions"}
 
-# (protocol, hop Eve sits on, check that must abort, `extra` keys at that point)
+# (protocol, hop Eve sits on, check that must abort, private event kinds
+# recorded by then)
 CASES = [
     ("original", "bob->alice", "zx_check_1", set()),
     ("original", "bob->charlie", "zx_check_2", set()),
@@ -27,9 +30,9 @@ CASES = [
 
 
 @pytest.mark.parametrize(
-    "protocol, hop, check_id, extra_keys", CASES, ids=[case[1] for case in CASES]
+    "protocol, hop, check_id, private_kinds", CASES, ids=[case[1] for case in CASES]
 )
-def test_eve_on_each_hop_aborts_at_its_check(protocol, hop, check_id, extra_keys):
+def test_eve_on_each_hop_aborts_at_its_check(protocol, hop, check_id, private_kinds):
     config = ScenarioConfig(
         protocol=protocol,
         n_pairs=128,
@@ -49,9 +52,10 @@ def test_eve_on_each_hop_aborts_at_its_check(protocol, hop, check_id, extra_keys
     assert report.eavesdropper_message is None
     # The dealer draws her message only once every check before the
     # encoding step has passed.
-    encoded = bool(extra_keys & {"alice_ops"})
+    encoded = bool(private_kinds & {"alice_ops"})
     assert bool(report.dealer_message) == encoded
+    private = {e["kind"]: e for e in private_events(report)}
     if encoded:
-        positions = report.extra["message_positions"]
+        positions = private["message_positions"]["positions"]
         assert len(report.dealer_message) == 2 * len(positions)
-    assert set(report.extra) == extra_keys
+    assert set(private) == private_kinds

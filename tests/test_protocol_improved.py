@@ -15,6 +15,8 @@ from qss_sim.protocol import (
 )
 from qss_sim.register import PAULI_GATES, Register, SingleGate
 
+from private_records import private_record
+
 
 def _improved(seed, agents=3, n_pairs=64, **kw):
     return ScenarioConfig(
@@ -59,11 +61,11 @@ def test_hop_names_improved():
 
 
 def test_readout_composes_all_encryption_layers():
-    report = run_improved(_improved(1, agents=4))
-    totals = report.extra["totals"]
-    alice = report.extra["alice_ops"]
-    agent_ops = report.extra["agent_ops"]
-    for pos in report.extra["message_positions"]:
+    record = private_record(run_improved(_improved(1, agents=4)))
+    totals = record["totals"]
+    alice = record["alice_ops"]
+    agent_ops = record["agent_ops"]
+    for pos in record["message_positions"]:
         layered = [alice[pos]] + [ops.get(pos, PauliOp.I) for ops in agent_ops]
         assert totals[pos] == compose_all(layered)
 
@@ -74,11 +76,11 @@ def test_decoding_without_one_agent_fails_on_most_positions():
     # necessary.
     wrong = total = 0
     for seed in range(12):
-        report = run_improved(_improved(seed, agents=3, n_pairs=128))
-        totals = report.extra["totals"]
-        alice = report.extra["alice_ops"]
-        agent_ops = report.extra["agent_ops"]
-        for pos in report.extra["message_positions"]:
+        record = private_record(run_improved(_improved(seed, agents=3, n_pairs=128)))
+        totals = record["totals"]
+        alice = record["alice_ops"]
+        agent_ops = record["agent_ops"]
+        for pos in record["message_positions"]:
             partial = recover_dealer_pauli(
                 totals[pos], [agent_ops[0].get(pos, PauliOp.I)]
             )

@@ -17,6 +17,8 @@ from qss_sim.protocol import (
 )
 from qss_sim.register import Register
 
+from private_records import private_record
+
 
 def _honest(seed, n_pairs=32, **kw):
     return ScenarioConfig(
@@ -40,10 +42,11 @@ def test_honest_run_completes_exactly():
 
 def test_readout_is_composition_of_both_parties_ops():
     report = run_original(_honest(3))
-    totals = report.extra["totals"]
-    alice = report.extra["alice_ops"]
-    bob = report.extra["bob_ops"]
-    for pos in report.extra["message_positions"]:
+    record = private_record(report)
+    totals = record["totals"]
+    alice = record["alice_ops"]
+    bob = record["bob_ops"]
+    for pos in record["message_positions"]:
         assert totals[pos] == compose(alice[pos], bob[pos])
 
 
