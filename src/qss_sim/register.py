@@ -26,6 +26,14 @@ which is what makes entanglement swapping work; the second row is
 retired.  No row ever holds more than two photons, so the table is closed
 under every operation.
 
+The kernels gather the amplitudes a call touches into C-contiguous,
+component-major working arrays, with the call's n items on the last axis:
+(2, 2, n) per photon row and (4, 4, n) for the Bell residuals.  So every
+numpy loop runs over n contiguous items, not over one row's 2 entries.
+Each amplitude and Born probability is the same expression, rounded in the
+same order, as in a loop over rows, and the results are scattered back
+into the table, whose layout is unchanged.
+
 The vector methods (``prepare_bells``, ``prepare_singles``,
 ``apply_gates``, ``measure_singles``, ``measure_bells``) act on a whole
 array of photons per call and speak integer codes: gate codes and state
@@ -140,77 +148,59 @@ H_CODE = GATE_CODES[SingleGate.H]
 _STATES_BY_CODE = (SingleState.ZERO, SingleState.ONE, SingleState.PLUS, SingleState.MINUS)
 STATE_CODES = {state: code for code, state in enumerate(_STATES_BY_CODE)}
 
-# Gate g sends its photon's amplitude slices (a0, a1) to
-# (m00*a0 + m01*a1, m10*a0 + m11*a1).  The Pauli entries are 0 and +-1,
-# so for them this is an exact flip and/or negation; for H it is
-# _SQ2*a0 +- _SQ2*a1.
-_GATE_COEFFS = _real_table([GATE_MATRICES[gate] for gate in _GATES_BY_CODE])[:, :, :, None]
+# _GATE_COEFFS[r, c, g] is entry (r, c) of gate g's matrix: gate g sends
+# its photon's amplitude slices (a0, a1) to (m00*a0 + m01*a1,
+# m10*a0 + m11*a1).  The Pauli entries are 0 and +-1, so for them this is
+# an exact flip and/or negation; for H it is _SQ2*a0 +- _SQ2*a1.
+_GATE_COEFFS = np.ascontiguousarray(
+    _real_table([GATE_MATRICES[gate] for gate in _GATES_BY_CODE]).transpose(1, 2, 0)
+)
 # _BELL_PROJECTORS[l, 2*a + b]: contracting a pair of measured axes (a, b)
 # with row l gives the residual of outcome BELL_ORDER[l].  Every entry is
 # real, so the projector is the Bell tensor itself.
 _BELL_PROJECTORS = _real_table([BELL_TENSORS[label] for label in BELL_ORDER]).reshape(4, 4)
 # The two non-zero entries of each projector row, their columns and values
-# (the reshape fails at import unless every row has exactly two).
+# (the reshape fails at import unless every row has exactly two).  Each
+# residual is then two rounded products and one addition: it rounds as
+# every unfused sum of the four products does, and no fused multiply-add
+# (which a BLAS product may use) changes a bit.
 _BELL_COLS = np.nonzero(_BELL_PROJECTORS)[1].reshape(4, 2)
-_BELL_COEFFS = np.take_along_axis(_BELL_PROJECTORS, _BELL_COLS, axis=1)
-# _SLOTS[side][k][j]: offset, within its row, of the amplitude with the
+_BELL_COEFFS = np.take_along_axis(_BELL_PROJECTORS, _BELL_COLS, axis=1)[:, :, None, None]
+# _OFFSETS[k, j, side]: offset, within its row, of the amplitude with the
 # photon on `side` in state k and the other side in state j.
-_SLOTS = np.array([[[0, 1], [2, 3]], [[0, 2], [1, 3]]])
-# Keeps the slice of the observed bit and zeroes the other one.
-_KEEP = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
+_OFFSETS = np.array([[[0, 0], [1, 2]], [[2, 1], [3, 3]]])
 # The row of a single photon in each state: side 1 held in |0>.
 _SINGLE_ROWS = _real_table(
     [np.outer(SINGLE_STATE_VECTORS[s], [1, 0]) for s in _STATES_BY_CODE]
 )
 
 
-def _slots(rows: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Flat table indices of the rows, oriented so that axis 1 is the
-    photon on `sides` and axis 2 the other side of its row."""
-    return (4 * rows)[:, None, None] + _SLOTS[sides]
+def _sum_of_squares(terms: np.ndarray) -> np.ndarray:
+    """Sum of squares over the first axis, of length 4, added left to
+    right, which is how numpy reduces a short contiguous axis: the Born
+    probabilities and norms round as a sum over each row's block does."""
+    s = terms * terms
+    return ((s[0] + s[1]) + s[2]) + s[3]
 
 
 def _check_norm(blocks: np.ndarray) -> None:
-    """Raise unless every (2, 2) amplitude block has unit norm."""
-    norm2 = (blocks * blocks).sum(axis=(1, 2))
+    """Raise unless every amplitude block of a component-major (2, 2, n)
+    or (4, n) array has unit norm."""
+    norm2 = _sum_of_squares(blocks.reshape(4, -1))
     bad = np.abs(norm2 - 1.0) > NORM_TOL
     if bad.any():
         raise RegisterError(f"state norm drifted: |amps|^2 = {float(norm2[bad][0])!r}")
 
 
-def _bell_residuals(terms: np.ndarray) -> np.ndarray:
-    """out[m, l, ...] = sum over k of _BELL_PROJECTORS[l, k] * terms[m, k, ...].
-
-    Each projector row has two non-zero entries, so each sum is two
-    rounded products and one addition: it rounds as every unfused sum of
-    the four products does, and no fused multiply-add (which a BLAS
-    product may use) changes a bit."""
-    shape = (1, 4) + (1,) * (terms.ndim - 2)
-    out = terms[:, _BELL_COLS[:, 0]] * _BELL_COEFFS[:, 0].reshape(shape)
-    out += terms[:, _BELL_COLS[:, 1]] * _BELL_COEFFS[:, 1].reshape(shape)
-    return out
-
-
-def _cross_row_residuals(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    """Bell residuals [m, l, x, y] of two photons in different rows, each
-    row oriented with the measured photon on axis 1: x and y are the
-    other sides of the two rows."""
-    # product[m, (a, b), (x, y)]
-    product = ta[:, :, None, :, None] * tb[:, None, :, None, :]
-    return _bell_residuals(product.reshape(-1, 4, 4)).reshape(-1, 4, 2, 2)
-
-
-def _renormalize(blocks: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    """The (2, 2) blocks divided by sqrt(prob), as a product with the
-    rounded reciprocal.  numpy divides complex numbers that way, so the
-    amplitudes keep every bit they would have in a complex table, and
-    seeded outcomes do not move."""
-    return blocks * (1.0 / np.sqrt(prob))[:, None, None]
-
-
 def _first_touch(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """Mask of the items whose rows no earlier item touches."""
+    """Mask of the items whose rows no earlier item touches.  Pass one
+    array twice for items that touch one row each: it sorts n rows, not
+    a stacked copy of 2n."""
     n = len(rows_a)
+    if rows_a is rows_b:
+        now = np.zeros(n, dtype=bool)
+        now[np.unique(rows_a, return_index=True)[1]] = True
+        return now
     # np.unique reports the first position of each row in item order.
     _, first, inverse = np.unique(
         np.stack((rows_a, rows_b), axis=1), return_index=True, return_inverse=True
@@ -319,12 +309,23 @@ class Register:
             return
         items = np.arange(len(first))
         while len(items):
-            now = _first_touch(self._row[first[items]], self._row[second[items]])
+            rows = self._row[first[items]]
+            now = _first_touch(rows, rows if first is second else self._row[second[items]])
             if len(items) == len(first) and now.all():
                 yield slice(None)
                 return
             yield items[now]
             items = items[~now]
+
+    def _gather(self, rows: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat table indices of the rows and their amplitudes, both
+        (2, 2, n): axis 0 is the photon on `sides`, axis 1 the other side
+        of its row."""
+        # take keeps the result C-contiguous; indexing _OFFSETS[:, :, sides]
+        # gives a strided one, over which the kernels run several times
+        # slower.
+        slots = _OFFSETS.take(sides, axis=2) + 4 * rows
+        return slots, self._amps.reshape(-1).take(slots)
 
     def group_norm_sq(self, photon: int) -> float:
         """Squared norm of the amplitude row holding `photon`."""
@@ -348,6 +349,8 @@ class Register:
     def prepare_bells(self, n: int, label: BellLabel) -> tuple[np.ndarray, np.ndarray]:
         """Create `n` fresh pairs jointly in the named Bell state; returns
         the first and the second photon of each pair."""
+        if n < 0:
+            raise RegisterError(f"cannot prepare {n} Bell pairs")
         rows = self._new_rows(n)
         photons = self._new_photons(2 * n).reshape(n, 2)
         self._amps[rows] = BELL_TENSORS[label]
@@ -394,12 +397,11 @@ class Register:
 
     def _gate(self, ids: np.ndarray, codes: np.ndarray) -> None:
         """Apply one gate per photon; the photons' rows are distinct."""
-        slots = _slots(self._row[ids], self._side[ids])
-        flat = self._amps.reshape(-1)
-        a = flat[slots]
-        c = _GATE_COEFFS[codes]
-        blocks = c[:, :, 0] * a[:, None, 0] + c[:, :, 1] * a[:, None, 1]
-        flat[slots] = blocks
+        slots, a = self._gather(self._row[ids], self._side[ids])
+        # take, not _GATE_COEFFS[:, :, codes]: see _gather.
+        c = _GATE_COEFFS.take(codes, axis=2)
+        blocks = c[:, 0, None] * a[0] + c[:, 1, None] * a[1]
+        self._amps.reshape(-1).put(slots, blocks)
         _check_norm(blocks)
 
     # -- measurements (destructive) ---------------------------------------
@@ -432,14 +434,17 @@ class Register:
     def _collapse(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Z-measure one photon per row; the photons' rows are distinct."""
         rows, sides = self._row[ids], self._side[ids]
-        slots = _slots(rows, sides)
-        flat = self._amps.reshape(-1)
-        a = flat[slots]
-        p0 = (a[:, 0] * a[:, 0]).sum(axis=1)
+        slots, a = self._gather(rows, sides)
+        p0 = a[0, 0] * a[0, 0] + a[0, 1] * a[0, 1]
         bits = (u >= p0).astype(np.int64)
         prob = np.where(bits == 1, 1.0 - p0, p0)
-        blocks = _renormalize(a * _KEEP[bits], prob)
-        flat[slots] = blocks
+        # Keep the slice of the observed bit, zero the other one, and
+        # divide by sqrt(prob) as a product with the rounded reciprocal:
+        # numpy divides complex numbers that way, so the amplitudes keep
+        # every bit they would have in a complex table.
+        keep = np.arange(2)[:, None, None] == bits
+        blocks = a * keep * (1.0 / np.sqrt(prob))
+        self._amps.reshape(-1).put(slots, blocks)
         self._members[rows, sides] = -1
         _check_norm(blocks)
         return bits
@@ -475,27 +480,29 @@ class Register:
         """Bell-measure each pair; no two pairs share a row."""
         rows_a, rows_b = self._row[ids_a], self._row[ids_b]
         sides_a, sides_b = self._side[ids_a], self._side[ids_b]
-        flat = self._amps.reshape(-1)
-        ta, tb = flat[_slots(rows_a, sides_a)], flat[_slots(rows_b, sides_b)]
-        # residuals[m, l, x, y]: the residual of outcome l over the other
-        # side x of row a and y of row b.
+        ta, tb = self._gather(rows_a, sides_a)[1], self._gather(rows_b, sides_b)[1]
+        # product[2*a + b, 2*x + y, m]: the measured axes (a, b) and the
+        # other side x of row a and y of row b.
+        product = (ta[:, None, :, None] * tb[None, :, None, :]).reshape(4, 4, -1)
         same = rows_a == rows_b
-        if not same.any():
-            residuals = _cross_row_residuals(ta, tb)
-        else:
+        if same.any():
             # Two photons of one row: the row itself is the pair over
             # (a, b), and no other axis is left (only x = y = 0).
-            residuals = np.zeros((len(ids_a), 4, 2, 2))
-            residuals[same, :, 0, 0] = _bell_residuals(ta[same].reshape(-1, 4))
-            if not same.all():
-                residuals[~same] = _cross_row_residuals(ta[~same], tb[~same])
-        probs = (residuals * residuals).sum(axis=(2, 3))
+            product[:, :, same] = 0.0
+            product[:, 0, same] = ta[:, :, same].reshape(4, -1)
+        # residuals[l, 2*x + y, m]: the residual of outcome l.
+        residuals = (
+            product.take(_BELL_COLS[:, 0], axis=0) * _BELL_COEFFS[:, 0]
+            + product.take(_BELL_COLS[:, 1], axis=0) * _BELL_COEFFS[:, 1]
+        )
+        probs = _sum_of_squares(residuals.swapaxes(0, 1))
         # The first outcome whose cumulative probability exceeds u, else
         # the last one.
-        picks = (np.cumsum(probs, axis=1)[:, :3] <= u[:, None]).sum(axis=1)
+        picks = (np.cumsum(probs[:3], axis=0) <= u).sum(axis=0)
+        # The drawn residual of each pair, item-major as the table is.
         idx = np.arange(len(ids_a))
-        blocks = _renormalize(residuals[idx, picks], probs[idx, picks])
-        self._amps[rows_a] = blocks
+        blocks = residuals[picks, :, idx] * (1.0 / np.sqrt(probs[picks, idx]))[:, None]
+        self._amps[rows_a] = blocks.reshape(-1, 2, 2)
 
         # The survivors: the other side of each row, unless that side was
         # dead or (for two photons of one row) just measured.
@@ -510,5 +517,5 @@ class Register:
         moved = survivor_b >= 0
         self._row[survivor_b[moved]] = rows_a[moved]
         self._side[survivor_b[moved]] = 1
-        _check_norm(blocks)
+        _check_norm(blocks.T)
         return picks

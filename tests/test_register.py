@@ -120,6 +120,18 @@ def test_bell_measurement_needs_distinct_photons():
         reg.measure_bell(a, a)
 
 
+def test_negative_bell_count_is_rejected():
+    # A negative count would rewind the next row and photon, and the
+    # next pair would overwrite a live one.
+    reg = Register(seed=2)
+    a, b = reg.prepare_bell(BellLabel.PHI_PLUS)
+    with pytest.raises(RegisterError):
+        reg.prepare_bells(-1, BellLabel.PHI_PLUS)
+    c, d = reg.prepare_bell(BellLabel.PSI_MINUS)
+    assert {c, d}.isdisjoint({a, b})
+    assert reg.measure_bell(a, b) is BellLabel.PHI_PLUS
+
+
 def test_live_photon_bookkeeping():
     reg = Register(seed=12)
     a, b = reg.prepare_bell(BellLabel.PSI_MINUS)

@@ -3,8 +3,12 @@
 Two registers with the same seed run the same operations, one through a
 vector call (integer codes) and one through the equivalent loop of
 per-photon calls (enums); the outcomes must be equal and every live
-photon's amplitudes must agree to 1e-12.
+photon's amplitudes must agree to 1e-12.  Both run the same kernels, so
+a seeded mix of operations also pins the kernels' outcomes and
+amplitudes bit for bit against recorded digests.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from qss_sim.register import (
     RegisterError,
     SingleGate,
     SingleState,
+    _first_touch,
 )
 
 
@@ -221,3 +226,78 @@ def test_vector_calls_need_one_entry_per_photon():
     with pytest.raises(RegisterError):
         reg.measure_bells([a, b], [c])
     assert reg.live_photons == {a, b, c, d}
+
+
+def _kernel_mix(n: int, seed: int) -> tuple[str, str]:
+    """Every kernel case over n positions in a seeded order; returns the
+    sha256 of the outcomes and of the amplitude table."""
+    reg, pick = Register(seed=seed), np.random.default_rng(seed + 1)
+    a, b = reg.prepare_bells(n, BellLabel.PHI_PLUS)
+    c, d = reg.prepare_bells(n, BellLabel.PSI_MINUS)
+    e, f = reg.prepare_bells(n, BellLabel.PSI_PLUS)
+    s, t, u = (reg.prepare_singles(pick.integers(4, size=n)) for _ in range(3))
+
+    def gates(photons):
+        # H and the four Paulis on both sides of rows, twice each, shuffled.
+        photons = pick.permutation(np.concatenate((photons, photons)))
+        reg.apply_gates(photons, pick.integers(H_CODE + 1, size=len(photons)))
+
+    outcomes = []
+    gates(np.concatenate((a, b, c, d, e, f, s, t, u)))
+    # One call mixes same-row pairs (e, f), which leave no survivor, with
+    # cross-row pairs (b, c), which leave a and d in one row.
+    same, order = pick.random(n) < 0.5, pick.permutation(n)
+    outcomes.append(reg.measure_bells(np.where(same, e, b)[order], np.where(same, f, c)[order]))
+    gates(np.concatenate((a, d, t)))
+    # Cross-row pairs with one survivor (a or c), then with none.
+    outcomes.append(reg.measure_bells(d, s))
+    outcomes.append(reg.measure_bells(t, u))
+    live = np.array(sorted(reg.live_photons), dtype=np.int64)
+    gates(live)
+    # Z and X measurements of two thirds of the rest, often both sides
+    # of one row in one call.
+    chosen = pick.permutation(live)[: 2 * len(live) // 3]
+    outcomes.append(reg.measure_singles(chosen, pick.random(len(chosen)) < 0.5))
+    # + 0.0 turns -0.0 into 0.0, so a zero's sign does not count.
+    amps = reg._amps[: reg._next_row] + 0.0
+    return (
+        hashlib.sha256(np.concatenate(outcomes).astype(np.int64).tobytes()).hexdigest(),
+        hashlib.sha256(amps.tobytes()).hexdigest(),
+    )
+
+
+# n -> sha256 of the outcomes and of the amplitude table of _kernel_mix,
+# recorded from the item-major kernels the component-major ones replaced.
+_KERNEL_DIGESTS = {
+    1: (
+        "9508b59c63cbec25fc803791f964353ee8f1367d14c428f726bb7ca363a6d9f8",
+        "5f7a4df61a14904ec6e2b3f29d78170ab18192605feedab2e54ddff846edbd6d",
+    ),
+    7: (
+        "3c0d954ad6c1fd3c26a9593cfe401614f8ed161248612f722e20507ca1b482d5",
+        "2db1bc169d32c36e6f911712f55607be3c7da39fce658d168b2e6004486394c3",
+    ),
+    3001: (
+        "1679e55bca798c1cbe82fd035bbfa43332410241ebe50e52aab54702303d6c7d",
+        "1feb76f6a1209b038b55c7fa05f0d8878ac8255989e31aaa359486360bb9eb1f",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_KERNEL_DIGESTS))
+def test_register_kernels_are_bit_identical(n):
+    assert _kernel_mix(n, seed=900 + n) == _KERNEL_DIGESTS[n]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 12), max_size=40))
+def test_first_touch_of_one_row_per_item(values):
+    # One array twice takes the one-sort path, two equal arrays the
+    # stacked sort; both must mark each row's first item.
+    rows = np.array(values, dtype=np.int64)
+    seen, want = set(), []
+    for r in values:
+        want.append(r not in seen)
+        seen.add(r)
+    assert _first_touch(rows, rows).tolist() == want
+    assert _first_touch(rows, rows.copy()).tolist() == want
