@@ -16,7 +16,7 @@ sections' flags.  Casts follow the field types and choice lists the
 fields' ``choices`` metadata; ``_ALIASES`` holds the public names that
 differ from the field names.  Flags override file values.  Unknown
 sections and keys are rejected.  Exit codes: 0 success, 1 configuration
-error, 2 I/O error.
+error or not enough memory, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -263,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_oracle(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ from .adversaries import (
     _random_paulis,
 )
 from .pauli import BELL_CODES, BELL_ORDER, PAULI_BY_CODE, Basis, BellLabel
-from .register import H_CODE, Register
+from .register import H_CODE, MAX_PHOTONS, Register
 
 
 class ConfigError(ValueError):
@@ -228,6 +228,9 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError("error_threshold must lie in [0, 1]")
     if config.checking_photon_count < 0:
         raise ConfigError("checking_photon_count must be non-negative")
+    for name in ("n_pairs", "checking_photon_count"):
+        if getattr(config, name) > MAX_PHOTONS:
+            raise ConfigError(f"{name} must be at most {MAX_PHOTONS}")
     if config.protocol == "improved" and config.agent_count < 2:
         raise ConfigError("improved protocol needs at least 2 agents")
     if config.step6_sample_count is not None and config.step6_sample_count < 1:
@@ -250,6 +253,10 @@ def validate_config(config: ScenarioConfig) -> None:
             else:
                 q = _sample_size(remaining, config.sample_fraction)
             remaining -= q
+            # Each check takes a position, so this ends within n_pairs
+            # agents, however many there are.
+            if remaining < 1:
+                break
     if remaining < 1:
         raise ConfigError("sampling would leave no message positions")
 

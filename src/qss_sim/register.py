@@ -28,11 +28,17 @@ under every operation.
 
 The kernels gather the amplitudes a call touches into C-contiguous,
 component-major working arrays, with the call's n items on the last axis:
-(2, 2, n) per photon row and (4, 4, n) for the Bell residuals.  So every
+(2, 2, n) per photon row and (4, 4, n) for the Bell product.  So every
 numpy loop runs over n contiguous items, not over one row's 2 entries.
 Each amplitude and Born probability is the same expression, rounded in the
 same order, as in a loop over rows, and the results are scattered back
-into the table, whose layout is unchanged.
+into the table, whose layout is unchanged.  The kernels are lean in
+memory: they compute in place in the gathered arrays, a Bell measurement
+forms each residual as one sum or difference of two scaled product rows
+and writes its squares back over the product, an X measurement applies
+its Hadamard to the amplitudes its collapse gathered, and preparation
+writes its fresh, contiguous rows and photons as slices.  A large call
+therefore allocates only a small multiple of the amplitudes it reads.
 
 The vector methods (``prepare_bells``, ``prepare_singles``,
 ``apply_gates``, ``measure_singles``, ``measure_bells``) act on a whole
@@ -41,10 +47,12 @@ codes (tables below), an X-basis mask, and Bell-outcome indices into
 ``BELL_ORDER``.  The per-photon methods are their one-element case,
 typed with the ``SingleGate``, ``SingleState``, ``Basis`` and
 ``BellLabel`` enums.  Operations of one call that touch the same row run
-in list order.  A measuring call draws its Born-rule uniforms with one
-``rng.random(n)`` in list order, which yields the same numbers as n
-scalar draws, so a vector call replays exactly the outcomes of the loop
-of per-photon calls it stands for.
+in list order: the call runs in rounds of items on distinct rows, each
+round found by one first-touch pass whose cost grows with the call's n
+items, not with the rows of the table.  A measuring call draws its
+Born-rule uniforms with one ``rng.random(n)`` in list order, which
+yields the same numbers as n scalar draws, so a vector call replays
+exactly the outcomes of the loop of per-photon calls it stands for.
 
 All randomness comes from the register's own numpy Generator, so a fixed
 seed and a fixed operation sequence reproduce the same outcomes exactly.
@@ -63,6 +71,13 @@ from .pauli import BELL_ORDER, Basis, BellLabel, PauliOp
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 NORM_TOL = 1e-12
+
+# The largest number of pairs or checking photons a config may ask for.
+# numpy refuses an array over np.intp's largest byte count; a trial makes
+# a few rows per pair or checking photon, and a call's largest working
+# array, the Bell product, holds 16 float64 per item, so 1024 bytes per
+# photon stays under that limit.
+MAX_PHOTONS = np.iinfo(np.intp).max // 1024
 
 
 class RegisterError(Exception):
@@ -159,13 +174,30 @@ _GATE_COEFFS = np.ascontiguousarray(
 # with row l gives the residual of outcome BELL_ORDER[l].  Every entry is
 # real, so the projector is the Bell tensor itself.
 _BELL_PROJECTORS = _real_table([BELL_TENSORS[label] for label in BELL_ORDER]).reshape(4, 4)
-# The two non-zero entries of each projector row, their columns and values
-# (the reshape fails at import unless every row has exactly two).  Each
-# residual is then two rounded products and one addition: it rounds as
-# every unfused sum of the four products does, and no fused multiply-add
-# (which a BLAS product may use) changes a bit.
-_BELL_COLS = np.nonzero(_BELL_PROJECTORS)[1].reshape(4, 2)
-_BELL_COEFFS = np.take_along_axis(_BELL_PROJECTORS, _BELL_COLS, axis=1)[:, :, None, None]
+
+
+def _bell_terms(projectors: np.ndarray) -> tuple[float, tuple]:
+    """The scale s of the projectors' entries and, per row, the columns
+    (c0, c1) of its two non-zero entries and ``np.add`` or
+    ``np.subtract``: the row is s at c0 and +s or -s at c1.  Raises
+    unless every row has that form.
+
+    A residual is then two rounded products and one addition, as every
+    unfused sum of the four products rounds, and no fused multiply-add
+    (which a BLAS product may use) changes a bit.  Since x * -s is
+    exactly -(x * s) and y + -z is exactly y - z, the residual is the sum
+    or the difference of two rows of the product scaled by s."""
+    scale = float(np.abs(projectors).max())
+    terms = []
+    for row in projectors:
+        cols = np.flatnonzero(row)
+        if len(cols) != 2 or row[cols[0]] != scale or abs(row[cols[1]]) != scale:
+            raise RegisterError("a Bell projector row is not s at one entry and +-s at one more")
+        terms.append((int(cols[0]), int(cols[1]), np.add if row[cols[1]] > 0 else np.subtract))
+    return scale, tuple(terms)
+
+
+_BELL_SCALE, _BELL_TERMS = _bell_terms(_BELL_PROJECTORS)
 # _OFFSETS[k, j, side]: offset, within its row, of the amplitude with the
 # photon on `side` in state k and the other side in state j.
 _OFFSETS = np.array([[[0, 0], [1, 2]], [[2, 1], [3, 3]]])
@@ -175,38 +207,66 @@ _SINGLE_ROWS = _real_table(
 )
 
 
-def _sum_of_squares(terms: np.ndarray) -> np.ndarray:
+def _sum_of_squares(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of squares over the first axis, of length 4, added left to
     right, which is how numpy reduces a short contiguous axis: the Born
-    probabilities and norms round as a sum over each row's block does."""
-    s = terms * terms
+    probabilities and norms round as a sum over each row's block does.
+    The squares go to `out`, or to a new array if it is None."""
+    s = np.multiply(terms, terms, out)
     return ((s[0] + s[1]) + s[2]) + s[3]
 
 
-def _check_norm(blocks: np.ndarray) -> None:
+def _check_norm(blocks: np.ndarray, spent: np.ndarray | None = None) -> None:
     """Raise unless every amplitude block of a component-major (2, 2, n)
-    or (4, n) array has unit norm."""
-    norm2 = _sum_of_squares(blocks.reshape(4, -1))
+    or (4, n) array has unit norm.  The squares go to `spent`, an array
+    of the same shape whose values are no longer needed, if one is
+    given."""
+    terms = blocks.reshape(4, -1)
+    norm2 = _sum_of_squares(terms, None if spent is None else spent.reshape(terms.shape))
     bad = np.abs(norm2 - 1.0) > NORM_TOL
     if bad.any():
         raise RegisterError(f"state norm drifted: |amps|^2 = {float(norm2[bad][0])!r}")
 
 
-def _first_touch(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+def _first_touch(rows_a: np.ndarray, rows_b: np.ndarray, stamp: np.ndarray) -> np.ndarray:
     """Mask of the items whose rows no earlier item touches.  Pass one
-    array twice for items that touch one row each: it sorts n rows, not
-    a stacked copy of 2n."""
+    array twice for items that touch one row each.  `stamp` is scratch
+    indexed by row; only the items' rows are written, so the cost grows
+    with the number of items, not with the number of rows."""
     n = len(rows_a)
-    if rows_a is rows_b:
-        now = np.zeros(n, dtype=bool)
-        now[np.unique(rows_a, return_index=True)[1]] = True
-        return now
-    # np.unique reports the first position of each row in item order.
-    _, first, inverse = np.unique(
-        np.stack((rows_a, rows_b), axis=1), return_index=True, return_inverse=True
-    )
-    first_item = (first // 2)[inverse].reshape(n, 2)
-    return (first_item == np.arange(n)[:, None]).all(axis=1)
+    order = np.arange(n)
+    lists = (rows_a,) if rows_a is rows_b else (rows_a, rows_b)
+    # stamp[r] becomes the first item that touches row r.
+    for rows in lists:
+        stamp[rows] = n
+    for rows in lists:
+        np.minimum.at(stamp, rows, order)
+    now = stamp[rows_a] == order
+    if rows_b is not rows_a:
+        now &= stamp[rows_b] == order
+    return now
+
+
+def _gate_blocks(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """New blocks from the gate coefficients coeffs[r, c, m] (see
+    ``_GATE_COEFFS``) and the (2, 2, n) blocks `a`, which are
+    overwritten: out[r] = coeffs[r, 0] * a[0] + coeffs[r, 1] * a[1]."""
+    out = coeffs[:, 0, None] * a[0]
+    a[0] = a[1]
+    a *= coeffs[:, 1, None]
+    out += a
+    return out
+
+
+def _rotate_x_to_z(a: np.ndarray, xs: np.ndarray) -> None:
+    """Apply H, with _gate's arithmetic, to the items `xs` of the (2, 2, n)
+    blocks `a`: an X measurement is H, then a Z measurement.  A function
+    of its own, so that its temporaries are freed before the collapse
+    goes on."""
+    spent = a.take(xs, axis=2)
+    h = _gate_blocks(_GATE_COEFFS[:, :, H_CODE, None], spent)
+    _check_norm(h, spent)
+    a[:, :, xs] = h
 
 
 def _codes(values: Sequence[int], table: tuple, what: str) -> np.ndarray:
@@ -252,6 +312,8 @@ class Register:
         self.rng = rng
         self._amps = np.zeros((16, 2, 2))
         self._members = np.full((16, 2), -1, dtype=np.int64)
+        # Scratch of `_first_touch`, one entry per row.
+        self._stamp = np.zeros(16, dtype=np.int64)
         self._row = np.zeros(32, dtype=np.int64)
         self._side = np.zeros(32, dtype=np.int64)
         self._next_photon = 0
@@ -285,19 +347,20 @@ class Register:
             _raise_not_live(photon)
         return self._row[photon]
 
-    def _new_rows(self, count: int) -> np.ndarray:
+    def _new_rows(self, count: int) -> slice:
         start = self._next_row
         self._next_row += count
         self._amps = _grow(self._amps, self._next_row, 0)
         self._members = _grow(self._members, self._next_row, -1)
-        return np.arange(start, self._next_row)
+        self._stamp = _grow(self._stamp, self._next_row, 0)
+        return slice(start, self._next_row)
 
-    def _new_photons(self, count: int) -> np.ndarray:
+    def _new_photons(self, count: int) -> slice:
         start = self._next_photon
         self._next_photon += count
         self._row = _grow(self._row, self._next_photon, 0)
         self._side = _grow(self._side, self._next_photon, 0)
-        return np.arange(start, self._next_photon)
+        return slice(start, self._next_photon)
 
     def _rounds(self, first: np.ndarray, second: np.ndarray):
         """Yield the items of a call (index arrays, or a slice for all of
@@ -310,7 +373,10 @@ class Register:
         items = np.arange(len(first))
         while len(items):
             rows = self._row[first[items]]
-            now = _first_touch(rows, rows if first is second else self._row[second[items]])
+            other = rows if first is second else self._row[second[items]]
+            now = _first_touch(rows, other, self._stamp)
+            # Free them while the caller runs the round.
+            del rows, other
             if len(items) == len(first) and now.all():
                 yield slice(None)
                 return
@@ -324,7 +390,8 @@ class Register:
         # take keeps the result C-contiguous; indexing _OFFSETS[:, :, sides]
         # gives a strided one, over which the kernels run several times
         # slower.
-        slots = _OFFSETS.take(sides, axis=2) + 4 * rows
+        slots = _OFFSETS.take(sides, axis=2)
+        slots += 4 * rows
         return slots, self._amps.reshape(-1).take(slots)
 
     def group_norm_sq(self, photon: int) -> float:
@@ -351,25 +418,25 @@ class Register:
         the first and the second photon of each pair."""
         if n < 0:
             raise RegisterError(f"cannot prepare {n} Bell pairs")
-        rows = self._new_rows(n)
-        photons = self._new_photons(2 * n).reshape(n, 2)
+        rows, photons = self._new_rows(n), self._new_photons(2 * n)
+        pairs = np.arange(photons.start, photons.stop).reshape(n, 2)
         self._amps[rows] = BELL_TENSORS[label]
-        self._members[rows] = photons
-        self._row[photons] = rows[:, None]
-        self._side[photons] = (0, 1)
-        return photons[:, 0], photons[:, 1]
+        self._members[rows] = pairs
+        self._row[photons].reshape(n, 2)[...] = np.arange(rows.start, rows.stop)[:, None]
+        self._side[photons].reshape(n, 2)[...] = (0, 1)
+        return pairs[:, 0], pairs[:, 1]
 
     def prepare_singles(self, states: Sequence[int]) -> np.ndarray:
         """Create one fresh photon per state code (``STATE_CODES``)."""
         codes = _codes(states, _STATES_BY_CODE, "state")
-        rows = self._new_rows(len(codes))
-        photons = self._new_photons(len(codes))
+        rows, photons = self._new_rows(len(codes)), self._new_photons(len(codes))
+        ids = np.arange(photons.start, photons.stop)
         self._amps[rows] = _SINGLE_ROWS[codes]
-        self._members[rows] = -1
-        self._members[rows, 0] = photons
-        self._row[photons] = rows
+        self._members[rows, 0] = ids
+        self._members[rows, 1] = -1
+        self._row[photons] = np.arange(rows.start, rows.stop)
         self._side[photons] = 0
-        return photons
+        return ids
 
     def prepare_bell(self, label: BellLabel) -> tuple[int, int]:
         """Create two fresh photons jointly in the named Bell state."""
@@ -399,10 +466,9 @@ class Register:
         """Apply one gate per photon; the photons' rows are distinct."""
         slots, a = self._gather(self._row[ids], self._side[ids])
         # take, not _GATE_COEFFS[:, :, codes]: see _gather.
-        c = _GATE_COEFFS.take(codes, axis=2)
-        blocks = c[:, 0, None] * a[0] + c[:, 1, None] * a[1]
-        self._amps.reshape(-1).put(slots, blocks)
-        _check_norm(blocks)
+        blocks = _gate_blocks(_GATE_COEFFS.take(codes, axis=2), a)
+        self._amps.reshape(-1)[slots] = blocks
+        _check_norm(blocks, a)
 
     # -- measurements (destructive) ---------------------------------------
 
@@ -416,14 +482,10 @@ class Register:
         if len(in_x) != len(ids):
             raise RegisterError("measure_singles needs one basis per photon")
         _require_distinct(ids)
-        any_x = in_x.any()
         u = self.rng.random(len(ids))
         out = np.zeros(len(ids), dtype=np.int64)
         for items in self._rounds(ids, ids):
-            round_ids, x = ids[items], in_x[items]
-            if any_x and x.any():
-                self._gate(round_ids[x], np.full(x.sum(), H_CODE))
-            out[items] = self._collapse(round_ids, u[items])
+            out[items] = self._collapse(ids[items], u[items], in_x[items])
         return out
 
     def measure_single(self, photon: int, basis: Basis) -> int:
@@ -431,22 +493,28 @@ class Register:
         0 means the '+' outcome).  Consumes the photon."""
         return int(self.measure_singles([photon], [basis is Basis.X])[0])
 
-    def _collapse(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Z-measure one photon per row; the photons' rows are distinct."""
+    def _collapse(self, ids: np.ndarray, u: np.ndarray, in_x: np.ndarray) -> np.ndarray:
+        """Measure one photon per row, in the X basis where `in_x` is set
+        and in the Z basis elsewhere; the photons' rows are distinct."""
         rows, sides = self._row[ids], self._side[ids]
         slots, a = self._gather(rows, sides)
-        p0 = a[0, 0] * a[0, 0] + a[0, 1] * a[0, 1]
-        bits = (u >= p0).astype(np.int64)
-        prob = np.where(bits == 1, 1.0 - p0, p0)
+        if in_x.any():
+            _rotate_x_to_z(a, np.flatnonzero(in_x))
+        p0 = a[0, 0] * a[0, 0]
+        p0 += a[0, 1] * a[0, 1]
+        one = u >= p0
+        # p0 becomes the probability of the observed bit.
+        np.subtract(1.0, p0, out=p0, where=one)
         # Keep the slice of the observed bit, zero the other one, and
         # divide by sqrt(prob) as a product with the rounded reciprocal:
         # numpy divides complex numbers that way, so the amplitudes keep
         # every bit they would have in a complex table.
-        keep = np.arange(2)[:, None, None] == bits
-        blocks = a * keep * (1.0 / np.sqrt(prob))
-        self._amps.reshape(-1).put(slots, blocks)
+        bits = one.astype(np.int64)
+        a *= np.arange(2)[:, None, None] == bits
+        a *= np.divide(1.0, np.sqrt(p0, p0), p0)
+        self._amps.reshape(-1)[slots] = a
         self._members[rows, sides] = -1
-        _check_norm(blocks)
+        _check_norm(a)
         return bits
 
     def measure_bells(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
@@ -481,28 +549,37 @@ class Register:
         rows_a, rows_b = self._row[ids_a], self._row[ids_b]
         sides_a, sides_b = self._side[ids_a], self._side[ids_b]
         ta, tb = self._gather(rows_a, sides_a)[1], self._gather(rows_b, sides_b)[1]
+        n = len(ids_a)
         # product[2*a + b, 2*x + y, m]: the measured axes (a, b) and the
         # other side x of row a and y of row b.
-        product = (ta[:, None, :, None] * tb[None, :, None, :]).reshape(4, 4, -1)
+        product = np.multiply(ta[:, None, :, None], tb[None, :, None, :]).reshape(4, 4, n)
         same = rows_a == rows_b
         if same.any():
             # Two photons of one row: the row itself is the pair over
             # (a, b), and no other axis is left (only x = y = 0).
             product[:, :, same] = 0.0
             product[:, 0, same] = ta[:, :, same].reshape(4, -1)
-        # residuals[l, 2*x + y, m]: the residual of outcome l.
-        residuals = (
-            product.take(_BELL_COLS[:, 0], axis=0) * _BELL_COEFFS[:, 0]
-            + product.take(_BELL_COLS[:, 1], axis=0) * _BELL_COEFFS[:, 1]
-        )
-        probs = _sum_of_squares(residuals.swapaxes(0, 1))
+        # Free the spent halves before the residuals are made.
+        del ta, tb
+        # residuals[l, 2*x + y, m]: the residual of outcome l, the sum or
+        # the difference of two rows of the scaled product (_bell_terms).
+        product *= _BELL_SCALE
+        residuals = np.empty_like(product)
+        for out, (c0, c1, combine) in zip(residuals, _BELL_TERMS):
+            combine(product[c0], product[c1], out)
+        # The squares of the residuals overwrite the spent product.
+        probs = _sum_of_squares(residuals.swapaxes(0, 1), product.swapaxes(0, 1))
         # The first outcome whose cumulative probability exceeds u, else
-        # the last one.
-        picks = (np.cumsum(probs[:3], axis=0) <= u).sum(axis=0)
+        # the last one: the number of the sums p0, p0 + p1 and
+        # (p0 + p1) + p2 that do not exceed u.
+        p01 = probs[0] + probs[1]
+        picks = (probs[0] <= u).astype(np.int64) + (p01 <= u) + (p01 + probs[2] <= u)
         # The drawn residual of each pair, item-major as the table is.
-        idx = np.arange(len(ids_a))
-        blocks = residuals[picks, :, idx] * (1.0 / np.sqrt(probs[picks, idx]))[:, None]
-        self._amps[rows_a] = blocks.reshape(-1, 2, 2)
+        idx = np.arange(n)
+        scale = probs[picks, idx]
+        blocks = residuals[picks, :, idx]
+        blocks *= np.divide(1.0, np.sqrt(scale, scale), scale)[:, None]
+        self._amps[rows_a] = blocks.reshape(n, 2, 2)
 
         # The survivors: the other side of each row, unless that side was
         # dead or (for two photons of one row) just measured.

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from qss_sim import cli
 from qss_sim.adversaries import AdversarySpec
 from qss_sim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from qss_sim.harness import (
@@ -192,6 +193,32 @@ def test_cli_negative_seed_base_is_config_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "seed_base must be non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n-pairs", str(2**62)],
+        ["--protocol", "improved", "--checking-photon-count", str(2**62)],
+        ["--protocol", "improved", "--agent-count", str(2**62)],
+    ],
+    ids=["n_pairs", "checking_photon_count", "agent_count"],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_counts_too_large_to_run_are_config_errors(capsys, command, flags):
+    # numpy refuses arrays this large before allocating them; the config
+    # must be refused first, and validating must not loop over agents.
+    assert main([command, *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_out_of_memory_is_an_error_line(monkeypatch, capsys):
+    def exhausted(spec):
+        raise MemoryError("Unable to allocate 64.0 EiB")
+
+    monkeypatch.setattr(cli, "run_batch", exhausted)
+    assert main(["run", "--protocol", "original", "--n-pairs", "16"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 64.0 EiB\n"
 
 
 def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
