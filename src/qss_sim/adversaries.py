@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pauli import BELL_CODES, Basis, BellLabel, PauliOp
-from .register import H_CODE, Register
+from .register import Register, SingleGate
 
 PAULI_ORDER = (PauliOp.I, PauliOp.X, PauliOp.IY, PauliOp.Z)
 # The code of the Pauli that a draw k of rng.integers(4) picks.
-_DRAW_CODES = np.array([p.code for p in PAULI_ORDER])
-# The basis of an X-basis mask entry.
-_BASES = np.array([Basis.Z, Basis.X], dtype=object)
+_DRAW_CODES = np.array(PAULI_ORDER)
 
 VALID_KINDS = ("none", "eve_intercept_resend", "bob_swap_attack")
 VALID_POLICIES = ("uniform", "fixed-Z", "fixed-X")
@@ -87,8 +85,7 @@ class EveInterceptResend:
     def observations(self) -> list[tuple[Basis, int]]:
         """(basis, outcome) of every photon measured so far, in order."""
         for in_x, outcomes in self._pending:
-            bases = _BASES[in_x.astype(np.int64)]
-            self._observed += zip(bases.tolist(), outcomes.tolist())
+            self._observed += zip(map(Basis, in_x.tolist()), outcomes.tolist())
         self._pending.clear()
         return self._observed
 
@@ -239,7 +236,7 @@ class SwapAttackImproved:
         sampled = is_sample[positions]
         # Behave honestly where the next check will look.
         honest = travel_photons[positions[sampled]]
-        self.register.apply_gates(honest, np.full(len(honest), H_CODE))
+        self.register.apply_gates(honest, np.full(len(honest), SingleGate.H))
         swapped = positions[~sampled]
         self.kept_travel = _scatter(size, swapped, travel_photons[swapped])
         kept, forwarded, ops = _fake_pairs(self.register, self.rng, len(swapped))

@@ -7,20 +7,29 @@ message codec and the deterministic bookkeeping oracle for every
 Hadamard-free circuit in the protocols: which Bell state a pair occupies
 only ever shifts by the XOR of the Paulis applied to either photon.
 
-The protocol pipeline holds Paulis as integer codes, ``code = 2*xbit +
-zbit``, so that composing two of them is one XOR of their codes:
-
-    code  0  1  2  3
-    Pauli I  Z  X  iY
-
-``PAULI_BY_CODE`` maps a code back to its ``PauliOp``.  A Bell
-measurement reports the index of its outcome in ``BELL_ORDER``;
-``BELL_CODES`` gives the code of the Pauli that outcome decodes to
+Each symbol is an ``enum.IntEnum`` whose value is the integer code the
+protocol's arrays carry, so an array of codes and a list of members mean
+the same thing.  A Pauli's code is ``2*xbit + zbit``, so composing two of
+them is one XOR of their codes; a basis is its X-mask entry; a Bell
+outcome is the index the register's measurements report, and
+``BELL_CODES`` gives the code of the Pauli it decodes to
 (``decode_bell_to_pauli``):
 
-    index    0     1     2     3
-    outcome  phi+  phi-  psi+  psi-
-    code     3     2     1     0
+    PauliOp    I     Z     X     IY
+    code       0     1     2     3
+
+    Basis      Z     X
+    code       0     1
+
+    BellLabel  phi+  phi-  psi+  psi-
+    code       0     1     2     3
+    decodes to 3     2     1     0
+
+Members of different enums compare equal when their codes do
+(``BellLabel.PHI_MINUS == PauliOp.Z``), so never compare them, or mix
+them as keys, across enums; and since Python 3.11 ``str(member)`` is the
+number, so output uses ``.name``.  ``expected_parity`` and
+``decode_message`` take arrays of codes as well as members.
 
 Bell-basis convention (fixed so tests are bit-exact):
 
@@ -38,49 +47,37 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-class Basis(enum.Enum):
-    Z = "Z"
-    X = "X"
+class Basis(enum.IntEnum):
+    Z = 0
+    X = 1
 
 
-class BellLabel(enum.Enum):
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-    PSI_PLUS = "psi+"
-    PSI_MINUS = "psi-"
+# An outcome's code is its place in the register's Born-rule draw, fixed
+# so that seeded runs replay.
+class BellLabel(enum.IntEnum):
+    PHI_PLUS = 0
+    PHI_MINUS = 1
+    PSI_PLUS = 2
+    PSI_MINUS = 3
 
 
-class PauliOp(enum.Enum):
-    """The four encoding unitaries, as (xbit, zbit) symplectic labels."""
+class PauliOp(enum.IntEnum):
+    """The four encoding unitaries, each coded 2*xbit + zbit from its
+    (xbit, zbit) symplectic label."""
 
-    I = (0, 0)
-    X = (1, 0)
-    IY = (1, 1)
-    Z = (0, 1)
+    I = 0
+    X = 2
+    IY = 3
+    Z = 1
 
     @property
     def xbit(self) -> int:
-        return self.value[0]
+        return self >> 1
 
     @property
     def zbit(self) -> int:
-        return self.value[1]
+        return self & 1
 
-    @property
-    def bits(self) -> tuple[int, int]:
-        return self.value
-
-    @property
-    def code(self) -> int:
-        """The 2-bit code 2*xbit + zbit."""
-        return 2 * self.value[0] + self.value[1]
-
-    @classmethod
-    def from_bits(cls, xbit: int, zbit: int) -> "PauliOp":
-        return _BITS_TO_PAULI[(xbit, zbit)]
-
-
-_BITS_TO_PAULI = {p.value: p for p in PauliOp}
 
 # P such that (P (x) I)|Psi-> equals the key's Bell state up to phase.
 BELL_TO_PAULI = {
@@ -90,22 +87,12 @@ BELL_TO_PAULI = {
     BellLabel.PHI_PLUS: PauliOp.IY,
 }
 PAULI_TO_BELL = {p: b for b, p in BELL_TO_PAULI.items()}
-
-PAULI_BY_CODE = tuple(sorted(PauliOp, key=lambda p: p.code))
-
-# Draw order for Bell measurement outcomes; fixed so seeded runs replay.
-BELL_ORDER = (
-    BellLabel.PHI_PLUS,
-    BellLabel.PHI_MINUS,
-    BellLabel.PSI_PLUS,
-    BellLabel.PSI_MINUS,
-)
-BELL_CODES = np.array([BELL_TO_PAULI[label].code for label in BELL_ORDER])
+BELL_CODES = np.array([BELL_TO_PAULI[label] for label in sorted(BellLabel)])
 
 
 def compose(a: PauliOp, b: PauliOp) -> PauliOp:
     """Phase-free product of two Paulis (commutative, XOR of labels)."""
-    return PauliOp.from_bits(a.xbit ^ b.xbit, a.zbit ^ b.zbit)
+    return PauliOp(a ^ b)
 
 
 def compose_all(ops: Iterable[PauliOp]) -> PauliOp:
@@ -127,7 +114,7 @@ def pauli_to_bell(p: PauliOp) -> BellLabel:
 
 def conjugate_by_h(p: PauliOp) -> PauliOp:
     """H P H, mod phase: swaps the x and z bits (HXH=Z, HZH=X, H iY H ~ iY)."""
-    return PauliOp.from_bits(p.zbit, p.xbit)
+    return PauliOp(2 * p.zbit + p.xbit)
 
 
 def swap_rule(
@@ -150,14 +137,13 @@ def swap_rule(
     return pauli_to_bell(p)
 
 
-def expected_parity(p: PauliOp, basis: Basis) -> int:
+def expected_parity(p: PauliOp | np.ndarray, basis: Basis | np.ndarray) -> int | np.ndarray:
     """XOR of the two outcomes when both halves of a pair with label `p`
     are measured in `basis`.  The singlet (label I) is anti-correlated in
     both bases; an X shift flips the Z-basis parity, a Z shift the X-basis
-    parity."""
-    if basis is Basis.Z:
-        return 1 ^ p.xbit
-    return 1 ^ p.zbit
+    parity.  Takes members or codes, or arrays of Pauli codes and of
+    X-mask entries."""
+    return 1 ^ (p >> (1 - basis)) & 1
 
 
 def encode_message(bits: Sequence[int]) -> list[PauliOp]:
@@ -167,17 +153,14 @@ def encode_message(bits: Sequence[int]) -> list[PauliOp]:
         raise ValueError("message bit string must have even length")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("message bits must be 0 or 1")
-    return [
-        PauliOp.from_bits(bits[i], bits[i + 1]) for i in range(0, len(bits), 2)
-    ]
+    return [PauliOp(2 * bits[i] + bits[i + 1]) for i in range(0, len(bits), 2)]
 
 
-def decode_message(ops: Sequence[PauliOp]) -> list[int]:
-    """Inverse of encode_message."""
-    bits: list[int] = []
-    for op in ops:
-        bits.extend(op.bits)
-    return bits
+def decode_message(ops: Sequence[PauliOp] | np.ndarray) -> list[int]:
+    """Inverse of encode_message: the bits (xbit, zbit) of each Pauli, of a
+    sequence of members or an array of codes."""
+    codes = np.asarray(ops, dtype=np.int64)
+    return np.stack((codes >> 1, codes & 1), axis=-1).ravel().tolist()
 
 
 def recover_dealer_pauli(total: PauliOp, agent_ops: Iterable[PauliOp]) -> PauliOp:

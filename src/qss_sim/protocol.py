@@ -41,8 +41,8 @@ from .adversaries import (
     SwapAttackOriginal,
     _random_paulis,
 )
-from .pauli import BELL_CODES, BELL_ORDER, PAULI_BY_CODE, Basis, BellLabel
-from .register import H_CODE, MAX_PHOTONS, Register
+from .pauli import BELL_CODES, Basis, BellLabel, PauliOp, decode_message, expected_parity
+from .register import MAX_PHOTONS, Register, SingleGate
 
 
 class ConfigError(ValueError):
@@ -275,11 +275,11 @@ def validate_config(config: ScenarioConfig) -> None:
 # operations are arrays indexed by position; operations are Pauli codes
 # (see `pauli`), so composing two layers is one XOR.
 
-# Lookup tables by code.  Object arrays hand out the same str objects on
-# every lookup, so a transcript holds no copies of them.
-_PAULI_NAMES = np.array([p.name for p in PAULI_BY_CODE], dtype=object)
-_BELL_NAMES = np.array([label.name for label in BELL_ORDER], dtype=object)
-_BASIS_VALUES = np.array([Basis.Z.value, Basis.X.value], dtype=object)
+# Names by code.  Object arrays hand out the same str objects on every
+# lookup, so a transcript holds no copies of them.
+_PAULI_NAMES = np.array([p.name for p in sorted(PauliOp)], dtype=object)
+_BELL_NAMES = np.array([label.name for label in sorted(BellLabel)], dtype=object)
+_BASIS_NAMES = np.array([basis.name for basis in sorted(Basis)], dtype=object)
 
 
 def _without(positions: np.ndarray, removed: np.ndarray) -> np.ndarray:
@@ -342,7 +342,7 @@ def _zx_events(
     events = []
     for pos, basis, r, l in zip(
         positions.tolist(),
-        _BASIS_VALUES[in_x.astype(np.int64)].tolist(),
+        _BASIS_NAMES[in_x.astype(np.int64)].tolist(),
         remote.tolist(),
         local.tolist(),
     ):
@@ -375,11 +375,6 @@ def _agent_ops_events(party: str, positions: np.ndarray, ops: np.ndarray) -> lis
 
 def _message_positions_events(positions: np.ndarray) -> list[dict[str, Any]]:
     return [{"kind": "message_positions", "private": True, "positions": positions.tolist()}]
-
-
-def _message_bits(codes: np.ndarray) -> list[int]:
-    """Two bits (xbit, zbit) per Pauli code: the inverse of encoding."""
-    return np.stack((codes >> 1, codes & 1), axis=1).ravel().tolist()
 
 
 def _transmit(
@@ -418,14 +413,12 @@ def zx_check(
     in_x = rng_remote.random(len(order)) < 0.5
     remote = remote_photons[order]
     if remote_applies_h:
-        register.apply_gates(remote, np.full(len(remote), H_CODE))
+        register.apply_gates(remote, np.full(len(remote), SingleGate.H))
     # Remote before local at each position: [r0, l0, r1, l1, ...].
     photons = np.stack((remote, local_photons[order]), axis=1).ravel()
     results = register.measure_singles(photons, np.repeat(in_x, 2)).reshape(-1, 2)
     remote_out, local_out = results[:, 0], results[:, 1]
-    # A pair with code c has outcome parity 1 ^ xbit in the Z basis and
-    # 1 ^ zbit in the X basis (`expected_parity`).
-    parity = 1 ^ (expected[order] >> np.where(in_x, 0, 1)) & 1
+    parity = expected_parity(expected[order], in_x)
     mismatches = int(np.count_nonzero((remote_out ^ local_out) != parity))
     transcript.defer(_zx_events, check_id, order, in_x, remote_out, local_out)
     report = CheckReport(check_id, len(order), mismatches, threshold)
@@ -467,7 +460,7 @@ def decoy_round(
         "decoy_positions",
         check=check_id,
         slots=slots.tolist(),
-        bases=_BASIS_VALUES[in_x].tolist(),
+        bases=_BASIS_NAMES[in_x].tolist(),
     )
     outcomes = register.measure_singles(received[slots], in_x)
     transcript.defer(_decoy_events, check_id, slots, outcomes)
@@ -495,7 +488,7 @@ def verify_step6(
     Pauli codes are indexed by position."""
     order = np.sort(positions)
     returned = returned_photons[order]
-    register.apply_gates(returned, np.full(len(returned), H_CODE))
+    register.apply_gates(returned, np.full(len(returned), SingleGate.H))
     outcomes = register.measure_bells(dealer_photons[order], returned)
     mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published[order]))
     report = CheckReport("step6_check", len(order), mismatches, threshold)
@@ -661,12 +654,12 @@ class _Run:
         positions = self.positions
         gates = np.full(len(positions), -1) if fixed is None else fixed[positions]
         if rotated is not None:
-            gates[np.searchsorted(positions, rotated)] = H_CODE
+            gates[np.searchsorted(positions, rotated)] = SingleGate.H
         free = gates < 0
         gates[free] = _random_paulis(rng, np.count_nonzero(free))
         self.register.apply_gates(photons[positions], gates)
         ops = self.identity()
-        ops[positions] = np.where(gates == H_CODE, 0, gates)
+        ops[positions] = np.where(gates == SingleGate.H, PauliOp.I, gates)
         return ops
 
     def readout(self) -> np.ndarray:
@@ -691,7 +684,7 @@ class _Run:
             ops = publish(positions)
             self.announce("collaboration", party, positions, ops)
             dealer_codes = dealer_codes ^ ops
-        self.recovered = _message_bits(dealer_codes)
+        self.recovered = decode_message(dealer_codes)
         self.transcript.append("recovered", party=reader, bits=_bits_str(self.recovered))
 
 
@@ -768,7 +761,7 @@ def _original_steps(run: _Run) -> None:
     bob_publish = attack.published_op if attack is not None else bob_ops.__getitem__
     run.collaborate("charlie", totals, [("bob", bob_publish)])
     if attack is not None:
-        run.eavesdropper_bits = _message_bits(attack.inferred[run.positions])
+        run.eavesdropper_bits = decode_message(attack.inferred[run.positions])
 
 
 def run_original(config: ScenarioConfig) -> RunReport:

@@ -42,17 +42,20 @@ therefore allocates only a small multiple of the amplitudes it reads.
 
 The vector methods (``prepare_bells``, ``prepare_singles``,
 ``apply_gates``, ``measure_singles``, ``measure_bells``) act on a whole
-array of photons per call and speak integer codes: gate codes and state
-codes (tables below), an X-basis mask, and Bell-outcome indices into
-``BELL_ORDER``.  The per-photon methods are their one-element case,
-typed with the ``SingleGate``, ``SingleState``, ``Basis`` and
-``BellLabel`` enums.  Operations of one call that touch the same row run
-in list order: the call runs in rounds of items on distinct rows, each
-round found by one first-touch pass whose cost grows with the call's n
-items, not with the rows of the table.  A measuring call draws its
-Born-rule uniforms with one ``rng.random(n)`` in list order, which
-yields the same numbers as n scalar draws, so a vector call replays
-exactly the outcomes of the loop of per-photon calls it stands for.
+array of photons per call, and the per-photon methods are their
+one-element case.  Both speak the ``SingleGate``, ``SingleState``,
+``Basis`` and ``BellLabel`` enums, whose values are the integer codes the
+arrays carry, so a list of members and an array of codes are the same
+argument: a Pauli gate's code is its ``PauliOp`` code and H's is 4, a
+state's is 2*(basis is X) + bit, a basis is its X-mask entry and a Bell
+outcome's code is its place in the draw.  Operations of one call that
+touch the same row run in list order: the call runs in rounds of items
+on distinct rows, each round found by one first-touch pass whose cost
+grows with the call's n items, not with the rows of the table.  A
+measuring call draws its Born-rule uniforms with one ``rng.random(n)``
+in list order, which yields the same numbers as n scalar draws, so a
+vector call replays exactly the outcomes of the loop of per-photon
+calls it stands for.
 
 All randomness comes from the register's own numpy Generator, so a fixed
 seed and a fixed operation sequence reproduce the same outcomes exactly.
@@ -66,7 +69,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .pauli import BELL_ORDER, Basis, BellLabel, PauliOp
+from .pauli import Basis, BellLabel, PauliOp
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -88,35 +91,33 @@ class ConsumedPhotonError(RegisterError):
     """An operation referenced a photon that was already measured."""
 
 
-class SingleGate(enum.Enum):
-    I = "I"
-    X = "X"
-    IY = "iY"
-    Z = "Z"
-    H = "H"
+class SingleGate(enum.IntEnum):
+    """Gate codes: the four Paulis keep their `pauli` code, so an array of
+    Pauli codes is an array of gate codes."""
+
+    I = PauliOp.I
+    X = PauliOp.X
+    IY = PauliOp.IY
+    Z = PauliOp.Z
+    H = len(PauliOp)
 
 
-class SingleState(enum.Enum):
-    ZERO = "0"
-    ONE = "1"
-    PLUS = "+"
-    MINUS = "-"
+class SingleState(enum.IntEnum):
+    """State codes 2*(basis is X) + bit."""
+
+    ZERO = 0
+    ONE = 1
+    PLUS = 2
+    MINUS = 3
 
     @property
     def basis(self) -> Basis:
-        return Basis.Z if self in (SingleState.ZERO, SingleState.ONE) else Basis.X
+        return Basis(self >> 1)
 
     @property
     def bit(self) -> int:
-        return 0 if self in (SingleState.ZERO, SingleState.PLUS) else 1
+        return self & 1
 
-
-PAULI_GATES = {
-    PauliOp.I: SingleGate.I,
-    PauliOp.X: SingleGate.X,
-    PauliOp.IY: SingleGate.IY,
-    PauliOp.Z: SingleGate.Z,
-}
 
 GATE_MATRICES = {
     SingleGate.I: np.eye(2),
@@ -154,26 +155,17 @@ def _real_table(entries: list) -> np.ndarray:
     return np.ascontiguousarray(table, dtype=np.float64)
 
 
-# Gate codes.  The four Paulis keep their 2-bit code from `pauli`, so an
-# array of Pauli codes is an array of gate codes.
-_GATES_BY_CODE = (SingleGate.I, SingleGate.Z, SingleGate.X, SingleGate.IY, SingleGate.H)
-GATE_CODES = {gate: code for code, gate in enumerate(_GATES_BY_CODE)}
-H_CODE = GATE_CODES[SingleGate.H]
-# State codes, 2*(basis is X) + bit: |0>, |1>, |+>, |->.
-_STATES_BY_CODE = (SingleState.ZERO, SingleState.ONE, SingleState.PLUS, SingleState.MINUS)
-STATE_CODES = {state: code for code, state in enumerate(_STATES_BY_CODE)}
-
 # _GATE_COEFFS[r, c, g] is entry (r, c) of gate g's matrix: gate g sends
 # its photon's amplitude slices (a0, a1) to (m00*a0 + m01*a1,
 # m10*a0 + m11*a1).  The Pauli entries are 0 and +-1, so for them this is
 # an exact flip and/or negation; for H it is _SQ2*a0 +- _SQ2*a1.
 _GATE_COEFFS = np.ascontiguousarray(
-    _real_table([GATE_MATRICES[gate] for gate in _GATES_BY_CODE]).transpose(1, 2, 0)
+    _real_table([GATE_MATRICES[gate] for gate in sorted(SingleGate)]).transpose(1, 2, 0)
 )
 # _BELL_PROJECTORS[l, 2*a + b]: contracting a pair of measured axes (a, b)
-# with row l gives the residual of outcome BELL_ORDER[l].  Every entry is
-# real, so the projector is the Bell tensor itself.
-_BELL_PROJECTORS = _real_table([BELL_TENSORS[label] for label in BELL_ORDER]).reshape(4, 4)
+# with row l gives the residual of outcome l.  Every entry is real, so the
+# projector is the Bell tensor itself.
+_BELL_PROJECTORS = _real_table([BELL_TENSORS[b] for b in sorted(BellLabel)]).reshape(4, 4)
 
 
 def _bell_terms(projectors: np.ndarray) -> tuple[float, tuple]:
@@ -203,7 +195,7 @@ _BELL_SCALE, _BELL_TERMS = _bell_terms(_BELL_PROJECTORS)
 _OFFSETS = np.array([[[0, 0], [1, 2]], [[2, 1], [3, 3]]])
 # The row of a single photon in each state: side 1 held in |0>.
 _SINGLE_ROWS = _real_table(
-    [np.outer(SINGLE_STATE_VECTORS[s], [1, 0]) for s in _STATES_BY_CODE]
+    [np.outer(SINGLE_STATE_VECTORS[s], [1, 0]) for s in sorted(SingleState)]
 )
 
 
@@ -264,16 +256,17 @@ def _rotate_x_to_z(a: np.ndarray, xs: np.ndarray) -> None:
     of its own, so that its temporaries are freed before the collapse
     goes on."""
     spent = a.take(xs, axis=2)
-    h = _gate_blocks(_GATE_COEFFS[:, :, H_CODE, None], spent)
+    h = _gate_blocks(_GATE_COEFFS[:, :, SingleGate.H, None], spent)
     _check_norm(h, spent)
     a[:, :, xs] = h
 
 
-def _codes(values: Sequence[int], table: tuple, what: str) -> np.ndarray:
-    """The codes as an array; raises unless each one indexes `table`."""
+def _codes(values: Sequence[int], symbols: type[enum.IntEnum], what: str) -> np.ndarray:
+    """The codes as an array; raises unless each one is a code of
+    `symbols`."""
     codes = np.asarray(values, dtype=np.int64)
-    if codes.size and (codes.min() < 0 or codes.max() >= len(table)):
-        bad = codes[(codes < 0) | (codes >= len(table))][0]
+    if codes.size and (codes.min() < 0 or codes.max() >= len(symbols)):
+        bad = codes[(codes < 0) | (codes >= len(symbols))][0]
         raise RegisterError(f"unknown {what} code {int(bad)}")
     return codes
 
@@ -418,17 +411,18 @@ class Register:
         the first and the second photon of each pair."""
         if n < 0:
             raise RegisterError(f"cannot prepare {n} Bell pairs")
+        (code,) = _codes([label], BellLabel, "Bell")
         rows, photons = self._new_rows(n), self._new_photons(2 * n)
         pairs = np.arange(photons.start, photons.stop).reshape(n, 2)
-        self._amps[rows] = BELL_TENSORS[label]
+        self._amps[rows] = BELL_TENSORS[BellLabel(code)]
         self._members[rows] = pairs
         self._row[photons].reshape(n, 2)[...] = np.arange(rows.start, rows.stop)[:, None]
         self._side[photons].reshape(n, 2)[...] = (0, 1)
         return pairs[:, 0], pairs[:, 1]
 
     def prepare_singles(self, states: Sequence[int]) -> np.ndarray:
-        """Create one fresh photon per state code (``STATE_CODES``)."""
-        codes = _codes(states, _STATES_BY_CODE, "state")
+        """Create one fresh photon per state code (``SingleState``)."""
+        codes = _codes(states, SingleState, "state")
         rows, photons = self._new_rows(len(codes)), self._new_photons(len(codes))
         ids = np.arange(photons.start, photons.stop)
         self._amps[rows] = _SINGLE_ROWS[codes]
@@ -445,22 +439,22 @@ class Register:
 
     def prepare_single(self, state: SingleState) -> int:
         """Create one fresh photon in |0>, |1>, |+> or |->."""
-        return int(self.prepare_singles([STATE_CODES[state]])[0])
+        return int(self.prepare_singles([state])[0])
 
     # -- unitaries --------------------------------------------------------
 
     def apply_gates(self, photons: Sequence[int], gates: Sequence[int]) -> None:
-        """Apply the gate with code gates[i] (``GATE_CODES``) to
+        """Apply the gate with code gates[i] (``SingleGate``) to
         photons[i], in list order."""
         ids = self._require(photons)
-        codes = _codes(gates, _GATES_BY_CODE, "gate")
+        codes = _codes(gates, SingleGate, "gate")
         if len(codes) != len(ids):
             raise RegisterError("apply_gates needs one gate per photon")
         for items in self._rounds(ids, ids):
             self._gate(ids[items], codes[items])
 
     def apply_gate(self, photon: int, gate: SingleGate) -> None:
-        self.apply_gates([photon], [GATE_CODES[gate]])
+        self.apply_gates([photon], [gate])
 
     def _gate(self, ids: np.ndarray, codes: np.ndarray) -> None:
         """Apply one gate per photon; the photons' rows are distinct."""
@@ -491,7 +485,7 @@ class Register:
     def measure_single(self, photon: int, basis: Basis) -> int:
         """Born-rule single-photon measurement; returns 0/1 (in the X basis
         0 means the '+' outcome).  Consumes the photon."""
-        return int(self.measure_singles([photon], [basis is Basis.X])[0])
+        return int(self.measure_singles([photon], [basis])[0])
 
     def _collapse(self, ids: np.ndarray, u: np.ndarray, in_x: np.ndarray) -> np.ndarray:
         """Measure one photon per row, in the X basis where `in_x` is set
@@ -519,7 +513,7 @@ class Register:
 
     def measure_bells(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
         """Joint Bell-basis measurements of the pairs (a[i], b[i]), in
-        list order; returns each outcome's index in ``BELL_ORDER``.
+        list order; returns each outcome's code (``BellLabel``).
 
         Each draws an outcome by the Born rule and leaves the surviving
         photons in the correct post-measurement state (which is what makes
@@ -542,7 +536,7 @@ class Register:
         Draws an outcome by the Born rule and leaves the surviving photons
         in the correct post-measurement state (which is what makes
         entanglement swapping work).  Both photons are consumed."""
-        return BELL_ORDER[int(self.measure_bells([a], [b])[0])]
+        return BellLabel(int(self.measure_bells([a], [b])[0]))
 
     def _bell(self, ids_a: np.ndarray, ids_b: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Bell-measure each pair; no two pairs share a row."""

@@ -85,14 +85,12 @@ def test_swap_announcement_fools_correlation_check():
     # dealer/third-party pair into exactly the announced Bell shift, so a
     # correlation check against it can never fail.
     reg = Register(seed=8)
-    from qss_sim.register import PAULI_GATES
-
     rng = np.random.default_rng(9)
     for _ in range(100):
         a, b = reg.prepare_bell(BellLabel.PSI_MINUS)      # genuine pair
         kept, fwd = reg.prepare_bell(BellLabel.PSI_MINUS)  # attacker's pair
         op = random_pauli(rng)
-        reg.apply_gate(fwd, PAULI_GATES[op])
+        reg.apply_gate(fwd, op)
         outcome = reg.measure_bell(b, kept)
         announced = compose(decode_bell_to_pauli(outcome), op)
         assert decode_bell_to_pauli(reg.measure_bell(a, fwd)) == announced

@@ -16,7 +16,7 @@ import pytest
 
 from qss_sim.adversaries import AdversarySpec
 from qss_sim.harness import BatchSpec, jsonl_report, run_batch
-from qss_sim.pauli import PAULI_BY_CODE
+from qss_sim.pauli import PauliOp
 from qss_sim.protocol import ScenarioConfig
 
 from private_records import private_events
@@ -227,7 +227,7 @@ def test_large_golden_digests():
     assert _sha256(trials_json(reports, private=True)) == private
 
 
-_CODES = {p.name: p.code for p in PAULI_BY_CODE}
+_CODES = {p.name: int(p) for p in PauliOp}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

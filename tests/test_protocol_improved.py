@@ -13,7 +13,7 @@ from qss_sim.protocol import (
     run_improved,
     verify_step6,
 )
-from qss_sim.register import PAULI_GATES, Register, SingleGate
+from qss_sim.register import Register, SingleGate
 
 from private_records import private_record
 
@@ -214,11 +214,11 @@ def test_verify_step6_accepts_published_operations():
     for pos in range(20):
         a, t = reg.prepare_bell(BellLabel.PSI_MINUS)
         op = ops[pos % 4]
-        reg.apply_gate(t, PAULI_GATES[op])
+        reg.apply_gate(t, op)
         reg.apply_gate(t, SingleGate.H)  # the last agent's sample rotation
         dealer.append(a)
         returned.append(t)
-        published.append(op.code)
+        published.append(int(op))
     rep = verify_step6(
         np.arange(20),
         np.array(published),
@@ -237,11 +237,11 @@ def test_verify_step6_rejects_false_publication():
     dealer, returned, published = [], [], []
     for pos in range(20):
         a, t = reg.prepare_bell(BellLabel.PSI_MINUS)
-        reg.apply_gate(t, PAULI_GATES[PauliOp.X])
+        reg.apply_gate(t, PauliOp.X)
         reg.apply_gate(t, SingleGate.H)
         dealer.append(a)
         returned.append(t)
-        published.append(PauliOp.Z.code)  # lie
+        published.append(int(PauliOp.Z))  # lie
     rep = verify_step6(
         np.arange(20),
         np.array(published),

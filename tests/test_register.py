@@ -7,7 +7,6 @@ from qss_sim.pauli import Basis, BellLabel, PauliOp
 from qss_sim.register import (
     BELL_TENSORS,
     GATE_MATRICES,
-    PAULI_GATES,
     SINGLE_STATE_VECTORS,
     ConsumedPhotonError,
     Register,
@@ -80,7 +79,7 @@ def test_pauli_gates_shift_bell_labels():
     reg = Register(seed=6)
     for op, label in expected.items():
         a, b = reg.prepare_bell(BellLabel.PSI_MINUS)
-        reg.apply_gate(a, PAULI_GATES[op])
+        reg.apply_gate(a, op)
         assert reg.measure_bell(a, b) == label
 
 

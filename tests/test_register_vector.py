@@ -9,6 +9,7 @@ amplitudes bit for bit against recorded digests.
 """
 
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -19,17 +20,14 @@ from hypothesis import strategies as st
 from qss_sim.adversaries import PAULI_ORDER, _random_paulis, random_pauli
 from qss_sim.pauli import (
     BELL_CODES,
-    BELL_ORDER,
     Basis,
     BellLabel,
     PauliOp,
     decode_bell_to_pauli,
+    decode_message,
+    expected_parity,
 )
 from qss_sim.register import (
-    GATE_CODES,
-    H_CODE,
-    PAULI_GATES,
-    STATE_CODES,
     Register,
     RegisterError,
     SingleGate,
@@ -59,11 +57,11 @@ def _run(vec: Register, ref: Register, op: str, *args):
         want = ([a for a, _ in pairs], [b for _, b in pairs])
     elif op == "prepare_singles":
         (states,) = args
-        got = vec.prepare_singles([STATE_CODES[s] for s in states]).tolist()
+        got = vec.prepare_singles(states).tolist()
         want = [ref.prepare_single(s) for s in states]
     elif op == "apply_gates":
         photons, gates = args
-        got = vec.apply_gates(photons, [GATE_CODES[g] for g in gates])
+        got = vec.apply_gates(photons, gates)
         for p, g in zip(photons, gates):
             ref.apply_gate(p, g)
         want = None
@@ -73,7 +71,7 @@ def _run(vec: Register, ref: Register, op: str, *args):
         want = [ref.measure_single(p, b) for p, b in zip(photons, bases)]
     else:
         a, b = args
-        got = [BELL_ORDER[k] for k in vec.measure_bells(a, b).tolist()]
+        got = [BellLabel(k) for k in vec.measure_bells(a, b).tolist()]
         want = [ref.measure_bell(x, y) for x, y in zip(a, b)]
     assert got == want
     _assert_same_state(vec, ref)
@@ -186,34 +184,49 @@ def test_vector_draws_equal_scalar_draws():
     assert vec.random(257).tolist() == [ref.random() for _ in range(257)]
     paulis = [PAULI_ORDER[k] for k in vec.integers(4, size=257).tolist()]
     assert paulis == [random_pauli(ref) for _ in range(257)]
-    assert _random_paulis(vec, 64).tolist() == [random_pauli(ref).code for _ in range(64)]
+    assert _random_paulis(vec, 64).tolist() == [random_pauli(ref) for _ in range(64)]
     assert vec.random() == ref.random()
 
 
-def test_code_tables_agree_with_the_enums():
-    # Pauli codes are gate codes, a Bell-outcome index decodes to the
-    # Pauli code in BELL_CODES, and a state code is 2*(basis is X) + bit.
+def test_each_symbol_is_the_code_the_arrays_carry():
+    # A Pauli gate is its Pauli and H follows them; a Bell outcome's code
+    # indexes the Pauli code it decodes to; a state is 2*basis + bit.
     for p in PauliOp:
-        assert p.code == 2 * p.xbit + p.zbit
-        assert GATE_CODES[PAULI_GATES[p]] == p.code
-    assert GATE_CODES[SingleGate.H] == H_CODE
-    for index, label in enumerate(BELL_ORDER):
-        assert BELL_CODES[index] == decode_bell_to_pauli(label).code
-    for state in SingleState:
-        assert STATE_CODES[state] == 2 * (state.basis is Basis.X) + state.bit
+        assert p == 2 * p.xbit + p.zbit
+        assert SingleGate[p.name] == p
+    assert SingleGate.H == len(PauliOp)
+    for label in BellLabel:
+        assert BELL_CODES[label] == decode_bell_to_pauli(label)
+    for basis, bit in itertools.product(Basis, (0, 1)):
+        state = SingleState(2 * basis + bit)
+        assert (state.basis, state.bit) == (basis, bit)
+    # The seeded draw k of rng.integers(4) picks PAULI_ORDER[k].
+    assert PAULI_ORDER == (PauliOp.I, PauliOp.X, PauliOp.IY, PauliOp.Z)
+    # The parity rule and the message codec, given int arrays and a bool
+    # mask, are the scalar rules element by element.
+    codes = np.repeat(np.arange(len(PauliOp)), len(Basis))
+    in_x = np.tile(np.arange(len(Basis)), len(PauliOp)).astype(bool)
+    scalar = [expected_parity(PauliOp(c), Basis(x)) for c, x in zip(codes, in_x)]
+    assert expected_parity(codes, in_x).tolist() == scalar
+    bits = [bit for c in codes for bit in (PauliOp(c).xbit, PauliOp(c).zbit)]
+    assert decode_message(codes) == bits
 
 
 def test_vector_calls_reject_unknown_codes():
     reg = Register(seed=6)
     (a,), (b,) = reg.prepare_bells(1, BellLabel.PSI_MINUS)
     before = reg.amplitudes_of(a)[1].copy()
-    for code in (-1, H_CODE + 1):
+    for code in (-1, len(SingleGate)):
         with pytest.raises(RegisterError):
             reg.apply_gates([a], [code])
     for code in (-1, 4):
         with pytest.raises(RegisterError):
             reg.prepare_singles([code])
+        with pytest.raises(RegisterError):
+            reg.prepare_bells(1, code)
     assert reg.live_photons == {a, b}
+    # A rejected call takes no row and no photon id.
+    assert (reg._next_row, reg._next_photon) == (1, 2)
     np.testing.assert_array_equal(reg.amplitudes_of(a)[1], before)
 
 
@@ -221,7 +234,7 @@ def test_vector_calls_need_one_entry_per_photon():
     reg = Register(seed=4)
     (a, b), (c, d) = reg.prepare_bells(2, BellLabel.PSI_MINUS)
     with pytest.raises(RegisterError):
-        reg.apply_gates([a, b], [GATE_CODES[SingleGate.X]])
+        reg.apply_gates([a, b], [SingleGate.X])
     with pytest.raises(RegisterError):
         reg.measure_singles([a, b], [False])
     with pytest.raises(RegisterError):
@@ -241,7 +254,7 @@ def _kernel_mix(n: int, seed: int) -> tuple[str, str]:
     def gates(photons):
         # H and the four Paulis on both sides of rows, twice each, shuffled.
         photons = pick.permutation(np.concatenate((photons, photons)))
-        reg.apply_gates(photons, pick.integers(H_CODE + 1, size=len(photons)))
+        reg.apply_gates(photons, pick.integers(len(SingleGate), size=len(photons)))
 
     outcomes = []
     gates(np.concatenate((a, b, c, d, e, f, s, t, u)))
@@ -314,7 +327,7 @@ def test_large_calls_allocate_a_small_multiple_of_their_amplitudes(method):
     reg, pick = Register(seed=31), np.random.default_rng(32)
     a, b = reg.prepare_bells(n, BellLabel.PSI_MINUS)
     c, _ = reg.prepare_bells(n, BellLabel.PHI_PLUS)
-    gates, in_x = pick.integers(H_CODE + 1, size=n), pick.random(n) < 0.5
+    gates, in_x = pick.integers(len(SingleGate), size=n), pick.random(n) < 0.5
     call = {
         "apply_gates": lambda: reg.apply_gates(a, gates),
         "measure_singles": lambda: reg.measure_singles(a, in_x),
