@@ -3,9 +3,13 @@
 The register keeps the whole state in one float64 table of shape
 (rows, 2, 2).  Every Bell pair and every single photon owns one row: a
 normalized amplitude tensor over (side 0, side 1).  A single photon sits
-on side 0, with side 1 held in |0>.  Per-photon arrays give each photon's
-row and side, and a per-row member array gives the live photon on each
-side (or -1).
+on side 0, with side 1 held in |0>.  Side s of row r is seat 2*r + s: one
+int64 per photon gives its seat, and one per seat gives the live photon
+on it, stored as id + 1 so that 0 reads as an empty seat.  Liveness
+checks, gathers and the bookkeeping of a Bell measurement are then flat
+lookups.  The tables grow by doubling into ``np.zeros`` arrays, whose
+pages the system maps on first write, so capacity past the rows and
+photons in use is never written.
 
 Real amplitudes suffice.  Every state, gate and Bell tensor the protocols
 use is a Clifford object with real entries (iY is [[0, 1], [-1, 0]]), and
@@ -33,9 +37,11 @@ numpy loop runs over n contiguous items, not over one row's 2 entries.
 Each amplitude and Born probability is the same expression, rounded in the
 same order, as in a loop over rows, and the results are scattered back
 into the table, whose layout is unchanged.  The kernels are lean in
-memory: they compute in place in the gathered arrays, a Bell measurement
-forms each residual as one sum or difference of two scaled product rows
-and writes its squares back over the product, an X measurement applies
+memory: they compute in place in the gathered arrays.  A Bell
+measurement turns its product into the four residuals in place, with a
+sum/difference butterfly over pairs of product rows, adds their squares
+slice by slice into one (4, n) array of probabilities and frees each
+spent array once the drawn residuals are read.  An X measurement applies
 its Hadamard to the amplitudes its collapse gathered, and preparation
 writes its fresh, contiguous rows and photons as slices.  A large call
 therefore allocates only a small multiple of the amplitudes it reads.
@@ -168,31 +174,43 @@ _GATE_COEFFS = np.ascontiguousarray(
 _BELL_PROJECTORS = _real_table([BELL_TENSORS[b] for b in sorted(BellLabel)]).reshape(4, 4)
 
 
-def _bell_terms(projectors: np.ndarray) -> tuple[float, tuple]:
-    """The scale s of the projectors' entries and, per row, the columns
-    (c0, c1) of its two non-zero entries and ``np.add`` or
-    ``np.subtract``: the row is s at c0 and +s or -s at c1.  Raises
-    unless every row has that form.
+def _bell_butterfly(projectors: np.ndarray) -> tuple[float, tuple, np.ndarray]:
+    """The scale s of the projectors' entries, the column pairs (c0, c1)
+    of the butterfly and, per outcome, the product row that holds its
+    residual after the butterfly.  Raises unless every projector row is
+    s at one column c0 and +s or -s at one more column c1, and every
+    pair (c0, c1) is the sum of one outcome and the difference of
+    another.
 
     A residual is then two rounded products and one addition, as every
     unfused sum of the four products rounds, and no fused multiply-add
     (which a BLAS product may use) changes a bit.  Since x * -s is
     exactly -(x * s) and y + -z is exactly y - z, the residual is the sum
-    or the difference of two rows of the product scaled by s."""
+    or the difference of two rows of the product scaled by s, so the
+    butterfly that overwrites row c0 with the sum and row c1 with the
+    difference makes all four in place."""
     scale = float(np.abs(projectors).max())
-    terms = []
+    pairs, rows = set(), []
     for row in projectors:
         cols = np.flatnonzero(row)
         if len(cols) != 2 or row[cols[0]] != scale or abs(row[cols[1]]) != scale:
             raise RegisterError("a Bell projector row is not s at one entry and +-s at one more")
-        terms.append((int(cols[0]), int(cols[1]), np.add if row[cols[1]] > 0 else np.subtract))
-    return scale, tuple(terms)
+        c0, c1 = int(cols[0]), int(cols[1])
+        pairs.add((c0, c1))
+        rows.append(c0 if row[c1] > 0 else c1)
+    every = list(range(len(projectors)))
+    if sorted(rows) != every or sorted(c for pair in pairs for c in pair) != every:
+        raise RegisterError("the Bell projector rows do not pair into sums and differences")
+    return scale, tuple(sorted(pairs)), np.array(rows)
 
 
-_BELL_SCALE, _BELL_TERMS = _bell_terms(_BELL_PROJECTORS)
-# _OFFSETS[k, j, side]: offset, within its row, of the amplitude with the
-# photon on `side` in state k and the other side in state j.
-_OFFSETS = np.array([[[0, 0], [1, 2]], [[2, 1], [3, 3]]])
+# _BELL_ROWS[l]: the product row that holds outcome l's residual.
+_BELL_SCALE, _BELL_PAIRS, _BELL_ROWS = _bell_butterfly(_BELL_PROJECTORS)
+# _OFFSETS[k, j, side]: offset, from twice the seat of a photon on `side`
+# (see ``Register``), of the amplitude with that photon in state k and
+# the other side of its row in state j.  Twice a seat is 4*row + 2*side,
+# so this is the offset within the row less 2*side.
+_OFFSETS = np.array([[[0, 0], [1, 2]], [[2, 1], [3, 3]]]) - np.array([0, 2])
 # The row of a single photon in each state: side 1 held in |0>.
 _SINGLE_ROWS = _real_table(
     [np.outer(SINGLE_STATE_VECTORS[s], [1, 0]) for s in sorted(SingleState)]
@@ -201,8 +219,9 @@ _SINGLE_ROWS = _real_table(
 
 def _sum_of_squares(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of squares over the first axis, of length 4, added left to
-    right, which is how numpy reduces a short contiguous axis: the Born
-    probabilities and norms round as a sum over each row's block does.
+    right, which is how numpy reduces a short contiguous axis: the norms
+    (and, in that order, the Bell probabilities) round as a sum over each
+    row's block does.
     The squares go to `out`, or to a new array if it is None."""
     s = np.multiply(terms, terms, out)
     return ((s[0] + s[1]) + s[2]) + s[3]
@@ -215,9 +234,39 @@ def _check_norm(blocks: np.ndarray, spent: np.ndarray | None = None) -> None:
     given."""
     terms = blocks.reshape(4, -1)
     norm2 = _sum_of_squares(terms, None if spent is None else spent.reshape(terms.shape))
-    bad = np.abs(norm2 - 1.0) > NORM_TOL
-    if bad.any():
-        raise RegisterError(f"state norm drifted: |amps|^2 = {float(norm2[bad][0])!r}")
+    # Written so that a NaN or infinite norm fails too.
+    good = np.abs(norm2 - 1.0) <= NORM_TOL
+    if not good.all():
+        raise RegisterError(f"state norm drifted: |amps|^2 = {float(norm2[~good][0])!r}")
+
+
+def _bell_residuals(product: np.ndarray) -> np.ndarray:
+    """Turn the (4, 4, n) Bell product (see ``Register._bell``) into the
+    residuals in place and return their Born probabilities, (4, n).  Row
+    _BELL_ROWS[l] of both then belongs to outcome l (see
+    ``_bell_butterfly``)."""
+    product *= _BELL_SCALE
+    spare = np.empty_like(product[0])
+    for c0, c1 in _BELL_PAIRS:
+        np.subtract(product[c0], product[c1], spare)
+        product[c0] += product[c1]
+        product[c1] = spare
+    # Each residual's squares summed over 2*x + y, left to right as
+    # _sum_of_squares adds them.
+    probs = np.multiply(product[:, 0], product[:, 0])
+    for k in range(1, 4):
+        probs += np.multiply(product[:, k], product[:, k], spare)
+    return probs
+
+
+def _bell_picks(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The drawn outcomes: for each item, the first outcome whose
+    cumulative probability exceeds u, else the last one, that is, the
+    number of the sums p0, p0 + p1 and (p0 + p1) + p2 that do not exceed
+    u."""
+    p0, p1, p2 = (probs[r] for r in _BELL_ROWS[:3])
+    p01 = p0 + p1
+    return (p0 <= u).astype(np.int64) + (p01 <= u) + (p01 + p2 <= u)
 
 
 def _first_touch(rows_a: np.ndarray, rows_b: np.ndarray, stamp: np.ndarray) -> np.ndarray:
@@ -263,8 +312,12 @@ def _rotate_x_to_z(a: np.ndarray, xs: np.ndarray) -> None:
 
 def _codes(values: Sequence[int], symbols: type[enum.IntEnum], what: str) -> np.ndarray:
     """The codes as an array; raises unless each one is a code of
-    `symbols`."""
-    codes = np.asarray(values, dtype=np.int64)
+    `symbols`.  Only integers are codes: a float or a bool is not
+    converted to one."""
+    codes = np.asarray(values)
+    if codes.size and codes.dtype.kind not in "iu":
+        raise RegisterError(f"{what} codes must be integers, not {codes.dtype}")
+    codes = codes.astype(np.int64, copy=False)
     if codes.size and (codes.min() < 0 or codes.max() >= len(symbols)):
         bad = codes[(codes < 0) | (codes >= len(symbols))][0]
         raise RegisterError(f"unknown {what} code {int(bad)}")
@@ -284,16 +337,23 @@ def _raise_not_live(photon: int):
     )
 
 
-def _grow(arr: np.ndarray, need: int, fill) -> np.ndarray:
+def _grow(arr: np.ndarray, need: int) -> np.ndarray:
+    """`arr`, or a copy of it with room for at least `need` entries.  The
+    new capacity comes from ``np.zeros``, whose fresh pages the system
+    maps on first write, so no entry past the used ones is written."""
     if need <= len(arr):
         return arr
-    out = np.full((max(need, 2 * len(arr)),) + arr.shape[1:], fill, dtype=arr.dtype)
+    out = np.zeros((max(need, 2 * len(arr)),) + arr.shape[1:], dtype=arr.dtype)
     out[: len(arr)] = arr
     return out
 
 
 class Register:
-    """A set of live photons with Born-rule measurements from a seeded stream."""
+    """A set of live photons with Born-rule measurements from a seeded stream.
+
+    ``_seat[p]`` is the seat 2*row + side of photon p, and
+    ``_members[seat]`` is one more than the id of the live photon on that
+    seat, or 0 if there is none."""
 
     def __init__(
         self,
@@ -304,11 +364,10 @@ class Register:
             rng = np.random.default_rng(seed)
         self.rng = rng
         self._amps = np.zeros((16, 2, 2))
-        self._members = np.full((16, 2), -1, dtype=np.int64)
+        self._members = np.zeros(32, dtype=np.int64)
         # Scratch of `_first_touch`, one entry per row.
         self._stamp = np.zeros(16, dtype=np.int64)
-        self._row = np.zeros(32, dtype=np.int64)
-        self._side = np.zeros(32, dtype=np.int64)
+        self._seat = np.zeros(32, dtype=np.int64)
         self._next_photon = 0
         self._next_row = 0
 
@@ -316,21 +375,23 @@ class Register:
 
     @property
     def live_photons(self) -> frozenset[int]:
-        members = self._members[: self._next_row]
-        return frozenset(members[members >= 0].tolist())
+        members = self._members[: 2 * self._next_row]
+        return frozenset((members[members > 0] - 1).tolist())
 
     def is_live(self, photon: int) -> bool:
         return 0 <= photon < self._next_photon and bool(
-            self._members[self._row[photon], self._side[photon]] == photon
+            self._members[self._seat[photon]] == photon + 1
         )
 
     def _require(self, photons: Sequence[int]) -> np.ndarray:
         """The photon ids as an array; raises unless every one is live."""
         ids = np.asarray(photons, dtype=np.int64)
-        # An id past the last photon is clipped onto some row, whose
-        # members never equal it.
-        rows, sides = self._row.take(ids, mode="clip"), self._side.take(ids, mode="clip")
-        live = (self._members[rows, sides] == ids) & (ids >= 0)
+        # An id past the last photon is clipped onto some seat, whose
+        # member never equals it.  -1 is clipped onto photon 0's seat,
+        # which reads 0 = -1 + 1 once photon 0 is measured: hence the
+        # sign check.
+        seats = self._seat.take(ids, mode="clip")
+        live = (self._members.take(seats) == ids + 1) & (ids >= 0)
         if not live.all():
             _raise_not_live(int(ids[~live][0]))
         return ids
@@ -338,21 +399,20 @@ class Register:
     def _row_of(self, photon: int) -> int:
         if not self.is_live(photon):
             _raise_not_live(photon)
-        return self._row[photon]
+        return self._seat[photon] >> 1
 
     def _new_rows(self, count: int) -> slice:
         start = self._next_row
         self._next_row += count
-        self._amps = _grow(self._amps, self._next_row, 0)
-        self._members = _grow(self._members, self._next_row, -1)
-        self._stamp = _grow(self._stamp, self._next_row, 0)
+        self._amps = _grow(self._amps, self._next_row)
+        self._members = _grow(self._members, 2 * self._next_row)
+        self._stamp = _grow(self._stamp, self._next_row)
         return slice(start, self._next_row)
 
     def _new_photons(self, count: int) -> slice:
         start = self._next_photon
         self._next_photon += count
-        self._row = _grow(self._row, self._next_photon, 0)
-        self._side = _grow(self._side, self._next_photon, 0)
+        self._seat = _grow(self._seat, self._next_photon)
         return slice(start, self._next_photon)
 
     def _rounds(self, first: np.ndarray, second: np.ndarray):
@@ -365,8 +425,8 @@ class Register:
             return
         items = np.arange(len(first))
         while len(items):
-            rows = self._row[first[items]]
-            other = rows if first is second else self._row[second[items]]
+            rows = self._seat[first[items]] >> 1
+            other = rows if first is second else self._seat[second[items]] >> 1
             now = _first_touch(rows, other, self._stamp)
             # Free them while the caller runs the round.
             del rows, other
@@ -376,15 +436,15 @@ class Register:
             yield items[now]
             items = items[~now]
 
-    def _gather(self, rows: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat table indices of the rows and their amplitudes, both
-        (2, 2, n): axis 0 is the photon on `sides`, axis 1 the other side
-        of its row."""
+    def _gather(self, seats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat table indices and amplitudes of the rows of the photons on
+        `seats`, both (2, 2, n): axis 0 is the photon, axis 1 the other
+        side of its row."""
         # take keeps the result C-contiguous; indexing _OFFSETS[:, :, sides]
         # gives a strided one, over which the kernels run several times
         # slower.
-        slots = _OFFSETS.take(sides, axis=2)
-        slots += 4 * rows
+        slots = _OFFSETS.take(seats & 1, axis=2)
+        slots += 2 * seats
         return slots, self._amps.reshape(-1).take(slots)
 
     def group_norm_sq(self, photon: int) -> float:
@@ -396,13 +456,13 @@ class Register:
         """The entangled group containing `photon`: (photon ids, amplitude
         tensor of shape (2,)*k).  For inspection and tests only."""
         row = self._row_of(photon)
-        members = self._members[row]
+        members = self._members[2 * row : 2 * row + 2]
         amps = self._amps[row].copy()
         # A dead side has one non-zero slice; summing over it drops it.
         for side in (1, 0):
-            if members[side] < 0:
+            if members[side] == 0:
                 amps = amps.sum(axis=side)
-        return [int(m) for m in members if m >= 0], amps
+        return [int(m) - 1 for m in members if m > 0], amps
 
     # -- preparation ------------------------------------------------------
 
@@ -415,9 +475,10 @@ class Register:
         rows, photons = self._new_rows(n), self._new_photons(2 * n)
         pairs = np.arange(photons.start, photons.stop).reshape(n, 2)
         self._amps[rows] = BELL_TENSORS[BellLabel(code)]
-        self._members[rows] = pairs
-        self._row[photons].reshape(n, 2)[...] = np.arange(rows.start, rows.stop)[:, None]
-        self._side[photons].reshape(n, 2)[...] = (0, 1)
+        # Pair i's photons take both seats of row i, in order.
+        seats = slice(2 * rows.start, 2 * rows.stop)
+        self._members[seats] = np.arange(photons.start + 1, photons.stop + 1)
+        self._seat[photons] = np.arange(seats.start, seats.stop)
         return pairs[:, 0], pairs[:, 1]
 
     def prepare_singles(self, states: Sequence[int]) -> np.ndarray:
@@ -425,11 +486,13 @@ class Register:
         codes = _codes(states, SingleState, "state")
         rows, photons = self._new_rows(len(codes)), self._new_photons(len(codes))
         ids = np.arange(photons.start, photons.stop)
-        self._amps[rows] = _SINGLE_ROWS[codes]
-        self._members[rows, 0] = ids
-        self._members[rows, 1] = -1
-        self._row[photons] = np.arange(rows.start, rows.stop)
-        self._side[photons] = 0
+        # mode="clip" lets take write into the table unbuffered; the codes
+        # are already checked.
+        _SINGLE_ROWS.take(codes, axis=0, out=self._amps[rows], mode="clip")
+        # Each photon takes side 0 of its row.  Side 1 stays empty: rows
+        # are never reused, so a fresh row's seats still read 0.
+        self._members[2 * rows.start : 2 * rows.stop : 2] = ids + 1
+        self._seat[photons] = np.arange(2 * rows.start, 2 * rows.stop, 2)
         return ids
 
     def prepare_bell(self, label: BellLabel) -> tuple[int, int]:
@@ -458,7 +521,7 @@ class Register:
 
     def _gate(self, ids: np.ndarray, codes: np.ndarray) -> None:
         """Apply one gate per photon; the photons' rows are distinct."""
-        slots, a = self._gather(self._row[ids], self._side[ids])
+        slots, a = self._gather(self._seat[ids])
         # take, not _GATE_COEFFS[:, :, codes]: see _gather.
         blocks = _gate_blocks(_GATE_COEFFS.take(codes, axis=2), a)
         self._amps.reshape(-1)[slots] = blocks
@@ -490,8 +553,8 @@ class Register:
     def _collapse(self, ids: np.ndarray, u: np.ndarray, in_x: np.ndarray) -> np.ndarray:
         """Measure one photon per row, in the X basis where `in_x` is set
         and in the Z basis elsewhere; the photons' rows are distinct."""
-        rows, sides = self._row[ids], self._side[ids]
-        slots, a = self._gather(rows, sides)
+        seats = self._seat[ids]
+        slots, a = self._gather(seats)
         if in_x.any():
             _rotate_x_to_z(a, np.flatnonzero(in_x))
         p0 = a[0, 0] * a[0, 0]
@@ -507,7 +570,7 @@ class Register:
         a *= np.arange(2)[:, None, None] == bits
         a *= np.divide(1.0, np.sqrt(p0, p0), p0)
         self._amps.reshape(-1)[slots] = a
-        self._members[rows, sides] = -1
+        self._members[seats] = 0
         _check_norm(a)
         return bits
 
@@ -540,53 +603,46 @@ class Register:
 
     def _bell(self, ids_a: np.ndarray, ids_b: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Bell-measure each pair; no two pairs share a row."""
-        rows_a, rows_b = self._row[ids_a], self._row[ids_b]
-        sides_a, sides_b = self._side[ids_a], self._side[ids_b]
-        ta, tb = self._gather(rows_a, sides_a)[1], self._gather(rows_b, sides_b)[1]
+        seats = self._seat[np.stack((ids_a, ids_b))]
+        seats_a, seats_b = seats
+        ta, tb = self._gather(seats_a)[1], self._gather(seats_b)[1]
         n = len(ids_a)
         # product[2*a + b, 2*x + y, m]: the measured axes (a, b) and the
         # other side x of row a and y of row b.
         product = np.multiply(ta[:, None, :, None], tb[None, :, None, :]).reshape(4, 4, n)
-        same = rows_a == rows_b
+        # Two photons of one row sit on its seats 2*row and 2*row + 1.
+        # The row itself is then the pair over (a, b), and no other axis
+        # is left (only x = y = 0).
+        same = (seats_a ^ seats_b) == 1
         if same.any():
-            # Two photons of one row: the row itself is the pair over
-            # (a, b), and no other axis is left (only x = y = 0).
             product[:, :, same] = 0.0
             product[:, 0, same] = ta[:, :, same].reshape(4, -1)
         # Free the spent halves before the residuals are made.
         del ta, tb
-        # residuals[l, 2*x + y, m]: the residual of outcome l, the sum or
-        # the difference of two rows of the scaled product (_bell_terms).
-        product *= _BELL_SCALE
-        residuals = np.empty_like(product)
-        for out, (c0, c1, combine) in zip(residuals, _BELL_TERMS):
-            combine(product[c0], product[c1], out)
-        # The squares of the residuals overwrite the spent product.
-        probs = _sum_of_squares(residuals.swapaxes(0, 1), product.swapaxes(0, 1))
-        # The first outcome whose cumulative probability exceeds u, else
-        # the last one: the number of the sums p0, p0 + p1 and
-        # (p0 + p1) + p2 that do not exceed u.
-        p01 = probs[0] + probs[1]
-        picks = (probs[0] <= u).astype(np.int64) + (p01 <= u) + (p01 + probs[2] <= u)
+        probs = _bell_residuals(product)
+        picks = _bell_picks(probs, u)
         # The drawn residual of each pair, item-major as the table is.
-        idx = np.arange(n)
-        scale = probs[picks, idx]
-        blocks = residuals[picks, :, idx]
+        # Each spent array is freed once it is read.
+        drawn, idx = _BELL_ROWS.take(picks), np.arange(n)
+        scale = probs[drawn, idx]
+        del probs
+        blocks = product[drawn, :, idx]
+        del product
         blocks *= np.divide(1.0, np.sqrt(scale, scale), scale)[:, None]
+        rows_a = seats_a >> 1
         self._amps[rows_a] = blocks.reshape(n, 2, 2)
 
-        # The survivors: the other side of each row, unless that side was
-        # dead or (for two photons of one row) just measured.
-        self._members[rows_a, sides_a] = -1
-        self._members[rows_b, sides_b] = -1
-        survivor_a = self._members[rows_a, 1 - sides_a]
-        survivor_b = self._members[rows_b, 1 - sides_b]
-        self._members[rows_b] = -1
-        self._members[rows_a, 0] = survivor_a
-        self._members[rows_a, 1] = survivor_b
-        self._side[survivor_a[survivor_a >= 0]] = 0
-        moved = survivor_b >= 0
-        self._row[survivor_b[moved]] = rows_a[moved]
-        self._side[survivor_b[moved]] = 1
+        # The survivors of a and b: the other seat of each row, unless that
+        # seat was empty or (for two photons of one row) just measured.
+        # Row b is retired, and row a takes a's survivor on side 0 and b's
+        # on side 1.
+        self._members[seats] = 0
+        others = seats ^ 1
+        survivors = self._members[others]
+        self._members[others[1]] = 0
+        moved_to = 2 * rows_a + np.arange(2)[:, None]
+        self._members[moved_to] = survivors
+        moved = survivors > 0
+        self._seat[survivors[moved] - 1] = moved_to[moved]
         _check_norm(blocks.T)
         return picks

@@ -28,6 +28,7 @@ from qss_sim.pauli import (
     expected_parity,
 )
 from qss_sim.register import (
+    ConsumedPhotonError,
     Register,
     RegisterError,
     SingleGate,
@@ -224,6 +225,19 @@ def test_vector_calls_reject_unknown_codes():
             reg.prepare_singles([code])
         with pytest.raises(RegisterError):
             reg.prepare_bells(1, code)
+    # Only integers are codes: a float or a bool is not rounded or cast
+    # to some symbol.
+    for code in (1.7, 2.9, 1.0, True, False):
+        with pytest.raises(RegisterError):
+            reg.apply_gates([a], [code])
+        with pytest.raises(RegisterError):
+            reg.prepare_singles([code])
+        with pytest.raises(RegisterError):
+            reg.prepare_bells(1, code)
+    with pytest.raises(RegisterError):
+        reg.apply_gates([a, a], np.array([1.0, 0.0]))
+    with pytest.raises(RegisterError):
+        reg.prepare_singles(np.array([True, False]))
     assert reg.live_photons == {a, b}
     # A rejected call takes no row and no photon id.
     assert (reg._next_row, reg._next_photon) == (1, 2)
@@ -314,11 +328,11 @@ def _peak_bytes_per_item(call, n: int) -> float:
 
 
 # Peak bytes per item that a large call allocates, each a few percent
-# above its value with numpy 2.4.6 (138, 171 and 476).  The kernels
+# above its value with numpy 2.4.6 (138, 163 and 243).  The kernels
 # compute in place and reuse their buffers, so a large call allocates a
 # small multiple of the 32 bytes of amplitudes per item it reads; one
 # stray (4, 4, n) temporary costs 128 bytes per item.
-_BYTES_PER_ITEM = {"apply_gates": 145, "measure_singles": 180, "measure_bells": 500}
+_BYTES_PER_ITEM = {"apply_gates": 145, "measure_singles": 170, "measure_bells": 255}
 
 
 @pytest.mark.parametrize("method", sorted(_BYTES_PER_ITEM))
@@ -334,6 +348,63 @@ def test_large_calls_allocate_a_small_multiple_of_their_amplitudes(method):
         "measure_bells": lambda: reg.measure_bells(b, c),
     }[method]
     assert _peak_bytes_per_item(call, n) <= _BYTES_PER_ITEM[method]
+
+
+def test_growing_a_large_register_allocates_only_its_new_tables():
+    # 8192 single photons added to 8192 pairs, as Eve's resend adds them
+    # in an 8192-pair trial, double the row tables and grow the seats to
+    # 32768; their new capacity is about 144 bytes per photon (160 with
+    # numpy 2.4.6, all told).  Two seat arrays or a fancy-indexed copy of
+    # the new rows would each add 32 more.
+    n = 8192
+    reg = Register(seed=33)
+    reg.prepare_bells(n, BellLabel.PSI_MINUS)
+    states = np.random.default_rng(34).integers(len(SingleState), size=n)
+    assert _peak_bytes_per_item(lambda: reg.prepare_singles(states), n) <= 168
+    assert len(reg._amps) == reg._next_row == 2 * n
+
+
+def test_liveness_at_the_ends_of_the_tables():
+    # The tables past the used entries hold zeros, which must read as no
+    # photon: ids outside [0, _next_photon), the first id past the seat
+    # capacity and photon 0 of an empty register are not live.  In the
+    # grown register photon 0 is measured, so its seat, onto which -1 and
+    # the unused seat entries point, is empty.
+    empty, grown = Register(seed=1), Register(seed=1)
+    grown.prepare_bells(20, BellLabel.PSI_MINUS)
+    grown.measure_singles([0], [False])
+    assert len(grown._seat) > grown._next_photon > 32
+    cases = [(empty, 0), (grown, 0)]
+    for reg in (empty, grown):
+        cases += [(reg, p) for p in (-1, reg._next_photon, len(reg._seat), 10**9)]
+    for reg, photon in cases:
+        assert not reg.is_live(photon)
+        with pytest.raises(ConsumedPhotonError):
+            reg.apply_gates([photon], [SingleGate.I])
+        with pytest.raises(ConsumedPhotonError):
+            reg.measure_singles([photon], [False])
+        with pytest.raises(ConsumedPhotonError):
+            reg.measure_bells([photon], [1])
+        with pytest.raises(ConsumedPhotonError):
+            reg.amplitudes_of(photon)
+    assert grown.live_photons == frozenset(range(1, 40))
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_a_poisoned_row_fails_the_norm_check(poison):
+    calls = (
+        lambda reg, a, c: reg.apply_gates([a], [SingleGate.X]),
+        lambda reg, a, c: reg.measure_singles([a], [False]),
+        lambda reg, a, c: reg.measure_bells([a], [c]),
+    )
+    for call in calls:
+        reg = Register(seed=8)
+        (a, c), _ = reg.prepare_bells(2, BellLabel.PSI_MINUS)
+        reg._amps[0, 0, 1] = poison
+        # inf times a zero coefficient is NaN, which numpy warns of; the
+        # norm check must raise all the same.
+        with np.errstate(invalid="ignore"), pytest.raises(RegisterError, match="norm"):
+            call(reg, a, c)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
