@@ -16,9 +16,14 @@ transcript, and adversary seams:
 Each mode is a short step function over one per-trial runner, ``_Run``,
 which owns the streams, register, adversaries and transcript and the
 steps both modes share (pair preparation, transmission, sample draws,
-Pauli encryption, Bell readout, collaboration).  Every check report goes
-through ``_Run.settle``, which retires the sampled positions and ends
-the run on an abort verdict; ``_Run.execute`` builds the one RunReport.
+Pauli encryption, Bell readout, collaboration).  The check phases
+``zx_check``, ``decoy_round`` and ``verify_step6`` are module-level
+functions of the run, and each run looks them up here at call time, so
+per-phase timing can wrap them by name.  Every check ends in
+``_Run.settle``, the one place that builds a check report, records it,
+retires the sampled positions and ends the run on an abort verdict;
+``_Run.execute`` builds the one RunReport.  The dishonest first agent is
+one ``SwapAttack`` in both modes.
 
 A run is fully deterministic given (config, master seed): every random
 choice comes from a stream spawned from the master seed in a fixed
@@ -34,13 +39,7 @@ from typing import Any
 
 import numpy as np
 
-from .adversaries import (
-    AdversarySpec,
-    EveInterceptResend,
-    SwapAttackImproved,
-    SwapAttackOriginal,
-    _random_paulis,
-)
+from .adversaries import AdversarySpec, EveInterceptResend, SwapAttack, _random_paulis
 from .pauli import BELL_CODES, Basis, BellLabel, PauliOp, decode_message, expected_parity
 from .register import MAX_PHOTONS, Register, SingleGate
 
@@ -390,111 +389,85 @@ def _transmit(
 
 
 def zx_check(
+    run: _Run,
     check_id: str,
-    positions: np.ndarray,
-    remote_photons: np.ndarray,
-    local_photons: np.ndarray,
+    sampled: np.ndarray,
     expected: np.ndarray,
-    register: Register,
     rng_remote: np.random.Generator,
-    transcript: Transcript,
-    threshold: float,
     remote_applies_h: bool = False,
-) -> CheckReport:
-    """Z/X correlation check over sampled singlet pairs.
+) -> None:
+    """Z/X correlation check over the sampled pairs of `run`.
 
-    For each sampled position the remote party measures its photon in a
-    random basis and announces basis and result; the local party measures
-    the partner in the same basis.  The outcome parity must match the
-    Bell correlation of the pair's announced Pauli shift.  The photon
-    arrays and the announced Pauli codes `expected` are indexed by
-    position."""
-    order = np.sort(positions)
-    in_x = rng_remote.random(len(order)) < 0.5
-    remote = remote_photons[order]
+    For each sampled position the partner's holder (the remote party)
+    measures its photon in a random basis and announces basis and
+    result; the dealer measures her half in the same basis.  The outcome
+    parity must match the Bell correlation of the pair's announced Pauli
+    shift, whose codes `expected` are indexed by position.  `sampled` is
+    sorted, as `_Run.draw` returns it; the check settles on it."""
+    register = run.register
+    in_x = rng_remote.random(len(sampled)) < 0.5
+    remote = run.partner[sampled]
     if remote_applies_h:
         register.apply_gates(remote, np.full(len(remote), SingleGate.H))
     # Remote before local at each position: [r0, l0, r1, l1, ...].
-    photons = np.stack((remote, local_photons[order]), axis=1).ravel()
+    photons = np.stack((remote, run.dealer[sampled]), axis=1).ravel()
     results = register.measure_singles(photons, np.repeat(in_x, 2)).reshape(-1, 2)
     remote_out, local_out = results[:, 0], results[:, 1]
-    parity = expected_parity(expected[order], in_x)
+    parity = expected_parity(expected[sampled], in_x)
     mismatches = int(np.count_nonzero((remote_out ^ local_out) != parity))
-    transcript.defer(_zx_events, check_id, order, in_x, remote_out, local_out)
-    report = CheckReport(check_id, len(order), mismatches, threshold)
-    transcript.append("check_report", **report.to_dict())
-    return report
+    run.transcript.defer(_zx_events, check_id, sampled, in_x, remote_out, local_out)
+    run.settle(check_id, len(sampled), mismatches, sampled)
 
 
-def decoy_round(
-    check_id: str,
-    register: Register,
-    rng_dealer: np.random.Generator,
-    count: int,
-    payload: np.ndarray,
-    hop: str,
-    eve: EveInterceptResend | None,
-    transcript: Transcript,
-    threshold: float,
-) -> tuple[CheckReport, np.ndarray]:
-    """Send `payload` photons with `count` checking photons mixed in at
-    secret positions; after transit, announce positions and preparation
-    bases, measure the checking photons, and compare with preparation.
-
-    Returns the check report and the payload photons (ids may have been
-    replaced in transit) in their original order."""
+def decoy_round(run: _Run, check_id: str, hop: str, photons: np.ndarray) -> np.ndarray:
+    """Send one photon per surviving position over `hop` with the
+    dealer's checking photons mixed in at secret slots; after transit,
+    announce slots and preparation bases, measure the checking photons,
+    and compare with preparation.  The check settles with no position
+    consumed.  Returns the photons that arrive, indexed by position (ids
+    may have been replaced in transit)."""
+    count = run.config.checking_photon_count
     # A draw k picks state code k: basis X if k >= 2, bit k & 1.
-    states = rng_dealer.integers(4, size=count)
-    decoys = register.prepare_singles(states)
-    total = len(payload) + count
-    slots = np.sort(rng_dealer.choice(total, size=count, replace=False))
+    states = run.rng_dealer.integers(4, size=count)
+    decoys = run.register.prepare_singles(states)
+    total = len(run.positions) + count
+    slots = np.sort(run.rng_dealer.choice(total, size=count, replace=False))
     # The k-th checking photon sits at the k-th slot, in slot order.
     is_decoy = np.zeros(total, dtype=bool)
     is_decoy[slots] = True
     sequence = np.empty(total, dtype=np.int64)
     sequence[slots] = decoys
-    sequence[~is_decoy] = payload
-    received = _transmit(hop, sequence, eve, transcript)
+    sequence[~is_decoy] = photons[run.positions]
+    received = _transmit(hop, sequence, run.eve, run.transcript)
     in_x = states >> 1
-    transcript.append(
+    run.transcript.append(
         "decoy_positions",
         check=check_id,
         slots=slots.tolist(),
         bases=_BASIS_NAMES[in_x].tolist(),
     )
-    outcomes = register.measure_singles(received[slots], in_x)
-    transcript.defer(_decoy_events, check_id, slots, outcomes)
-    mismatches = int(np.count_nonzero(outcomes != states & 1))
-    report = CheckReport(check_id, count, mismatches, threshold)
-    transcript.append("check_report", **report.to_dict())
-    return report, received[~is_decoy]
+    outcomes = run.register.measure_singles(received[slots], in_x)
+    run.transcript.defer(_decoy_events, check_id, slots, outcomes)
+    run.settle(check_id, count, int(np.count_nonzero(outcomes != states & 1)))
+    out = photons.copy()
+    out[run.positions] = received[~is_decoy]
+    return out
 
 
-def verify_step6(
-    positions: np.ndarray,
-    published: np.ndarray,
-    dealer_photons: np.ndarray,
-    returned_photons: np.ndarray,
-    register: Register,
-    transcript: Transcript,
-    threshold: float,
-) -> CheckReport:
+def verify_step6(run: _Run, sampled: np.ndarray, published: np.ndarray) -> None:
     """The dealer's own verification of the returned sequence.
 
     For each sampled position the dealer undoes the last agent's
-    Hadamard, Bell-measures the returned photon against its retained
-    partner, and requires the decoded Pauli to equal the XOR of the
-    agents' published operations.  The photon arrays and the published
-    Pauli codes are indexed by position."""
-    order = np.sort(positions)
-    returned = returned_photons[order]
-    register.apply_gates(returned, np.full(len(returned), SingleGate.H))
-    outcomes = register.measure_bells(dealer_photons[order], returned)
-    mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published[order]))
-    report = CheckReport("step6_check", len(order), mismatches, threshold)
-    transcript.defer(_outcome_events, "step6_check", order, outcomes, _BELL_NAMES)
-    transcript.append("check_report", **report.to_dict())
-    return report
+    Hadamard, Bell-measures the returned photon against her retained
+    half, and requires the decoded Pauli to equal the XOR of the agents'
+    published operations, whose codes `published` are indexed by
+    position.  `sampled` is sorted; the check settles on it."""
+    returned = run.partner[sampled]
+    run.register.apply_gates(returned, np.full(len(returned), SingleGate.H))
+    outcomes = run.register.measure_bells(run.dealer[sampled], returned)
+    mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published[sampled]))
+    run.transcript.defer(_outcome_events, "step6_check", sampled, outcomes, _BELL_NAMES)
+    run.settle("step6_check", len(sampled), mismatches, sampled)
 
 
 class _Abort(Exception):
@@ -511,9 +484,7 @@ class _Run:
     ``partner`` the other half, both indexed by position; entries at
     retired positions are stale."""
 
-    def __init__(
-        self, config: ScenarioConfig, protocol: str, n_parties: int, attack_cls
-    ) -> None:
+    def __init__(self, config: ScenarioConfig, protocol: str, n_parties: int) -> None:
         validate_config(config)
         if config.protocol != protocol:
             raise ConfigError(f"run_{protocol} needs protocol={protocol!r}")
@@ -524,11 +495,11 @@ class _Run:
         self.rng_parties = [np.random.default_rng(c) for c in children[3:]]
         adv = config.adversary
         self.eve: EveInterceptResend | None = None
-        self.attack = None
+        self.attack: SwapAttack | None = None
         if adv.kind == "eve_intercept_resend":
             self.eve = EveInterceptResend(self.register, rng_adv, adv)
         elif adv.kind == "bob_swap_attack":
-            self.attack = attack_cls(self.register, rng_adv, adv)
+            self.attack = SwapAttack(self.register, rng_adv, adv)
         self.config = config
         self.threshold = config.error_threshold
         self.transcript = Transcript()
@@ -592,38 +563,18 @@ class _Run:
         """Announce the positions a check has sampled."""
         self.transcript.defer(_sample_events, check, sampled)
 
-    def settle(self, report: CheckReport, sampled: np.ndarray | None = None) -> None:
-        """Record a check and retire the positions it consumed; an abort
-        verdict ends the run here."""
+    def settle(
+        self, check_id: str, samples: int, mismatches: int, sampled: np.ndarray | None = None
+    ) -> None:
+        """Report a check and retire the `sampled` positions it consumed;
+        an abort verdict ends the run here."""
+        report = CheckReport(check_id, samples, mismatches, self.threshold)
+        self.transcript.append("check_report", **report.to_dict())
         self.checks.append(report)
         if sampled is not None:
             self.positions = self.positions[_without(self.positions, sampled)]
         if report.verdict == "abort":
-            raise _Abort(report.check_id)
-
-    def check_pairs(
-        self,
-        check_id: str,
-        sampled: np.ndarray,
-        expected: np.ndarray,
-        rng_remote: np.random.Generator,
-        remote_applies_h: bool = False,
-    ) -> None:
-        """Z/X check of the sampled pairs: the partner's holder measures
-        first, the dealer second."""
-        report = zx_check(
-            check_id,
-            sampled,
-            self.partner,
-            self.dealer,
-            expected,
-            self.register,
-            rng_remote,
-            self.transcript,
-            self.threshold,
-            remote_applies_h=remote_applies_h,
-        )
-        self.settle(report, sampled)
+            raise _Abort(check_id)
 
     def announce(self, check: str, party: str, positions: np.ndarray, ops: np.ndarray) -> None:
         """`party` publishes its operations `ops` on the sorted `positions`."""
@@ -702,14 +653,14 @@ def _original_steps(run: _Run) -> None:
     # First eavesdropping check (Alice-Bob).
     q1 = run.draw(rng_alice)
     run.sample_event("zx_check_1", q1)
-    run.check_pairs("zx_check_1", q1, run.identity(), rng_bob)
+    zx_check(run, "zx_check_1", q1, run.identity(), rng_bob)
 
     # Bob encrypts his sequence and sends it to Charlie -- or substitutes
     # halves of his own pairs.
     bob_positions = run.positions
     bob_ops = run.identity()
     if attack is not None:
-        run.partner = attack.on_send_to_third_party(run.positions, run.partner)
+        run.partner = attack.forward(run.positions, run.partner)
     else:
         bob_ops = run.encrypt(run.partner, rng_bob)
     run.partner = run.transmit("bob->charlie", run.partner, "charlie")
@@ -718,13 +669,11 @@ def _original_steps(run: _Run) -> None:
     # published first.
     q2 = run.draw(rng_alice)
     run.sample_event("zx_check_2", q2)
-    announced = (
-        attack.on_check_positions_announced(q2) if attack is not None else bob_ops[q2]
-    )
+    announced = attack.swap_correct(q2) if attack is not None else bob_ops[q2]
     run.announce("zx_check_2", "bob", q2, announced)
     expected = run.identity()
     expected[q2] = announced
-    run.check_pairs("zx_check_2", q2, expected, rng_charlie)
+    zx_check(run, "zx_check_2", q2, expected, rng_charlie)
 
     # Alice picks her own samples, encodes the message elsewhere, and
     # sends her sequence to Charlie.
@@ -732,11 +681,16 @@ def _original_steps(run: _Run) -> None:
     message_positions = run.positions[_without(run.positions, q3)]
     alice_ops = run.encrypt(run.dealer, rng_alice, fixed=run.encode(message_positions))
     if attack is not None:
-        run.dealer = attack.on_intercept_dealer_sequence(run.positions, run.dealer)
+        run.dealer = attack.intercept_dealer(run.positions, run.dealer)
     run.dealer = run.transmit("alice->charlie", run.dealer, "charlie")
 
     # Charlie's Bell readout over every surviving position.
     totals = run.readout()
+    run.transcript.defer(_private_ops_events, "totals", run.positions, totals)
+    run.transcript.defer(_private_ops_events, "alice_ops", run.positions, alice_ops)
+    if attack is None:
+        run.transcript.defer(_private_ops_events, "bob_ops", bob_positions, bob_ops)
+    run.transcript.defer(_message_positions_events, message_positions)
 
     # Final sample check: Charlie's outcomes against Alice's and Bob's
     # announced operations.
@@ -744,21 +698,14 @@ def _original_steps(run: _Run) -> None:
     run.transcript.defer(
         _outcome_events, "final_sample_check", q3, totals[q3], _PAULI_NAMES
     )
-    published = attack.check_op(q3) if attack is not None else bob_ops[q3]
+    published = attack.fake_ops(q3) if attack is not None else bob_ops[q3]
     run.announce("final_sample_check", "bob", q3, published)
-    mism = int(np.count_nonzero(totals[q3] != alice_ops[q3] ^ published))
-    report = CheckReport("final_sample_check", len(q3), mism, run.threshold)
-    run.transcript.append("check_report", **report.to_dict())
-    run.transcript.defer(_private_ops_events, "totals", run.positions, totals)
-    run.transcript.defer(_private_ops_events, "alice_ops", run.positions, alice_ops)
-    if attack is None:
-        run.transcript.defer(_private_ops_events, "bob_ops", bob_positions, bob_ops)
-    run.transcript.defer(_message_positions_events, message_positions)
-    run.settle(report, q3)
+    mismatches = int(np.count_nonzero(totals[q3] != alice_ops[q3] ^ published))
+    run.settle("final_sample_check", len(q3), mismatches, q3)
 
     # Collaboration: Bob publishes his operations on the message
     # positions and Charlie decodes.
-    bob_publish = attack.published_op if attack is not None else bob_ops.__getitem__
+    bob_publish = attack.publish_final if attack is not None else bob_ops.__getitem__
     run.collaborate("charlie", totals, [("bob", bob_publish)])
     if attack is not None:
         run.eavesdropper_bits = decode_message(attack.inferred[run.positions])
@@ -767,8 +714,7 @@ def _original_steps(run: _Run) -> None:
 def run_original(config: ScenarioConfig) -> RunReport:
     """One run of the original protocol (dealer Alice, agents Bob and
     Charlie) against the configured adversary."""
-    run = _Run(config, "original", 2, SwapAttackOriginal)
-    return run.execute(_original_steps, "charlie")
+    return _Run(config, "original", 2).execute(_original_steps, "charlie")
 
 
 # ---------------------------------------------------------------------------
@@ -785,25 +731,18 @@ def _improved_steps(run: _Run) -> None:
     # Step 2: Z/X check between the dealer and the first agent.
     q = run.draw(run.rng_dealer)
     run.sample_event("zx_check_step2", q)
-    run.check_pairs("zx_check_step2", q, run.identity(), rng_agents[0])
+    zx_check(run, "zx_check_step2", q, run.identity(), rng_agents[0])
 
     # Steps 3-6: the encryption chain through agents 0..M-2.  Each
-    # agent's codes are I where it applied no Pauli.
+    # agent's codes are I where it applied no Pauli; a dishonest first
+    # agent applies none.
     agent_ops = [run.identity() for _ in range(m)]
-
-    def publisher(j: int, attack_move: str):
-        """How agent j announces its operations on sorted positions; the
-        dishonest first agent answers with the attack's `attack_move`."""
-        if j == 0 and attack is not None:
-            return getattr(attack, attack_move)
-        return lambda positions: agent_ops[j][positions]
-
     for k in range(m - 1):
         last_chain_agent = k == m - 2
         count = run.config.step6_sample_count if last_chain_agent else None
         samples = run.draw(rng_agents[k], count)
         if k == 0 and attack is not None:
-            run.partner = attack.on_forward(run.positions, run.partner, samples)
+            run.partner = attack.forward(run.positions, run.partner, honest=samples)
         else:
             agent_ops[k] = run.encrypt(run.partner, rng_agents[k], rotated=samples)
             encrypted = run.positions[_without(run.positions, samples)]
@@ -811,35 +750,29 @@ def _improved_steps(run: _Run) -> None:
 
         hop = f"agent{k}->agent{k + 1}" if not last_chain_agent else f"agent{k}->alice"
         check_id = f"hop_check_{k}" if not last_chain_agent else "step6_check"
-        move = "publish_for_hop_check" if not last_chain_agent else "publish_for_step6"
         run.partner = run.transmit(hop, run.partner)
         run.sample_event(check_id, samples)
 
         # Publication of the earlier agents' operations on the sampled
-        # photons; agent k itself only Hadamard-rotated them.
+        # photons; agent k itself only Hadamard-rotated them.  The
+        # dishonest first agent swap-corrects a hop check but has no
+        # correction for the dealer's own verification.
         published = run.identity()
         if k > 0:
-            layers = np.array([publisher(j, move)(samples) for j in range(k)])
+            layers = np.array([agent_ops[j][samples] for j in range(k)])
+            if attack is not None:
+                layers[0] = (
+                    attack.fake_ops(samples) if last_chain_agent else attack.swap_correct(samples)
+                )
             published[samples] = np.bitwise_xor.reduce(layers)
             run.transcript.defer(_chain_publish_events, check_id, samples, layers)
 
         if not last_chain_agent:
             # The receiving agent undoes the Hadamard and the pair is
             # checked with the usual Z/X procedure.
-            run.check_pairs(
-                check_id, samples, published, rng_agents[k + 1], remote_applies_h=True
-            )
+            zx_check(run, check_id, samples, published, rng_agents[k + 1], remote_applies_h=True)
         else:
-            report = verify_step6(
-                samples,
-                published,
-                run.dealer,
-                run.partner,
-                run.register,
-                run.transcript,
-                run.threshold,
-            )
-            run.settle(report, samples)
+            verify_step6(run, samples, published)
 
     # Step 7: message encoding.
     alice_ops = run.encode(run.positions)
@@ -848,44 +781,25 @@ def _improved_steps(run: _Run) -> None:
     run.transcript.defer(_message_positions_events, run.positions)
 
     # Steps 7-9: both sequences go to the last agent behind checking photons.
-    run.partner = _guarded(run, "decoy_check_t", "alice->zach:t", run.partner)
-    run.dealer = _guarded(run, "decoy_check_a", "alice->zach:a", run.dealer)
+    run.partner = decoy_round(run, "decoy_check_t", "alice->zach:t", run.partner)
+    run.dealer = decoy_round(run, "decoy_check_a", "alice->zach:a", run.dealer)
 
     # Step 10: Bell readout by the last agent.
     totals = run.readout()
     run.transcript.defer(_private_ops_events, "totals", run.positions, totals)
 
     # Step 11: collaboration.
-    publishers = [(f"agent{k}", publisher(k, "publish_final")) for k in range(m - 1)]
+    publishers = [(f"agent{k}", agent_ops[k].__getitem__) for k in range(m - 1)]
+    if attack is not None:
+        publishers[0] = ("agent0", attack.publish_final)
     run.collaborate("zach", totals, publishers)
-
-
-def _guarded(run: _Run, check_id: str, hop: str, photons: np.ndarray) -> np.ndarray:
-    """Send one photon per surviving position to the last agent with the
-    dealer's checking photons mixed in; returns the photons that arrive."""
-    report, received = decoy_round(
-        check_id,
-        run.register,
-        run.rng_dealer,
-        run.config.checking_photon_count,
-        photons[run.positions],
-        hop,
-        run.eve,
-        run.transcript,
-        run.threshold,
-    )
-    run.settle(report)
-    out = photons.copy()
-    out[run.positions] = received
-    return out
 
 
 def run_improved(config: ScenarioConfig) -> RunReport:
     """One run of the improved protocol with agent_count agents; agent 0
     is the first chain agent, agent M-2 the last one before the sequence
     returns to the dealer, and agent M-1 the final receiver."""
-    run = _Run(config, "improved", config.agent_count, SwapAttackImproved)
-    return run.execute(_improved_steps, "zach")
+    return _Run(config, "improved", config.agent_count).execute(_improved_steps, "zach")
 
 
 def run_trial(config: ScenarioConfig) -> RunReport:

@@ -310,14 +310,20 @@ def _rotate_x_to_z(a: np.ndarray, xs: np.ndarray) -> None:
     a[:, :, xs] = h
 
 
+def _integers(values: Sequence[int], what: str) -> np.ndarray:
+    """The values as an int64 array; raises unless their dtype is an
+    integer type, so a float is not truncated and a bool not taken as 0
+    or 1.  An empty list passes."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise RegisterError(f"{what} must be integers, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _codes(values: Sequence[int], symbols: type[enum.IntEnum], what: str) -> np.ndarray:
     """The codes as an array; raises unless each one is a code of
-    `symbols`.  Only integers are codes: a float or a bool is not
-    converted to one."""
-    codes = np.asarray(values)
-    if codes.size and codes.dtype.kind not in "iu":
-        raise RegisterError(f"{what} codes must be integers, not {codes.dtype}")
-    codes = codes.astype(np.int64, copy=False)
+    `symbols`."""
+    codes = _integers(values, f"{what} codes")
     if codes.size and (codes.min() < 0 or codes.max() >= len(symbols)):
         bad = codes[(codes < 0) | (codes >= len(symbols))][0]
         raise RegisterError(f"unknown {what} code {int(bad)}")
@@ -385,7 +391,7 @@ class Register:
 
     def _require(self, photons: Sequence[int]) -> np.ndarray:
         """The photon ids as an array; raises unless every one is live."""
-        ids = np.asarray(photons, dtype=np.int64)
+        ids = _integers(photons, "photon ids")
         # An id past the last photon is clipped onto some seat, whose
         # member never equals it.  -1 is clipped onto photon 0's seat,
         # which reads 0 = -1 + 1 once photon 0 is measured: hence the
@@ -532,10 +538,13 @@ class Register:
     def measure_singles(self, photons: Sequence[int], in_x: Sequence[bool]) -> np.ndarray:
         """Born-rule single-photon measurements, in list order, in the X
         basis where `in_x` is set and in the Z basis elsewhere; returns
-        0/1 per photon (in the X basis 0 means the '+' outcome).
-        Consumes the photons."""
+        0/1 per photon (in the X basis 0 means the '+' outcome).  `in_x`
+        is a bool mask or a list of ``Basis`` codes.  Consumes the
+        photons."""
         ids = self._require(photons)
-        in_x = np.asarray(in_x, dtype=bool)
+        in_x = np.asarray(in_x)
+        if in_x.dtype != bool:
+            in_x = _codes(in_x, Basis, "basis").astype(bool)
         if len(in_x) != len(ids):
             raise RegisterError("measure_singles needs one basis per photon")
         _require_distinct(ids)

@@ -8,7 +8,7 @@ import pytest
 from qss_sim.adversaries import (
     AdversarySpec,
     EveInterceptResend,
-    SwapAttackOriginal,
+    SwapAttack,
     random_pauli,
 )
 from qss_sim.pauli import Basis, BellLabel, PauliOp, compose, decode_bell_to_pauli
@@ -44,7 +44,7 @@ def test_eve_resends_her_own_eigenstate():
     eve = EveInterceptResend(reg, np.random.default_rng(2), spec)
     for _ in range(50):
         a, b = reg.prepare_bell(BellLabel.PSI_MINUS)
-        out = eve.intercept(a)
+        out = eve.intercept_sequence([a])[0]
         basis, bit = eve.observations[-1]
         assert basis is Basis.Z
         assert reg.measure_single(out, Basis.Z) == bit
@@ -56,7 +56,7 @@ def test_eve_fixed_x_policy():
     spec = AdversarySpec(kind="eve_intercept_resend", hop="h", basis_policy="fixed-X")
     eve = EveInterceptResend(reg, np.random.default_rng(4), spec)
     p = reg.prepare_single(SingleState.PLUS)
-    out = eve.intercept(p)
+    out = eve.intercept_sequence([p])[0]
     assert eve.observations == [(Basis.X, 0)]
     assert reg.measure_single(out, Basis.X) == 0
 
@@ -74,7 +74,7 @@ def test_eve_information_about_four_state_photons():
     pairs = []
     for _ in range(5000):
         state = states[int(rng.integers(4))]
-        out = eve.intercept(reg.prepare_single(state))
+        out = eve.intercept_sequence([reg.prepare_single(state)])[0]
         reg.measure_single(out, state.basis)
         pairs.append((state.value, eve.observations[-1]))
     assert empirical_mutual_information(pairs) == pytest.approx(0.5, abs=0.05)
@@ -137,16 +137,16 @@ def test_adversaries_see_only_channel_state():
     # Attack constructors receive the shared register, a private stream
     # and the adversary description -- no party-private arguments exist
     # in any handler.
-    for cls in (EveInterceptResend, SwapAttackOriginal):
+    for cls in (EveInterceptResend, SwapAttack):
         params = list(inspect.signature(cls).parameters)
         assert params == ["register", "rng", "spec"]
     handler_params = {
-        "on_send_to_third_party": ["positions", "partner_photons"],
-        "on_check_positions_announced": ["positions"],
-        "on_intercept_dealer_sequence": ["positions", "dealer_photons"],
-        "check_op": ["positions"],
-        "published_op": ["positions"],
+        "forward": ["positions", "photons", "honest"],
+        "swap_correct": ["positions"],
+        "fake_ops": ["positions"],
+        "publish_final": ["positions"],
+        "intercept_dealer": ["positions", "photons"],
     }
     for name, expected in handler_params.items():
-        sig = inspect.signature(getattr(SwapAttackOriginal, name))
+        sig = inspect.signature(getattr(SwapAttack, name))
         assert [p for p in sig.parameters if p != "self"] == expected

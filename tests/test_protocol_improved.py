@@ -7,7 +7,7 @@ from qss_sim.adversaries import AdversarySpec
 from qss_sim.pauli import BellLabel, PauliOp, compose_all, recover_dealer_pauli
 from qss_sim.protocol import (
     ScenarioConfig,
-    Transcript,
+    _Abort,
     decoy_round,
     hop_names,
     run_improved,
@@ -165,13 +165,13 @@ def test_swap_attack_with_two_agents_gains_nothing():
 # component-level checks
 
 
-def test_decoy_round_honest_channel_is_clean():
+def test_decoy_round_honest_channel_is_clean(unit_run):
     reg = Register(seed=60)
     rng = np.random.default_rng(61)
     payload = np.array([reg.prepare_single(s) for s in _four_states(reg, 10)])
-    rep, out = decoy_round(
-        "unit", reg, rng, 16, payload, "hop", None, Transcript(), 0.0
-    )
+    run = unit_run(reg, len(payload), rng_dealer=rng, checking_photon_count=16)
+    out = decoy_round(run, "unit", "hop", payload)
+    rep = run.checks[-1]
     assert rep.samples == 16
     assert rep.mismatches == 0
     assert out.tolist() == payload.tolist()  # order preserved, ids unchanged
@@ -184,17 +184,19 @@ def _four_states(reg, n):
     return [states[i % 4] for i in range(n)]
 
 
-def test_decoy_round_zero_count_passes_vacuously():
+def test_decoy_round_zero_count_passes_vacuously(unit_run):
     reg = Register(seed=62)
     rng = np.random.default_rng(63)
     payload = np.array([reg.prepare_single(s) for s in _four_states(reg, 4)])
-    rep, out = decoy_round("unit", reg, rng, 0, payload, "hop", None, Transcript(), 0.0)
+    run = unit_run(reg, len(payload), rng_dealer=rng, checking_photon_count=0)
+    out = decoy_round(run, "unit", "hop", payload)
+    rep = run.checks[-1]
     assert rep.samples == 0
     assert rep.verdict == "pass"
     assert out.tolist() == payload.tolist()
 
 
-def test_decoy_round_intercept_resend_error_near_one_quarter():
+def test_decoy_round_intercept_resend_error_near_one_quarter(unit_run):
     from qss_sim.adversaries import EveInterceptResend
 
     reg = Register(seed=64)
@@ -202,12 +204,16 @@ def test_decoy_round_intercept_resend_error_near_one_quarter():
     spec = AdversarySpec(kind="eve_intercept_resend", hop="hop", basis_policy="fixed-Z")
     eve = EveInterceptResend(reg, np.random.default_rng(66), spec)
     payload = np.zeros(0, dtype=np.int64)
-    rep, _ = decoy_round("unit", reg, rng, 2000, payload, "hop", eve, Transcript(), 0.0)
+    run = unit_run(reg, len(payload), rng_dealer=rng, eve=eve, checking_photon_count=2000)
+    with pytest.raises(_Abort):
+        decoy_round(run, "unit", "hop", payload)
+    rep = run.checks[-1]
+    assert rep.verdict == "abort"
     assert rep.samples == 2000
     assert rep.error_rate == pytest.approx(0.25, abs=0.03)
 
 
-def test_verify_step6_accepts_published_operations():
+def test_verify_step6_accepts_published_operations(unit_run):
     reg = Register(seed=67)
     dealer, returned, published = [], [], []
     ops = list(PauliOp)
@@ -219,20 +225,15 @@ def test_verify_step6_accepts_published_operations():
         dealer.append(a)
         returned.append(t)
         published.append(int(op))
-    rep = verify_step6(
-        np.arange(20),
-        np.array(published),
-        np.array(dealer),
-        np.array(returned),
-        reg,
-        Transcript(),
-        0.0,
-    )
+    run = unit_run(reg, 20)
+    run.dealer, run.partner = np.array(dealer), np.array(returned)
+    verify_step6(run, np.arange(20), np.array(published))
+    rep = run.checks[-1]
     assert rep.samples == 20
     assert rep.mismatches == 0
 
 
-def test_verify_step6_rejects_false_publication():
+def test_verify_step6_rejects_false_publication(unit_run):
     reg = Register(seed=68)
     dealer, returned, published = [], [], []
     for pos in range(20):
@@ -242,15 +243,12 @@ def test_verify_step6_rejects_false_publication():
         dealer.append(a)
         returned.append(t)
         published.append(int(PauliOp.Z))  # lie
-    rep = verify_step6(
-        np.arange(20),
-        np.array(published),
-        np.array(dealer),
-        np.array(returned),
-        reg,
-        Transcript(),
-        0.0,
-    )
+    run = unit_run(reg, 20)
+    run.dealer, run.partner = np.array(dealer), np.array(returned)
+    with pytest.raises(_Abort):
+        verify_step6(run, np.arange(20), np.array(published))
+    rep = run.checks[-1]
+    assert rep.verdict == "abort"
     assert rep.mismatches == 20
 
 

@@ -8,7 +8,7 @@ from qss_sim.pauli import BellLabel, PauliOp, compose
 from qss_sim.protocol import (
     ConfigError,
     ScenarioConfig,
-    Transcript,
+    _Abort,
     hop_names,
     run_original,
     run_trial,
@@ -177,7 +177,7 @@ def _by_position(remote, local, expected):
     return np.array(remote), np.array(local), np.array([int(op) for op in expected])
 
 
-def test_zx_check_unit_honest_pairs():
+def test_zx_check_unit_honest_pairs(unit_run):
     reg = Register(seed=50)
     rng = np.random.default_rng(51)
     remote, local, expected = [], [], []
@@ -187,15 +187,18 @@ def test_zx_check_unit_honest_pairs():
         remote.append(b)
         expected.append(PauliOp.I)
     remote, local, expected = _by_position(remote, local, expected)
-    rep = zx_check(
-        "unit", np.arange(40), remote, local, expected, reg, rng, Transcript(), 0.0
-    )
+    run = unit_run(reg, 40)
+    run.partner, run.dealer = remote, local
+    zx_check(run, "unit", np.arange(40), expected, rng)
+    rep = run.checks[-1]
+    assert run.transcript.events[-1] == {"kind": "check_report", **rep.to_dict()}
+    assert run.positions.size == 0  # every sampled position is retired
     assert rep.samples == 40
     assert rep.mismatches == 0
     assert rep.verdict == "pass"
 
 
-def test_zx_check_unit_shifted_pairs_with_announced_op():
+def test_zx_check_unit_shifted_pairs_with_announced_op(unit_run):
     reg = Register(seed=52)
     rng = np.random.default_rng(53)
     remote, local, expected = [], [], []
@@ -208,13 +211,14 @@ def test_zx_check_unit_shifted_pairs_with_announced_op():
         remote.append(b)
         expected.append(op)
     remote, local, expected = _by_position(remote, local, expected)
-    rep = zx_check(
-        "unit", np.arange(40), remote, local, expected, reg, rng, Transcript(), 0.0
-    )
+    run = unit_run(reg, 40)
+    run.partner, run.dealer = remote, local
+    zx_check(run, "unit", np.arange(40), expected, rng)
+    rep = run.checks[-1]
     assert rep.mismatches == 0
 
 
-def test_zx_check_unit_wrong_announcement_shows_errors():
+def test_zx_check_unit_wrong_announcement_shows_errors(unit_run):
     reg = Register(seed=54)
     rng = np.random.default_rng(55)
     remote, local, expected = [], [], []
@@ -225,9 +229,11 @@ def test_zx_check_unit_wrong_announcement_shows_errors():
         remote.append(b)
         expected.append(PauliOp.I)
     remote, local, expected = _by_position(remote, local, expected)
-    rep = zx_check(
-        "unit", np.arange(60), remote, local, expected, reg, rng, Transcript(), 0.0
-    )
+    run = unit_run(reg, 60)
+    run.partner, run.dealer = remote, local
+    with pytest.raises(_Abort):
+        zx_check(run, "unit", np.arange(60), expected, rng)
+    rep = run.checks[-1]
     # An iY shift against an announced identity fails in every basis.
     assert rep.mismatches == 60
     assert rep.verdict == "abort"

@@ -238,10 +238,46 @@ def test_vector_calls_reject_unknown_codes():
         reg.apply_gates([a, a], np.array([1.0, 0.0]))
     with pytest.raises(RegisterError):
         reg.prepare_singles(np.array([True, False]))
+    # Photon ids are integers too, and a basis is a bool or a Basis code;
+    # a rejected call writes nothing and draws nothing.
+    def snapshot():
+        return (
+            reg._amps.copy(),
+            reg._members.copy(),
+            reg._seat.copy(),
+            reg._next_row,
+            reg._next_photon,
+            reg.live_photons,
+            reg.rng.bit_generator.state,
+        )
+
+    def assert_rejected(call, *args):
+        kept = snapshot()
+        with pytest.raises(RegisterError):
+            call(*args)
+        for now, then in zip(snapshot(), kept):
+            np.testing.assert_equal(now, then)
+
+    for photons, in_x in (
+        ([0.9], [False]),
+        ([True], [False]),
+        (np.array([float(a)]), [False]),
+        ([a], [2]),
+        ([a], [-1]),
+        ([a], [0.5]),
+        ([True], [2]),
+    ):
+        assert_rejected(reg.measure_singles, photons, in_x)
+    for photons in ([0.9], [True], np.array([float(a)])):
+        assert_rejected(reg.apply_gates, photons, [SingleGate.H])
+        assert_rejected(reg.measure_bells, photons, [b])
+        assert_rejected(reg.measure_bells, [b], photons)
     assert reg.live_photons == {a, b}
     # A rejected call takes no row and no photon id.
     assert (reg._next_row, reg._next_photon) == (1, 2)
     np.testing.assert_array_equal(reg.amplitudes_of(a)[1], before)
+    # An empty call is still valid.
+    assert reg.measure_singles([], []).size == 0
 
 
 def test_vector_calls_need_one_entry_per_photon():
