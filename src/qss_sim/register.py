@@ -43,8 +43,16 @@ sum/difference butterfly over pairs of product rows, adds their squares
 slice by slice into one (4, n) array of probabilities and frees each
 spent array once the drawn residuals are read.  An X measurement applies
 its Hadamard to the amplitudes its collapse gathered, and preparation
-writes its fresh, contiguous rows and photons as slices.  A large call
-therefore allocates only a small multiple of the amplitudes it reads.
+writes its fresh, contiguous rows and photons as slices.  The kernels run
+at most ``_BLOCK`` items at once: a larger round of a call (see below)
+runs in blocks, in list order, and a smaller one as one block.  The items
+of a round touch distinct rows and every kernel is elementwise per item,
+so the blocks give the bits of the whole round.  A call's working memory
+is then one block's temporaries, which stay in cache, plus its own arrays
+of ids, seats, uniforms and outcomes, a few words per item.  Each kernel
+checks the norms of the blocks it made before it writes them back, so a
+call of one round and one block that fails the check leaves the tables
+as they were; only the uniforms it drew are spent.
 
 The vector methods (``prepare_bells``, ``prepare_singles``,
 ``apply_gates``, ``measure_singles``, ``measure_bells``) act on a whole
@@ -82,11 +90,22 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 NORM_TOL = 1e-12
 
 # The largest number of pairs or checking photons a config may ask for.
-# numpy refuses an array over np.intp's largest byte count; a trial makes
-# a few rows per pair or checking photon, and a call's largest working
-# array, the Bell product, holds 16 float64 per item, so 1024 bytes per
-# photon stays under that limit.
+# numpy refuses an array over np.intp's largest byte count.  A trial makes
+# a few rows per pair or checking photon, at 32 bytes of amplitudes and
+# two 8-byte seats per row, and a call's own arrays (its ids, seats,
+# uniforms and outcomes) hold a few int64 or float64 per item; a kernel's
+# working arrays never hold more than _BLOCK items.  So 1024 bytes per
+# photon keeps every array under that limit.
 MAX_PHOTONS = np.iinfo(np.intp).max // 1024
+
+# The most items a kernel runs at once.  A larger round runs in blocks of
+# this many items, in list order.  The items of a round touch distinct
+# rows, every kernel is elementwise per item and a call draws its
+# uniforms before its first round, so the blocks give the bits the whole
+# round would.  Their working arrays stay in cache, and a call's working
+# memory stops growing with its size; smaller blocks pay numpy's per-call
+# overhead more often (see CHANGES.md for the sweep).
+_BLOCK = 2048
 
 
 class RegisterError(Exception):
@@ -310,6 +329,17 @@ def _rotate_x_to_z(a: np.ndarray, xs: np.ndarray) -> None:
     a[:, :, xs] = h
 
 
+def _blocks(items, count: int):
+    """The `count` items of a round (an index array, or a slice for all
+    items of a call) in blocks of at most _BLOCK items, in list order."""
+    if count <= _BLOCK:
+        return (items,)
+    starts = range(0, count, _BLOCK)
+    if isinstance(items, slice):
+        return (slice(start, start + _BLOCK) for start in starts)
+    return (items[start : start + _BLOCK] for start in starts)
+
+
 def _integers(values: Sequence[int], what: str) -> np.ndarray:
     """The values as an int64 array; raises unless their dtype is an
     integer type, so a float is not truncated and a bool not taken as 0
@@ -422,24 +452,27 @@ class Register:
         return slice(start, self._next_photon)
 
     def _rounds(self, first: np.ndarray, second: np.ndarray):
-        """Yield the items of a call (index arrays, or a slice for all of
-        them) in rounds that touch distinct rows, each item after every
-        earlier item that shares a row with it.  Rows are looked up again
-        for each round, after the caller has processed the one before."""
-        if len(first) == 1:
+        """Yield the items of a call (index arrays, or slices) in rounds
+        that touch distinct rows, each item after every earlier item that
+        shares a row with it, and each round in blocks of at most _BLOCK
+        items, in list order.  Rows are looked up again for each round,
+        after the caller has processed the one before."""
+        n = len(first)
+        if n == 1:
             yield slice(None)
             return
-        items = np.arange(len(first))
+        items = np.arange(n)
         while len(items):
             rows = self._seat[first[items]] >> 1
             other = rows if first is second else self._seat[second[items]] >> 1
             now = _first_touch(rows, other, self._stamp)
             # Free them while the caller runs the round.
             del rows, other
-            if len(items) == len(first) and now.all():
-                yield slice(None)
+            if len(items) == n and now.all():
+                yield from _blocks(slice(None), n)
                 return
-            yield items[now]
+            round_ = items[now]
+            yield from _blocks(round_, len(round_))
             items = items[~now]
 
     def _gather(self, seats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -530,8 +563,8 @@ class Register:
         slots, a = self._gather(self._seat[ids])
         # take, not _GATE_COEFFS[:, :, codes]: see _gather.
         blocks = _gate_blocks(_GATE_COEFFS.take(codes, axis=2), a)
-        self._amps.reshape(-1)[slots] = blocks
         _check_norm(blocks, a)
+        self._amps.reshape(-1)[slots] = blocks
 
     # -- measurements (destructive) ---------------------------------------
 
@@ -578,9 +611,9 @@ class Register:
         bits = one.astype(np.int64)
         a *= np.arange(2)[:, None, None] == bits
         a *= np.divide(1.0, np.sqrt(p0, p0), p0)
+        _check_norm(a)
         self._amps.reshape(-1)[slots] = a
         self._members[seats] = 0
-        _check_norm(a)
         return bits
 
     def measure_bells(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
@@ -638,6 +671,7 @@ class Register:
         blocks = product[drawn, :, idx]
         del product
         blocks *= np.divide(1.0, np.sqrt(scale, scale), scale)[:, None]
+        _check_norm(blocks.T)
         rows_a = seats_a >> 1
         self._amps[rows_a] = blocks.reshape(n, 2, 2)
 
@@ -653,5 +687,4 @@ class Register:
         self._members[moved_to] = survivors
         moved = survivors > 0
         self._seat[survivors[moved] - 1] = moved_to[moved]
-        _check_norm(blocks.T)
         return picks

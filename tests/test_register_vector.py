@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qss_sim import register
 from qss_sim.adversaries import PAULI_ORDER, _random_paulis, random_pauli
 from qss_sim.pauli import (
     BELL_CODES,
@@ -332,6 +333,8 @@ def _kernel_mix(n: int, seed: int) -> tuple[str, str]:
 
 # n -> sha256 of the outcomes and of the amplitude table of _kernel_mix,
 # recorded from the item-major kernels the component-major ones replaced.
+# Every call of the mix lists at least n items, so at n = 3001 each one
+# runs in at least two blocks while _BLOCK is at most 3000.
 _KERNEL_DIGESTS = {
     1: (
         "9508b59c63cbec25fc803791f964353ee8f1367d14c428f726bb7ca363a6d9f8",
@@ -353,6 +356,15 @@ def test_register_kernels_are_bit_identical(n):
     assert _kernel_mix(n, seed=900 + n) == _KERNEL_DIGESTS[n]
 
 
+def test_blocks_give_the_bits_of_whole_rounds(monkeypatch):
+    # The same op list with whole rounds and with blocks of 3 items, so
+    # both slices of a call and index rounds break at block edges.
+    assert max(_KERNEL_DIGESTS) > register._BLOCK
+    whole = _kernel_mix(50, seed=950)
+    monkeypatch.setattr(register, "_BLOCK", 3)
+    assert _kernel_mix(50, seed=950) == whole
+
+
 def _peak_bytes_per_item(call, n: int) -> float:
     """Peak bytes that `call` holds at once in new allocations, per item."""
     tracemalloc.start()
@@ -363,27 +375,33 @@ def _peak_bytes_per_item(call, n: int) -> float:
         tracemalloc.stop()
 
 
-# Peak bytes per item that a large call allocates, each a few percent
-# above its value with numpy 2.4.6 (138, 163 and 243).  The kernels
-# compute in place and reuse their buffers, so a large call allocates a
-# small multiple of the 32 bytes of amplitudes per item it reads; one
-# stray (4, 4, n) temporary costs 128 bytes per item.
-_BYTES_PER_ITEM = {"apply_gates": 145, "measure_singles": 170, "measure_bells": 255}
+# Peak bytes per item that a call of n items allocates, each a few
+# percent above its value with numpy 2.4.6: (95, 87, 148) at 4608 items
+# and (33, 49, 58) at 32768.  The kernels compute in place, reuse their
+# buffers and run at most _BLOCK items at once, so a large call allocates
+# its own arrays of ids, seats, uniforms and outcomes, a few words per
+# item, plus one block's temporaries; one stray (4, 4, n) temporary costs
+# 128 bytes per item.
+_BYTES_PER_ITEM = {
+    "apply_gates": {4608: 100, 32768: 35},
+    "measure_singles": {4608: 91, 32768: 52},
+    "measure_bells": {4608: 155, 32768: 61},
+}
 
 
 @pytest.mark.parametrize("method", sorted(_BYTES_PER_ITEM))
 def test_large_calls_allocate_a_small_multiple_of_their_amplitudes(method):
-    n = 4608
-    reg, pick = Register(seed=31), np.random.default_rng(32)
-    a, b = reg.prepare_bells(n, BellLabel.PSI_MINUS)
-    c, _ = reg.prepare_bells(n, BellLabel.PHI_PLUS)
-    gates, in_x = pick.integers(len(SingleGate), size=n), pick.random(n) < 0.5
-    call = {
-        "apply_gates": lambda: reg.apply_gates(a, gates),
-        "measure_singles": lambda: reg.measure_singles(a, in_x),
-        "measure_bells": lambda: reg.measure_bells(b, c),
-    }[method]
-    assert _peak_bytes_per_item(call, n) <= _BYTES_PER_ITEM[method]
+    for n, bound in _BYTES_PER_ITEM[method].items():
+        reg, pick = Register(seed=31), np.random.default_rng(32)
+        a, b = reg.prepare_bells(n, BellLabel.PSI_MINUS)
+        c, _ = reg.prepare_bells(n, BellLabel.PHI_PLUS)
+        gates, in_x = pick.integers(len(SingleGate), size=n), pick.random(n) < 0.5
+        call = {
+            "apply_gates": lambda: reg.apply_gates(a, gates),
+            "measure_singles": lambda: reg.measure_singles(a, in_x),
+            "measure_bells": lambda: reg.measure_bells(b, c),
+        }[method]
+        assert _peak_bytes_per_item(call, n) <= bound, n
 
 
 def test_growing_a_large_register_allocates_only_its_new_tables():
@@ -426,21 +444,38 @@ def test_liveness_at_the_ends_of_the_tables():
     assert grown.live_photons == frozenset(range(1, 40))
 
 
+def _tables(reg: Register) -> tuple:
+    return (
+        reg._amps.tobytes(),
+        reg._members.tobytes(),
+        reg._seat.tobytes(),
+        reg._next_row,
+        reg._next_photon,
+        reg.live_photons,
+    )
+
+
 @pytest.mark.parametrize("poison", [np.nan, np.inf])
 def test_a_poisoned_row_fails_the_norm_check(poison):
+    # Photon a's row is poisoned; c (another row) and the pair (e, f) are
+    # sound and sit in the same call, which is one round of one block.
     calls = (
-        lambda reg, a, c: reg.apply_gates([a], [SingleGate.X]),
-        lambda reg, a, c: reg.measure_singles([a], [False]),
-        lambda reg, a, c: reg.measure_bells([a], [c]),
+        lambda reg, a, c, e, f: reg.apply_gates([a, c], [SingleGate.X, SingleGate.X]),
+        lambda reg, a, c, e, f: reg.measure_singles([a, c], [False, False]),
+        lambda reg, a, c, e, f: reg.measure_bells([a, e], [c, f]),
     )
     for call in calls:
         reg = Register(seed=8)
-        (a, c), _ = reg.prepare_bells(2, BellLabel.PSI_MINUS)
+        (a, c, e), (_, _, f) = reg.prepare_bells(3, BellLabel.PSI_MINUS)
         reg._amps[0, 0, 1] = poison
+        before = _tables(reg)
         # inf times a zero coefficient is NaN, which numpy warns of; the
         # norm check must raise all the same.
         with np.errstate(invalid="ignore"), pytest.raises(RegisterError, match="norm"):
-            call(reg, a, c)
+            call(reg, a, c, e, f)
+        # The check runs before any write, so only the uniforms a
+        # measuring call drew are spent.
+        assert _tables(reg) == before
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
