@@ -35,7 +35,8 @@ def main():
         trials=200,
         seed_base=0,
     )
-    stats, reports = run_batch(spec)
+    reports = []
+    stats = run_batch(spec, reports.append)
     print(f"{spec.trials} attacked runs, 3 agents, 8 dealer-verified samples:")
     for check_id, cs in sorted(stats.check_stats.items()):
         print(

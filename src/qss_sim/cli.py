@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``qss-sim run [--config scenario.ini] [flags]`` -- execute a trial batch.
+* ``qss-sim run [--config scenario.ini] [flags]`` -- execute a trial
+  batch, writing each trial's JSON line as the trial finishes.
 * ``qss-sim validate [--config scenario.ini] [flags]`` -- feasibility
   check only.
 * ``qss-sim oracle [--table bell-pauli|swap|decoy]`` -- print the
@@ -17,20 +18,35 @@ fields' ``choices`` metadata; ``_ALIASES`` holds the public names that
 differ from the field names.  Flags override file values.  Unknown
 sections and keys are rejected.  Exit codes: 0 success, 1 configuration
 error or not enough memory, 2 I/O error.
+
+``run --out`` writes to ``<out>.partial`` and moves it onto ``<out>``
+once the batch has finished; a failed run removes it and leaves an
+existing ``<out>`` as it was.  Without ``--out`` the lines go to stdout,
+so a failure mid-batch leaves the lines already written.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
+import itertools
+import os
 import sys
 import typing
-from typing import Any, Callable, NamedTuple
+from typing import IO, Any, Callable, NamedTuple
 
 from . import __version__
 from .adversaries import VALID_POLICIES, AdversarySpec
-from .harness import BatchSpec, emit_report, run_batch, validate_batch
+from .harness import (
+    BatchSpec,
+    run_batch,
+    summary_line,
+    table_report,
+    trial_line,
+    validate_batch,
+)
 from .oracles import (
     bell_pauli_table,
     decoy_error_rate,
@@ -189,19 +205,38 @@ def _spec_from_args(args: argparse.Namespace) -> BatchSpec:
     return BatchSpec(scenario=scenario, **values["batch"])
 
 
+def _write_batch(spec: BatchSpec, out: IO[str]) -> None:
+    """Run the batch, writing each trial's line as the trial finishes."""
+    if spec.output_format == "table":
+        out.write(table_report(spec, run_batch(spec, lambda report: None)))
+        return
+    trials = itertools.count()
+    stats = run_batch(spec, lambda report: out.write(trial_line(spec, next(trials), report)))
+    out.write(summary_line(spec, stats))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    stats, reports = run_batch(spec)
-    text = emit_report(spec, stats, reports)
-    if spec.out_path:
-        try:
-            with open(spec.out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {spec.out_path!r}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(text)
+    validate_batch(spec)
+    if not spec.out_path:
+        _write_batch(spec, sys.stdout)
+        return EXIT_OK
+    # Write beside --out and replace it only once the batch has finished,
+    # so a failed run leaves an existing file as it was.
+    partial = spec.out_path + ".partial"
+    try:
+        fh = open(partial, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {spec.out_path!r}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
+        with fh:
+            _write_batch(spec, fh)
+        os.replace(partial, spec.out_path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
     return EXIT_OK
 
 

@@ -2,8 +2,11 @@
 
 Trials run one after another: trial t runs with master seed
 ``seed_base + t`` and owns its register, transcript and random streams
-exclusively.  Aggregation is a deterministic fold in trial order, and
-the structured JSON-lines output contains nothing time-dependent, so
+exclusively.  ``run_batch`` hands each report to a sink as its trial
+finishes, folds it into the aggregate and drops it, so a batch holds
+one report at a time and its memory does not grow with the number of
+trials.  Aggregation is a deterministic fold in trial order, and the
+structured JSON-lines output contains nothing time-dependent, so
 identical batch specs yield byte-identical output.
 """
 
@@ -15,10 +18,17 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from . import __version__
-from .protocol import ConfigError, RunReport, ScenarioConfig, run_trial, validate_config
+from .protocol import (
+    ConfigError,
+    RunReport,
+    ScenarioConfig,
+    require_integer,
+    run_trial,
+    validate_config,
+)
 
 _Z95 = 1.959963984540054
 
@@ -90,12 +100,18 @@ class AggregateStats:
 
 def empirical_mutual_information(pairs: list[tuple[Any, Any]]) -> float:
     """Plug-in estimate of I(X;Y) in bits from observed (x, y) pairs."""
-    if not pairs:
-        return 0.0
-    n = len(pairs)
-    joint = Counter(pairs)
-    px = Counter(x for x, _ in pairs)
-    py = Counter(y for _, y in pairs)
+    return mutual_information(Counter(pairs)) if pairs else 0.0
+
+
+def mutual_information(joint: Counter) -> float:
+    """Plug-in estimate of I(X;Y) in bits from the count of each observed
+    (x, y) pair, summed in the order of `joint`'s keys."""
+    n = sum(joint.values())
+    px: Counter = Counter()
+    py: Counter = Counter()
+    for (x, y), c in joint.items():
+        px[x] += c
+        py[y] += c
     info = 0.0
     for (x, y), c in joint.items():
         p = c / n
@@ -104,6 +120,8 @@ def empirical_mutual_information(pairs: list[tuple[Any, Any]]) -> float:
 
 
 def validate_batch(spec: BatchSpec) -> None:
+    for name in ("trials", "seed_base"):
+        require_integer(name, getattr(spec, name))
     if spec.trials < 1:
         raise ConfigError("trials must be at least 1")
     if spec.seed_base < 0:
@@ -113,62 +131,80 @@ def validate_batch(spec: BatchSpec) -> None:
     validate_config(spec.scenario)
 
 
-def run_batch(spec: BatchSpec) -> tuple[AggregateStats, list[RunReport]]:
-    """Run all trials and fold their reports into aggregate statistics."""
-    validate_batch(spec)
-    start = time.perf_counter()
-    reports = [
-        run_trial(dataclasses.replace(spec.scenario, master_seed=spec.seed_base + t))
-        for t in range(spec.trials)
-    ]
-    stats = aggregate(reports)
-    stats.wall_clock_seconds = time.perf_counter() - start
-    return stats, reports
+class _Fold:
+    """Running totals of a batch; each report is added in trial order."""
 
+    def __init__(self) -> None:
+        self.trials = 0
+        self.detected = 0
+        self.check_stats: dict[str, CheckStats] = {}
+        self.recovery_hits: Counter = Counter()
+        self.recovery_seen: Counter = Counter()
+        self.eav_seen = 0
+        self.eav_exact = 0
+        # (dealer symbol, Eve symbol) -> count, keys in first-seen order.
+        self.joint: Counter = Counter()
 
-def aggregate(reports: list[RunReport]) -> AggregateStats:
-    check_stats: dict[str, CheckStats] = {}
-    detected = 0
-    recovery_hits: Counter = Counter()
-    recovery_seen: Counter = Counter()
-    eav_seen = 0
-    eav_exact = 0
-    symbol_pairs: list[tuple[int, int]] = []
-    for report in reports:
+    def add(self, report: RunReport) -> None:
+        self.trials += 1
         if report.detected:
-            detected += 1
+            self.detected += 1
         for check in report.checks:
-            cs = check_stats.setdefault(check.check_id, CheckStats())
+            cs = self.check_stats.setdefault(check.check_id, CheckStats())
             cs.total_samples += check.samples
             cs.total_mismatches += check.mismatches
             cs.trials_seen += 1
         for party, bits in report.recovered.items():
-            recovery_seen[party] += 1
+            self.recovery_seen[party] += 1
             if bits is not None and bits == report.dealer_message:
-                recovery_hits[party] += 1
+                self.recovery_hits[party] += 1
         if report.eavesdropper_message is not None:
-            eav_seen += 1
+            self.eav_seen += 1
             if report.eavesdropper_message == report.dealer_message:
-                eav_exact += 1
+                self.eav_exact += 1
             dealer, eav = report.dealer_message, report.eavesdropper_message
             for i in range(0, min(len(dealer), len(eav)) - 1, 2):
-                symbol_pairs.append(
-                    (2 * dealer[i] + dealer[i + 1], 2 * eav[i] + eav[i + 1])
-                )
-    n = len(reports)
-    return AggregateStats(
-        trials=n,
-        detection_frequency=detected / n if n else 0.0,
-        check_stats=check_stats,
-        recovery_frequency={
-            party: recovery_hits[party] / seen
-            for party, seen in sorted(recovery_seen.items())
-        },
-        eavesdropper_exact_frequency=(eav_exact / eav_seen) if eav_seen else None,
-        mutual_information_bits=(
-            empirical_mutual_information(symbol_pairs) if symbol_pairs else None
-        ),
-    )
+                self.joint[(2 * dealer[i] + dealer[i + 1], 2 * eav[i] + eav[i + 1])] += 1
+
+    def stats(self) -> AggregateStats:
+        n = self.trials
+        return AggregateStats(
+            trials=n,
+            detection_frequency=self.detected / n if n else 0.0,
+            check_stats=self.check_stats,
+            recovery_frequency={
+                party: self.recovery_hits[party] / seen
+                for party, seen in sorted(self.recovery_seen.items())
+            },
+            eavesdropper_exact_frequency=(
+                self.eav_exact / self.eav_seen if self.eav_seen else None
+            ),
+            mutual_information_bits=mutual_information(self.joint) if self.joint else None,
+        )
+
+
+def run_batch(spec: BatchSpec, sink: Callable[[RunReport], Any]) -> AggregateStats:
+    """Run the trials in order, hand each report to `sink`, fold it into
+    the aggregate statistics and drop it."""
+    validate_batch(spec)
+    start = time.perf_counter()
+    fold = _Fold()
+    for t in range(spec.trials):
+        report = run_trial(dataclasses.replace(spec.scenario, master_seed=spec.seed_base + t))
+        sink(report)
+        fold.add(report)
+        del report  # the next trial runs without this one alive
+    stats = fold.stats()
+    stats.wall_clock_seconds = time.perf_counter() - start
+    return stats
+
+
+def aggregate(reports: Iterable[RunReport]) -> AggregateStats:
+    """The statistics `run_batch` returns, folded from given reports."""
+    fold = _Fold()
+    for report in reports:
+        fold.add(report)
+    return fold.stats()
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +215,23 @@ def _json(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=False)
 
 
-def jsonl_report(spec: BatchSpec, stats: AggregateStats, reports: list[RunReport]) -> str:
-    """UTF-8 JSON lines: one object per trial plus one summary object.
-    Deterministic byte-for-byte for a given BatchSpec."""
-    lines = []
-    for t, report in enumerate(reports):
-        line = {
-            "record": "trial",
-            "trial": t,
-            "seed": spec.seed_base + t,
-        }
-        line.update(report.to_dict())
-        line["recovery_exact"] = {
-            party: (bits is not None and bits == report.dealer_message)
-            for party, bits in report.recovered.items()
-        }
-        lines.append(_json(line))
+def trial_line(spec: BatchSpec, t: int, report: RunReport) -> str:
+    """The JSON line of trial `t`, newline included."""
+    line = {
+        "record": "trial",
+        "trial": t,
+        "seed": spec.seed_base + t,
+    }
+    line.update(report.to_dict())
+    line["recovery_exact"] = {
+        party: (bits is not None and bits == report.dealer_message)
+        for party, bits in report.recovered.items()
+    }
+    return _json(line) + "\n"
+
+
+def summary_line(spec: BatchSpec, stats: AggregateStats) -> str:
+    """The batch's closing JSON line, newline included."""
     summary = {
         "record": "summary",
         "version": __version__,
@@ -204,8 +241,15 @@ def jsonl_report(spec: BatchSpec, stats: AggregateStats, reports: list[RunReport
         "ci_method": "normal approximation with continuity correction, 95%",
     }
     summary.update(stats.to_dict())
-    lines.append(_json(summary))
-    return "\n".join(lines) + "\n"
+    return _json(summary) + "\n"
+
+
+def jsonl_report(spec: BatchSpec, stats: AggregateStats, reports: list[RunReport]) -> str:
+    """UTF-8 JSON lines: one object per trial plus one summary object.
+    Deterministic byte-for-byte for a given BatchSpec; ``qss-sim run``
+    writes the same lines as its trials finish."""
+    lines = [trial_line(spec, t, report) for t, report in enumerate(reports)]
+    return "".join(lines) + summary_line(spec, stats)
 
 
 def table_report(spec: BatchSpec, stats: AggregateStats) -> str:
@@ -239,11 +283,3 @@ def table_report(spec: BatchSpec, stats: AggregateStats) -> str:
         )
     out.append(f"wall clock              {stats.wall_clock_seconds:.2f} s")
     return "\n".join(out) + "\n"
-
-
-def emit_report(
-    spec: BatchSpec, stats: AggregateStats, reports: list[RunReport]
-) -> str:
-    if spec.output_format == "table":
-        return table_report(spec, stats)
-    return jsonl_report(spec, stats, reports)

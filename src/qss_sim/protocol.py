@@ -32,8 +32,8 @@ order, so identical configs replay byte-identical transcripts.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -67,7 +67,10 @@ class ScenarioConfig:
     adversary: AdversarySpec = field(default_factory=AdversarySpec)
 
     def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        # `dataclasses.asdict`, in field order, without its recursive deep
+        # copy: every field but `adversary` is a scalar, and so is each of
+        # its fields.  Every trial line carries this dict.
+        return {**vars(self), "adversary": dict(vars(self.adversary))}
 
 
 @dataclass
@@ -213,10 +216,24 @@ def _sample_size(pool: int, fraction: float) -> int:
     return min(pool, max(1, math.ceil(fraction * pool)))
 
 
+def require_integer(name: str, value: Any) -> None:
+    """Raise ConfigError unless `value` is an integer; a bool is not one."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def validate_config(config: ScenarioConfig) -> None:
     """Raise ConfigError if the scenario cannot run to completion."""
     if config.protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {config.protocol!r}")
+    for name in ("n_pairs", "master_seed", "agent_count", "checking_photon_count"):
+        require_integer(name, getattr(config, name))
+    if config.step6_sample_count is not None:
+        require_integer("step6_sample_count", config.step6_sample_count)
     if config.master_seed < 0:
         raise ConfigError("master_seed must be non-negative")
     if config.n_pairs < 2:

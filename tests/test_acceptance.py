@@ -51,7 +51,8 @@ def test_acceptance_1_honest_original():
         trials=100,
         seed_base=1000,
     )
-    stats, reports = run_batch(spec)
+    reports = []
+    stats = run_batch(spec, reports.append)
     elapsed = time.perf_counter() - start
     exact = all(r.recovered["charlie"] == r.dealer_message for r in reports)
     ok = stats.detection_frequency == 0.0 and exact and elapsed < 5.0
@@ -73,7 +74,7 @@ def test_acceptance_2_swap_attack_success():
         trials=100,
         seed_base=2000,
     )
-    stats, _ = run_batch(spec)
+    stats = run_batch(spec, lambda report: None)
     ok = (
         stats.detection_frequency == 0.0
         and stats.eavesdropper_exact_frequency == 1.0
@@ -126,7 +127,8 @@ def test_acceptance_4_honest_improved_all_chain_lengths():
             trials=25,
             seed_base=4000 + agents,
         )
-        stats, reports = run_batch(spec)
+        reports = []
+        stats = run_batch(spec, reports.append)
         detections += round(stats.detection_frequency * stats.trials)
         for r in reports:
             exact &= r.recovered["zach"] == r.dealer_message
@@ -161,7 +163,7 @@ def test_acceptance_5_improved_defeats_swap_attack():
         trials=trials,
         seed_base=5000,
     )
-    stats, _ = run_batch(spec)
+    stats = run_batch(spec, lambda report: None)
     cs = stats.check_stats["step6_check"]
     empirical_pass = 1.0 - cs.mean_error_rate
     expected_detection = 1.0 - p_pass**8
@@ -319,9 +321,12 @@ def test_acceptance_8_engine_and_harness_invariants():
         adversary=AdversarySpec(kind="bob_swap_attack"),
     )
     spec = BatchSpec(scenario=scenario, trials=20, seed_base=8000)
-    out1 = jsonl_report(spec, *run_batch(spec))
-    out2 = jsonl_report(spec, *run_batch(spec))
-    repeat_ok = out1 == out2
+    outs = []
+    for _ in range(2):
+        reports = []
+        stats = run_batch(spec, reports.append)
+        outs.append(jsonl_report(spec, stats, reports))
+    repeat_ok = outs[0] == outs[1]
     ok = norm_ok and repeat_ok
     _verdict(
         "engine and harness invariants",

@@ -45,11 +45,13 @@ class _Captured(Exception):
 
 
 @pytest.fixture
-def captured(monkeypatch):
-    """Stop `run` at its batch call and keep the BatchSpec it built."""
+def captured(monkeypatch, tmp_path):
+    """Stop `run` at its batch call and keep the BatchSpec it built.
+    The relative `--out` paths land in the test's own directory."""
+    monkeypatch.chdir(tmp_path)
     specs = []
 
-    def fake_run_batch(spec):
+    def fake_run_batch(spec, sink):
         specs.append(spec)
         raise _Captured
 

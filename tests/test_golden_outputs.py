@@ -8,12 +8,14 @@ pipeline must leave every digest unchanged; a change that alters the
 order of random draws changes them and has to say so.
 """
 
+import dataclasses
 import enum
 import hashlib
 import json
 
 import pytest
 
+from qss_sim import cli
 from qss_sim.adversaries import AdversarySpec
 from qss_sim.harness import BatchSpec, jsonl_report, run_batch
 from qss_sim.pauli import PauliOp
@@ -178,7 +180,8 @@ def _sha256(text: str) -> str:
 
 def golden_jsonl(scenario: ScenarioConfig) -> str:
     spec = BatchSpec(scenario=scenario, trials=8, seed_base=500)
-    stats, reports = run_batch(spec)
+    reports = []
+    stats = run_batch(spec, reports.append)
     return jsonl_report(spec, stats, reports)
 
 
@@ -186,6 +189,35 @@ def golden_jsonl(scenario: ScenarioConfig) -> str:
 def test_golden_jsonl_digest(name):
     scenario, digest = GOLDEN[name]
     assert _sha256(golden_jsonl(scenario)) == digest
+
+
+def _flags(scenario: ScenarioConfig) -> list[str]:
+    """The `run` flags that set every field of `scenario`."""
+    values = {
+        "scenario": dataclasses.asdict(scenario),
+        "adversary": dataclasses.asdict(scenario.adversary),
+    }
+    flags = []
+    for section, fields in values.items():
+        for option in cli._INI_KEYS[section].values():
+            value = fields[option.field]
+            if option.cast is cli._boolean:
+                flags += [option.flag] if value != option.default else []
+            elif value is not None:
+                flags += [option.flag, str(value)]
+    return flags
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_cli_digest(name, to_file, tmp_path, capsys):
+    # `qss-sim run` streams the same bytes that `jsonl_report` builds.
+    scenario, digest = GOLDEN[name]
+    argv = ["run", *_flags(scenario), "--trials", "8", "--seed-base", "500"]
+    out = tmp_path / "batch.jsonl"
+    assert cli.main(argv + (["--out", str(out)] if to_file else [])) == cli.EXIT_OK
+    text = out.read_text(encoding="utf-8") if to_file else capsys.readouterr().out
+    assert _sha256(text) == digest
 
 
 def _by_name(obj):
@@ -205,7 +237,9 @@ def trials_json(reports, private: bool) -> str:
 
 
 def golden_reports(scenario: ScenarioConfig):
-    return run_batch(BatchSpec(scenario=scenario, trials=8, seed_base=500))[1]
+    reports = []
+    run_batch(BatchSpec(scenario=scenario, trials=8, seed_base=500), reports.append)
+    return reports
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRIALS))
@@ -221,7 +255,8 @@ def test_golden_transcript_and_extra_digest(name):
 def test_large_golden_digests():
     scenario, trials, jsonl_digest, public, private = LARGE
     spec = BatchSpec(scenario=scenario, trials=trials, seed_base=500)
-    stats, reports = run_batch(spec)
+    reports = []
+    stats = run_batch(spec, reports.append)
     assert _sha256(jsonl_report(spec, stats, reports)) == jsonl_digest
     assert _sha256(trials_json(reports, private=False)) == public
     assert _sha256(trials_json(reports, private=True)) == private

@@ -3,17 +3,24 @@
 import gc
 import json
 import math
+import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qss_sim import cli
+from qss_sim import cli, harness
 from qss_sim.adversaries import AdversarySpec
 from qss_sim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from qss_sim.harness import (
     BatchSpec,
     CheckStats,
+    aggregate,
     empirical_mutual_information,
     jsonl_report,
+    mutual_information,
     run_batch,
     table_report,
     validate_batch,
@@ -29,8 +36,14 @@ def _spec(**kw):
     return BatchSpec(**defaults)
 
 
+def _batch(spec):
+    reports = []
+    stats = run_batch(spec, reports.append)
+    return stats, reports
+
+
 def test_run_batch_honest_aggregate():
-    stats, reports = run_batch(_spec())
+    stats, reports = _batch(_spec())
     assert stats.trials == 5
     assert len(reports) == 5
     assert stats.detection_frequency == 0.0
@@ -43,7 +56,7 @@ def test_run_batch_honest_aggregate():
 
 
 def test_trials_use_distinct_seeds():
-    _, reports = run_batch(_spec())
+    _, reports = _batch(_spec())
     seeds = {r.config.master_seed for r in reports}
     assert seeds == {100, 101, 102, 103, 104}
     messages = {tuple(r.dealer_message) for r in reports}
@@ -52,15 +65,15 @@ def test_trials_use_distinct_seeds():
 
 def test_jsonl_output_is_byte_identical_across_runs():
     spec = _spec()
-    out1 = jsonl_report(spec, *run_batch(spec))
-    out2 = jsonl_report(spec, *run_batch(spec))
+    out1 = jsonl_report(spec, *_batch(spec))
+    out2 = jsonl_report(spec, *_batch(spec))
     assert out1 == out2
 
 
 def test_batch_reports_retain_no_register():
     # A report keeps its transcript and analysis data, never the engine
-    # state of its trial: run_batch holds every report until the batch
-    # is written out.
+    # state of its trial: run_batch drops each report once the sink has
+    # it, but a sink such as list.append may keep them all.
     scenario = ScenarioConfig(
         protocol="improved",
         n_pairs=16,
@@ -74,14 +87,14 @@ def test_batch_reports_retain_no_register():
         return {id(o) for o in gc.get_objects() if isinstance(o, Register)}
 
     before = registers()
-    stats, reports = run_batch(BatchSpec(scenario=scenario, trials=50, seed_base=7))
+    stats, reports = _batch(BatchSpec(scenario=scenario, trials=50, seed_base=7))
     assert stats.trials == len(reports) == 50
     assert registers() - before == set()
 
 
 def test_jsonl_structure():
     spec = _spec(trials=3)
-    stats, reports = run_batch(spec)
+    stats, reports = _batch(spec)
     lines = jsonl_report(spec, stats, reports).splitlines()
     assert len(lines) == 4
     trial0 = json.loads(lines[0])
@@ -99,7 +112,7 @@ def test_jsonl_structure():
 
 def test_table_report_contents():
     spec = _spec(trials=2, output_format="table")
-    stats, _ = run_batch(spec)
+    stats = run_batch(spec, lambda report: None)
     text = table_report(spec, stats)
     assert "zx_check_1" in text
     assert "detection frequency     0.0000" in text
@@ -122,6 +135,59 @@ def test_empirical_mutual_information_extremes():
     independent = [(i % 4, (i // 4) % 4) for i in range(4096)]
     assert empirical_mutual_information(independent) == pytest.approx(0.0, abs=1e-9)
     assert empirical_mutual_information([]) == 0.0
+
+
+def _plug_in(pairs):
+    """The plug-in estimate over the list of pairs, as the aggregate
+    computed it before it counted them."""
+    n = len(pairs)
+    px = Counter(x for x, _ in pairs)
+    py = Counter(y for _, y in pairs)
+    info = 0.0
+    for (x, y), c in Counter(pairs).items():
+        p = c / n
+        info += p * math.log2(p * n * n / (px[x] * py[y]))
+    return info
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60))
+def test_mutual_information_from_counts_matches_the_pairs(pairs):
+    # Counted one pair at a time, as the aggregate counts symbols.
+    joint: Counter = Counter()
+    for pair in pairs:
+        joint[pair] += 1
+    assert mutual_information(joint) == empirical_mutual_information(pairs) == _plug_in(pairs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=2, max_size=8),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_aggregate_counts_symbols_across_reports(messages):
+    # Each report's messages as (dealer bit, Eve bit) per position; an odd
+    # last bit is no symbol.
+    reports = [
+        SimpleNamespace(
+            detected=False,
+            checks=[],
+            recovered={},
+            dealer_message=[d for d, _ in bits],
+            eavesdropper_message=[e for _, e in bits],
+        )
+        for bits in messages
+    ]
+    pairs = [
+        (2 * bits[i][0] + bits[i + 1][0], 2 * bits[i][1] + bits[i + 1][1])
+        for bits in messages
+        for i in range(0, len(bits) - 1, 2)
+    ]
+    stats = aggregate(reports)
+    assert stats.mutual_information_bits == _plug_in(pairs)
 
 
 def test_validate_batch_rejects_bad_specs():
@@ -213,7 +279,7 @@ def test_cli_counts_too_large_to_run_are_config_errors(capsys, command, flags):
 
 
 def test_cli_out_of_memory_is_an_error_line(monkeypatch, capsys):
-    def exhausted(spec):
+    def exhausted(spec, sink):
         raise MemoryError("Unable to allocate 64.0 EiB")
 
     monkeypatch.setattr(cli, "run_batch", exhausted)
@@ -227,6 +293,73 @@ def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
          "--out", str(tmp_path / "no" / "such" / "dir" / "x.jsonl")]
     )
     assert rc == EXIT_IO
+
+
+_RUN = ["run", "--protocol", "original", "--n-pairs", "16", "--trials", "3"]
+
+
+def _trial_calls(monkeypatch, fail_at=None):
+    """Count the trials `run_batch` runs through `harness.run_trial`;
+    trial number `fail_at` (from 1) runs out of memory."""
+    calls = []
+    run_trial = harness.run_trial
+
+    def counted(config):
+        calls.append(config.master_seed)
+        if len(calls) == fail_at:
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        return run_trial(config)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    return calls
+
+
+def test_cli_unwritable_output_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
+    calls = _trial_calls(monkeypatch)
+    rc = main([*_RUN, "--out", str(tmp_path / "no" / "such" / "x.jsonl")])
+    assert rc == EXIT_IO
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
+def test_cli_failed_run_leaves_no_output(tmp_path, monkeypatch, capsys):
+    calls = _trial_calls(monkeypatch, fail_at=2)
+    assert main([*_RUN, "--out", str(tmp_path / "x.jsonl")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 TiB\n"
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_failed_run_keeps_an_existing_output(tmp_path, monkeypatch):
+    out = tmp_path / "x.jsonl"
+    out.write_bytes(b"an earlier batch\n")
+    _trial_calls(monkeypatch, fail_at=3)
+    assert main([*_RUN, "--out", str(out)]) == EXIT_CONFIG
+    assert out.read_bytes() == b"an earlier batch\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_cli_stdout_keeps_the_lines_of_finished_trials(monkeypatch, capsys):
+    _trial_calls(monkeypatch, fail_at=3)
+    assert main(_RUN) == EXIT_CONFIG
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["trial"] for line in lines] == [0, 1]
+
+
+def test_cli_batch_memory_does_not_grow_with_trials(tmp_path):
+    # At 128 pairs a kept report and its transcript take about 27 KB.
+    argv = ["run", "--protocol", "improved", "--agent-count", "4", "--n-pairs", "128",
+            "--out", str(tmp_path / "x.jsonl")]
+    assert main([*argv, "--trials", "2"]) == EXIT_OK  # lazy imports and caches
+    peaks = {}
+    for trials in (4, 40):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--trials", str(trials)]) == EXIT_OK
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[40] - peaks[4]) / 36 < 1024
 
 
 def test_cli_missing_config_file_is_config_error(capsys):
