@@ -21,8 +21,10 @@ error or not enough memory, 2 I/O error.
 
 ``run --out`` writes to ``<out>.partial`` and moves it onto ``<out>``
 once the batch has finished; a failed run removes it and leaves an
-existing ``<out>`` as it was.  Without ``--out`` the lines go to stdout,
-so a failure mid-batch leaves the lines already written.
+existing ``<out>`` as it was.  An ``--out`` that cannot be written, a
+directory among them, fails before the first trial.  Without ``--out``
+the lines go to stdout, so a failure mid-batch leaves the lines already
+written.
 """
 
 from __future__ import annotations
@@ -222,9 +224,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _write_batch(spec, sys.stdout)
         return EXIT_OK
     # Write beside --out and replace it only once the batch has finished,
-    # so a failed run leaves an existing file as it was.
+    # so a failed run leaves an existing file as it was.  A directory
+    # could not be replaced: refuse it before the first trial.
     partial = spec.out_path + ".partial"
     try:
+        if os.path.isdir(spec.out_path):
+            raise IsADirectoryError("is a directory")
         fh = open(partial, "w", encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write {spec.out_path!r}: {exc}", file=sys.stderr)

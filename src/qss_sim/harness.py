@@ -79,20 +79,68 @@ class CheckStats:
 
 @dataclass
 class AggregateStats:
-    trials: int
-    detection_frequency: float
-    check_stats: dict[str, CheckStats]
-    recovery_frequency: dict[str, float]
-    eavesdropper_exact_frequency: float | None
-    mutual_information_bits: float | None
+    """Running totals of a batch; `add` folds in each report, in trial
+    order."""
+
+    trials: int = 0
+    detected: int = 0
+    check_stats: dict[str, CheckStats] = field(default_factory=dict)
+    recovery_hits: Counter = field(default_factory=Counter)
+    recovery_seen: Counter = field(default_factory=Counter)
+    eavesdropper_seen: int = 0
+    eavesdropper_exact: int = 0
+    # (dealer symbol, Eve symbol) -> count, keys in first-seen order.
+    joint: Counter = field(default_factory=Counter)
     wall_clock_seconds: float = 0.0  # table output only, never in JSON lines
+
+    def add(self, report: RunReport) -> None:
+        self.trials += 1
+        if report.detected:
+            self.detected += 1
+        for check in report.checks:
+            cs = self.check_stats.setdefault(check.check_id, CheckStats())
+            cs.total_samples += check.samples
+            cs.total_mismatches += check.mismatches
+            cs.trials_seen += 1
+        for party, bits in report.recovered.items():
+            self.recovery_seen[party] += 1
+            if bits is not None and bits == report.dealer_message:
+                self.recovery_hits[party] += 1
+        if report.eavesdropper_message is not None:
+            self.eavesdropper_seen += 1
+            if report.eavesdropper_message == report.dealer_message:
+                self.eavesdropper_exact += 1
+            dealer, eav = report.dealer_message, report.eavesdropper_message
+            for i in range(0, min(len(dealer), len(eav)) - 1, 2):
+                self.joint[(2 * dealer[i] + dealer[i + 1], 2 * eav[i] + eav[i + 1])] += 1
+
+    @property
+    def detection_frequency(self) -> float:
+        return self.detected / self.trials if self.trials else 0.0
+
+    @property
+    def recovery_frequency(self) -> dict[str, float]:
+        return {
+            party: self.recovery_hits[party] / seen
+            for party, seen in sorted(self.recovery_seen.items())
+        }
+
+    @property
+    def eavesdropper_exact_frequency(self) -> float | None:
+        if not self.eavesdropper_seen:
+            return None
+        return self.eavesdropper_exact / self.eavesdropper_seen
+
+    @property
+    def mutual_information_bits(self) -> float | None:
+        return mutual_information(self.joint) if self.joint else None
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "trials": self.trials,
             "detection_frequency": self.detection_frequency,
             "checks": {cid: cs.to_dict() for cid, cs in sorted(self.check_stats.items())},
-            "recovery_frequency": dict(sorted(self.recovery_frequency.items())),
+            "recovery_frequency": self.recovery_frequency,
             "eavesdropper_exact_frequency": self.eavesdropper_exact_frequency,
             "mutual_information_bits": self.mutual_information_bits,
         }
@@ -131,80 +179,27 @@ def validate_batch(spec: BatchSpec) -> None:
     validate_config(spec.scenario)
 
 
-class _Fold:
-    """Running totals of a batch; each report is added in trial order."""
-
-    def __init__(self) -> None:
-        self.trials = 0
-        self.detected = 0
-        self.check_stats: dict[str, CheckStats] = {}
-        self.recovery_hits: Counter = Counter()
-        self.recovery_seen: Counter = Counter()
-        self.eav_seen = 0
-        self.eav_exact = 0
-        # (dealer symbol, Eve symbol) -> count, keys in first-seen order.
-        self.joint: Counter = Counter()
-
-    def add(self, report: RunReport) -> None:
-        self.trials += 1
-        if report.detected:
-            self.detected += 1
-        for check in report.checks:
-            cs = self.check_stats.setdefault(check.check_id, CheckStats())
-            cs.total_samples += check.samples
-            cs.total_mismatches += check.mismatches
-            cs.trials_seen += 1
-        for party, bits in report.recovered.items():
-            self.recovery_seen[party] += 1
-            if bits is not None and bits == report.dealer_message:
-                self.recovery_hits[party] += 1
-        if report.eavesdropper_message is not None:
-            self.eav_seen += 1
-            if report.eavesdropper_message == report.dealer_message:
-                self.eav_exact += 1
-            dealer, eav = report.dealer_message, report.eavesdropper_message
-            for i in range(0, min(len(dealer), len(eav)) - 1, 2):
-                self.joint[(2 * dealer[i] + dealer[i + 1], 2 * eav[i] + eav[i + 1])] += 1
-
-    def stats(self) -> AggregateStats:
-        n = self.trials
-        return AggregateStats(
-            trials=n,
-            detection_frequency=self.detected / n if n else 0.0,
-            check_stats=self.check_stats,
-            recovery_frequency={
-                party: self.recovery_hits[party] / seen
-                for party, seen in sorted(self.recovery_seen.items())
-            },
-            eavesdropper_exact_frequency=(
-                self.eav_exact / self.eav_seen if self.eav_seen else None
-            ),
-            mutual_information_bits=mutual_information(self.joint) if self.joint else None,
-        )
-
-
 def run_batch(spec: BatchSpec, sink: Callable[[RunReport], Any]) -> AggregateStats:
     """Run the trials in order, hand each report to `sink`, fold it into
     the aggregate statistics and drop it."""
     validate_batch(spec)
     start = time.perf_counter()
-    fold = _Fold()
+    stats = AggregateStats()
     for t in range(spec.trials):
         report = run_trial(dataclasses.replace(spec.scenario, master_seed=spec.seed_base + t))
         sink(report)
-        fold.add(report)
+        stats.add(report)
         del report  # the next trial runs without this one alive
-    stats = fold.stats()
     stats.wall_clock_seconds = time.perf_counter() - start
     return stats
 
 
 def aggregate(reports: Iterable[RunReport]) -> AggregateStats:
     """The statistics `run_batch` returns, folded from given reports."""
-    fold = _Fold()
+    stats = AggregateStats()
     for report in reports:
-        fold.add(report)
-    return fold.stats()
+        stats.add(report)
+    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ transcript, and adversary seams:
 Each mode is a short step function over one per-trial runner, ``_Run``,
 which owns the streams, register, adversaries and transcript and the
 steps both modes share (pair preparation, transmission, sample draws,
-Pauli encryption, Bell readout, collaboration).  The check phases
+Pauli encryption, Bell readout, collaboration).  ``sample_sizes`` is the
+one plan of how many positions each check samples: ``validate_config``
+rejects a config whose plan fails, and ``_Run.draw`` takes each size
+from it in run order.  Each transcript event is recorded where it
+happens; a payload value that grows with the number of pairs is a
+``_Deferred`` built on first read, and the Z/X and checking-photon
+results are deferred runs of one event per position.  The check phases
 ``zx_check``, ``decoy_round`` and ``verify_step6`` are module-level
 functions of the run, and each run looks them up here at call time, so
 per-phase timing can wrap them by name.  Every check ends in
@@ -127,14 +133,15 @@ class Transcript:
     operations, the reader's decoded totals, the message positions) for
     analysis.
 
-    A step may record a run of events whose payloads grow with the
-    number of pairs as a `_Deferred` that builds them from the step's
-    arrays.  Deferred runs are expanded in place, in order, the first time
-    `events` or `to_list()` is read."""
+    A payload value that grows with the number of pairs is recorded as a
+    `_Deferred` that builds it from the step's arrays, and a run of one
+    event per position as one `_Deferred` (see `defer`).  Both are built
+    in place, in order, the first time `events` or `to_list()` reads
+    them; `append` itself never looks inside a payload."""
 
     def __init__(self) -> None:
         self._events: list[dict[str, Any] | _Deferred] = []
-        self._pending = False
+        self._built = 0  # _events[:_built] are built
 
     def append(self, kind: str, **payload: Any) -> None:
         self._events.append({"kind": kind, **payload})
@@ -143,20 +150,22 @@ class Transcript:
         """Record the events that ``build(*args)`` returns, built on
         first read."""
         self._events.append(_Deferred(build, *args))
-        self._pending = True
 
     @property
     def events(self) -> list[dict[str, Any]]:
-        """Every event in order, deferred runs expanded."""
-        if self._pending:
-            events = []
-            for item in self._events:
+        """Every event in order, deferred runs and values built."""
+        if self._built < len(self._events):
+            built = []
+            for item in self._events[self._built :]:
                 if isinstance(item, _Deferred):
-                    events += item()
-                else:
-                    events.append(item)
-            self._events = events
-            self._pending = False
+                    built += item()
+                    continue
+                for key, value in item.items():
+                    if isinstance(value, _Deferred):
+                        item[key] = value()
+                built.append(item)
+            self._events[self._built :] = built
+            self._built = len(self._events)
         return self._events
 
     def to_list(self) -> list[dict[str, Any]]:
@@ -216,6 +225,39 @@ def _sample_size(pool: int, fraction: float) -> int:
     return min(pool, max(1, math.ceil(fraction * pool)))
 
 
+def sample_sizes(config: ScenarioConfig) -> list[int]:
+    """The number of positions each position-consuming check samples, in
+    run order: ``zx_check_1``, ``zx_check_2`` and ``final_sample_check``
+    in the original protocol; ``zx_check_step2``, each ``hop_check_k``
+    and ``step6_check`` in the improved one.  Each check retires what it
+    samples, so each size is taken from the positions the earlier checks
+    left.  Raise ConfigError if the step-6 sample cannot be drawn or no
+    message position would be left.  The scalar fields must already be
+    valid (see `validate_config`)."""
+    if config.protocol == "original":
+        checks, last = 3, None
+    else:
+        checks, last = config.agent_count, config.step6_sample_count
+    remaining = config.n_pairs
+    sizes = []
+    for i in range(checks):
+        if i == checks - 1 and last is not None:
+            if last > remaining:
+                raise ConfigError("step6_sample_count exceeds the surviving positions")
+            q = last
+        elif remaining < 1:
+            # Each check takes a position, so this ends within n_pairs
+            # checks, however many agents there are.
+            break
+        else:
+            q = _sample_size(remaining, config.sample_fraction)
+        sizes.append(q)
+        remaining -= q
+    if remaining < 1:
+        raise ConfigError("sampling would leave no message positions")
+    return sizes
+
+
 def require_integer(name: str, value: Any) -> None:
     """Raise ConfigError unless `value` is an integer; a bool is not one."""
     try:
@@ -252,29 +294,7 @@ def validate_config(config: ScenarioConfig) -> None:
     if config.step6_sample_count is not None and config.step6_sample_count < 1:
         raise ConfigError("step6_sample_count must be positive when given")
 
-    remaining = config.n_pairs
-    if config.protocol == "original":
-        for _ in range(3):
-            remaining -= _sample_size(remaining, config.sample_fraction)
-    else:
-        remaining -= _sample_size(remaining, config.sample_fraction)  # step 2
-        for k in range(config.agent_count - 1):
-            last = k == config.agent_count - 2
-            if last and config.step6_sample_count is not None:
-                q = config.step6_sample_count
-                if q > remaining:
-                    raise ConfigError(
-                        "step6_sample_count exceeds the surviving positions"
-                    )
-            else:
-                q = _sample_size(remaining, config.sample_fraction)
-            remaining -= q
-            # Each check takes a position, so this ends within n_pairs
-            # agents, however many there are.
-            if remaining < 1:
-                break
-    if remaining < 1:
-        raise ConfigError("sampling would leave no message positions")
+    sample_sizes(config)
 
     adv = config.adversary
     if adv.kind == "eve_intercept_resend" and adv.hop not in hop_names(config):
@@ -306,45 +326,18 @@ def _without(positions: np.ndarray, removed: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _named(positions: np.ndarray, codes: np.ndarray, names: np.ndarray) -> dict[int, str]:
+def _named(positions: np.ndarray, codes: np.ndarray, names=_PAULI_NAMES) -> dict[int, str]:
     """One name per position, names[code], for the transcript."""
     return dict(zip(positions.tolist(), names[codes].tolist()))
 
 
-# Builders of deferred transcript events (see `Transcript.defer`).
+def _layer_ops(positions: np.ndarray, layers: np.ndarray) -> dict[str, dict[int, str]]:
+    """The operations of agents 0..k-1, whose codes are the rows of
+    `layers`, by agent."""
+    return {f"agent{j}": _named(positions, codes) for j, codes in enumerate(layers)}
 
 
-def _sample_events(check: str, positions: np.ndarray) -> list[dict[str, Any]]:
-    return [{"kind": "sample_positions", "check": check, "positions": positions.tolist()}]
-
-
-def _collaboration_events(positions: np.ndarray) -> list[dict[str, Any]]:
-    return [{"kind": "collaboration_positions", "positions": positions.tolist()}]
-
-
-def _publish_events(
-    check: str, party: str, positions: np.ndarray, codes: np.ndarray
-) -> list[dict[str, Any]]:
-    ops = _named(positions, codes, _PAULI_NAMES)
-    return [{"kind": "publish_ops", "check": check, "party": party, "ops": ops}]
-
-
-def _chain_publish_events(
-    check: str, positions: np.ndarray, layers: np.ndarray
-) -> list[dict[str, Any]]:
-    """One publication of agents 0..k-1, whose codes are the rows of
-    `layers`."""
-    ops = {
-        f"agent{j}": _named(positions, codes, _PAULI_NAMES) for j, codes in enumerate(layers)
-    }
-    return [{"kind": "publish_ops", "check": check, "ops": ops}]
-
-
-def _outcome_events(
-    check: str, positions: np.ndarray, codes: np.ndarray, names: np.ndarray
-) -> list[dict[str, Any]]:
-    outcomes = _named(positions, codes, names)
-    return [{"kind": "bell_outcomes", "check": check, "outcomes": outcomes}]
+# Builders of deferred runs of per-position events (see `Transcript.defer`).
 
 
 def _zx_events(
@@ -374,23 +367,6 @@ def _decoy_events(check: str, slots: np.ndarray, outcomes: np.ndarray) -> list[d
         {"kind": "decoy_result", "check": check, "slot": slot, "result": outcome}
         for slot, outcome in zip(slots.tolist(), outcomes.tolist())
     ]
-
-
-def _private_ops_events(
-    kind: str, positions: np.ndarray, ops: np.ndarray
-) -> list[dict[str, Any]]:
-    """The position-indexed codes `ops` at `positions`, for analysis."""
-    ops = _named(positions, ops[positions], _PAULI_NAMES)
-    return [{"kind": kind, "private": True, "ops": ops}]
-
-
-def _agent_ops_events(party: str, positions: np.ndarray, ops: np.ndarray) -> list[dict[str, Any]]:
-    ops = _named(positions, ops[positions], _PAULI_NAMES)
-    return [{"kind": "agent_ops", "private": True, "party": party, "ops": ops}]
-
-
-def _message_positions_events(positions: np.ndarray) -> list[dict[str, Any]]:
-    return [{"kind": "message_positions", "private": True, "positions": positions.tolist()}]
 
 
 def _transmit(
@@ -483,7 +459,8 @@ def verify_step6(run: _Run, sampled: np.ndarray, published: np.ndarray) -> None:
     run.register.apply_gates(returned, np.full(len(returned), SingleGate.H))
     outcomes = run.register.measure_bells(run.dealer[sampled], returned)
     mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published[sampled]))
-    run.transcript.defer(_outcome_events, "step6_check", sampled, outcomes, _BELL_NAMES)
+    named = _Deferred(_named, sampled, outcomes, _BELL_NAMES)
+    run.transcript.append("bell_outcomes", check="step6_check", outcomes=named)
     run.settle("step6_check", len(sampled), mismatches, sampled)
 
 
@@ -518,6 +495,7 @@ class _Run:
         elif adv.kind == "bob_swap_attack":
             self.attack = SwapAttack(self.register, rng_adv, adv)
         self.config = config
+        self.sample_plan = iter(sample_sizes(config))
         self.threshold = config.error_threshold
         self.transcript = Transcript()
         self.checks: list[CheckReport] = []
@@ -569,16 +547,16 @@ class _Run:
         self.transcript.append("receipt", **receipt, hop=hop)
         return out
 
-    def draw(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-        """Sample `count` surviving positions (by default the configured
-        fraction of them), sorted."""
-        if count is None:
-            count = _sample_size(len(self.positions), self.config.sample_fraction)
-        return np.sort(rng.choice(self.positions, size=count, replace=False))
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """Sample the next check's share of the surviving positions, as
+        `sample_sizes` plans it, sorted."""
+        return np.sort(rng.choice(self.positions, size=next(self.sample_plan), replace=False))
 
     def sample_event(self, check: str, sampled: np.ndarray) -> None:
         """Announce the positions a check has sampled."""
-        self.transcript.defer(_sample_events, check, sampled)
+        self.transcript.append(
+            "sample_positions", check=check, positions=_Deferred(np.ndarray.tolist, sampled)
+        )
 
     def settle(
         self, check_id: str, samples: int, mismatches: int, sampled: np.ndarray | None = None
@@ -595,7 +573,17 @@ class _Run:
 
     def announce(self, check: str, party: str, positions: np.ndarray, ops: np.ndarray) -> None:
         """`party` publishes its operations `ops` on the sorted `positions`."""
-        self.transcript.defer(_publish_events, check, party, positions, ops)
+        self.transcript.append(
+            "publish_ops", check=check, party=party, ops=_Deferred(_named, positions, ops)
+        )
+
+    def record_ops(self, kind: str, positions: np.ndarray, ops: np.ndarray, **party: str) -> None:
+        """Record privately, for analysis, the position-indexed codes `ops`
+        at the sorted `positions`, with the agent's ``party`` name when
+        given."""
+        self.transcript.append(
+            kind, private=True, **party, ops=_Deferred(_named, positions, ops[positions])
+        )
 
     def encode(self, positions: np.ndarray) -> np.ndarray:
         """Draw the dealer's message, two bits per position, and return
@@ -646,7 +634,9 @@ class _Run:
         every surviving position; `reader` strips them from the readout
         and decodes the dealer's message."""
         positions = self.positions
-        self.transcript.defer(_collaboration_events, positions)
+        self.transcript.append(
+            "collaboration_positions", positions=_Deferred(np.ndarray.tolist, positions)
+        )
         dealer_codes = totals[positions]
         for party, publish in publishers:
             ops = publish(positions)
@@ -703,17 +693,18 @@ def _original_steps(run: _Run) -> None:
 
     # Charlie's Bell readout over every surviving position.
     totals = run.readout()
-    run.transcript.defer(_private_ops_events, "totals", run.positions, totals)
-    run.transcript.defer(_private_ops_events, "alice_ops", run.positions, alice_ops)
+    run.record_ops("totals", run.positions, totals)
+    run.record_ops("alice_ops", run.positions, alice_ops)
     if attack is None:
-        run.transcript.defer(_private_ops_events, "bob_ops", bob_positions, bob_ops)
-    run.transcript.defer(_message_positions_events, message_positions)
+        run.record_ops("bob_ops", bob_positions, bob_ops)
+    listed = _Deferred(np.ndarray.tolist, message_positions)
+    run.transcript.append("message_positions", private=True, positions=listed)
 
     # Final sample check: Charlie's outcomes against Alice's and Bob's
     # announced operations.
     run.sample_event("final_sample_check", q3)
-    run.transcript.defer(
-        _outcome_events, "final_sample_check", q3, totals[q3], _PAULI_NAMES
+    run.transcript.append(
+        "bell_outcomes", check="final_sample_check", outcomes=_Deferred(_named, q3, totals[q3])
     )
     published = attack.fake_ops(q3) if attack is not None else bob_ops[q3]
     run.announce("final_sample_check", "bob", q3, published)
@@ -756,14 +747,13 @@ def _improved_steps(run: _Run) -> None:
     agent_ops = [run.identity() for _ in range(m)]
     for k in range(m - 1):
         last_chain_agent = k == m - 2
-        count = run.config.step6_sample_count if last_chain_agent else None
-        samples = run.draw(rng_agents[k], count)
+        samples = run.draw(rng_agents[k])
         if k == 0 and attack is not None:
             run.partner = attack.forward(run.positions, run.partner, honest=samples)
         else:
             agent_ops[k] = run.encrypt(run.partner, rng_agents[k], rotated=samples)
             encrypted = run.positions[_without(run.positions, samples)]
-            run.transcript.defer(_agent_ops_events, f"agent{k}", encrypted, agent_ops[k])
+            run.record_ops("agent_ops", encrypted, agent_ops[k], party=f"agent{k}")
 
         hop = f"agent{k}->agent{k + 1}" if not last_chain_agent else f"agent{k}->alice"
         check_id = f"hop_check_{k}" if not last_chain_agent else "step6_check"
@@ -782,7 +772,9 @@ def _improved_steps(run: _Run) -> None:
                     attack.fake_ops(samples) if last_chain_agent else attack.swap_correct(samples)
                 )
             published[samples] = np.bitwise_xor.reduce(layers)
-            run.transcript.defer(_chain_publish_events, check_id, samples, layers)
+            run.transcript.append(
+                "publish_ops", check=check_id, ops=_Deferred(_layer_ops, samples, layers)
+            )
 
         if not last_chain_agent:
             # The receiving agent undoes the Hadamard and the pair is
@@ -794,8 +786,9 @@ def _improved_steps(run: _Run) -> None:
     # Step 7: message encoding.
     alice_ops = run.encode(run.positions)
     run.encrypt(run.dealer, run.rng_dealer, fixed=alice_ops)
-    run.transcript.defer(_private_ops_events, "alice_ops", run.positions, alice_ops)
-    run.transcript.defer(_message_positions_events, run.positions)
+    run.record_ops("alice_ops", run.positions, alice_ops)
+    listed = _Deferred(np.ndarray.tolist, run.positions)
+    run.transcript.append("message_positions", private=True, positions=listed)
 
     # Steps 7-9: both sequences go to the last agent behind checking photons.
     run.partner = decoy_round(run, "decoy_check_t", "alice->zach:t", run.partner)
@@ -803,7 +796,7 @@ def _improved_steps(run: _Run) -> None:
 
     # Step 10: Bell readout by the last agent.
     totals = run.readout()
-    run.transcript.defer(_private_ops_events, "totals", run.positions, totals)
+    run.record_ops("totals", run.positions, totals)
 
     # Step 11: collaboration.
     publishers = [(f"agent{k}", agent_ops[k].__getitem__) for k in range(m - 1)]

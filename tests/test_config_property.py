@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qss_sim.protocol import (
     ScenarioConfig,
     hop_names,
     run_trial,
+    sample_sizes,
     validate_config,
 )
 
@@ -44,6 +46,13 @@ def scenarios(draw) -> ScenarioConfig:
     )
 
 
+# The checks that sample and retire positions, as `sample_sizes` plans
+# them; the decoy checks consume none.
+_POSITION_CHECKS = re.compile(
+    r"zx_check_1|zx_check_2|final_sample_check|zx_check_step2|hop_check_\d+|step6_check"
+)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(scenarios())
 def test_accepted_configs_run_to_completion(config):
@@ -51,7 +60,14 @@ def test_accepted_configs_run_to_completion(config):
         validate_config(config)
     except ConfigError:
         return
-    assert isinstance(run_trial(config), RunReport)
+    report = run_trial(config)
+    assert isinstance(report, RunReport)
+    # Each check samples what the plan says; an abort ends the run early.
+    samples = [c.samples for c in report.checks if _POSITION_CHECKS.fullmatch(c.check_id)]
+    plan = sample_sizes(config)
+    assert samples == plan[: len(samples)]
+    if not report.detected:
+        assert len(samples) == len(plan)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,10 +1,11 @@
 """Transcript events recorded as arrays and built on first read.
 
-Steps record the events whose payloads grow with the number of pairs --
-public announcements and the private, analysis-only record alike -- as
-deferred builders over their arrays, which are made read-only when
-deferred.  Reading ``events`` or ``to_list()`` must give the same
-events, in the same order, on every read.
+Steps record the payload values that grow with the number of pairs --
+public announcements and the private, analysis-only record alike -- and
+the runs of one event per position as deferred builders over their
+arrays, which are made read-only when deferred.  Reading ``events`` or
+``to_list()`` must give the same events, in the same order, on every
+read.
 """
 
 import numpy as np
@@ -37,6 +38,21 @@ def test_deferred_events_keep_their_place():
     assert t.events == first == t.to_list()
     assert t.events is t.events
     assert t.to_list() is not t.events
+
+
+def test_deferred_payload_values_are_built_in_place():
+    t = Transcript()
+    positions = np.array([3, 5])
+    t.append("a", check="c", positions=_Deferred(np.ndarray.tolist, positions), n=1)
+    t.defer(_numbered, "b", np.array([2]))
+    assert not positions.flags.writeable
+    assert t.events == [
+        {"kind": "a", "check": "c", "positions": [3, 5], "n": 1},
+        {"kind": "b", "value": 2},
+    ]
+    assert list(t.events[0]) == ["kind", "check", "positions", "n"]
+    t.append("c", positions=_Deferred(np.ndarray.tolist, np.array([7])))
+    assert t.to_list()[2] == {"kind": "c", "positions": [7]}
 
 
 def test_report_reads_are_repeatable():
@@ -74,7 +90,13 @@ def test_deferred_values_hold_only_arrays_and_strings():
         ScenarioConfig(protocol="improved", n_pairs=32, agent_count=4, checking_photon_count=4),
     ):
         report = run_trial(scenario)
-        deferred = [e for e in report.transcript._events if isinstance(e, _Deferred)]
+        # Deferred runs of events, and deferred values inside payloads.
+        deferred = []
+        for item in report.transcript._events:
+            if isinstance(item, _Deferred):
+                deferred.append(item)
+            else:
+                deferred += [v for v in item.values() if isinstance(v, _Deferred)]
         assert len(deferred) > 10
         for block in deferred:
             for arg in block.args:

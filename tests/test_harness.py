@@ -315,11 +315,16 @@ def _trial_calls(monkeypatch, fail_at=None):
 
 
 def test_cli_unwritable_output_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
+    # A missing parent fails at open; a directory would only fail when
+    # the finished batch replaces it.
+    (tmp_path / "dir").mkdir()
     calls = _trial_calls(monkeypatch)
-    rc = main([*_RUN, "--out", str(tmp_path / "no" / "such" / "x.jsonl")])
-    assert rc == EXIT_IO
-    assert calls == []
-    assert capsys.readouterr().err.startswith("error: cannot write ")
+    for out in (tmp_path / "no" / "such" / "x.jsonl", tmp_path / "dir"):
+        rc = main([*_RUN, "--out", str(out)])
+        assert rc == EXIT_IO
+        assert calls == []
+        assert capsys.readouterr().err.startswith(f"error: cannot write {str(out)!r}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
 
 
 def test_cli_failed_run_leaves_no_output(tmp_path, monkeypatch, capsys):
