@@ -307,9 +307,12 @@ def validate_config(config: ScenarioConfig) -> None:
 # ---------------------------------------------------------------------------
 # shared machinery
 #
-# Positions are sorted int arrays.  Photon sequences and every party's
-# operations are arrays indexed by position; operations are Pauli codes
-# (see `pauli`), so composing two layers is one XOR.
+# Positions are sorted int arrays.  A sorted subset of them (a check's
+# sample, the positions left after one, the Hadamard-rotated ones) is
+# read off a bool mask over positions, so no trial sorts or searches.
+# Photon sequences and every party's operations are arrays indexed by
+# position; operations are Pauli codes (see `pauli`), so composing two
+# layers is one XOR.
 
 # Names by code.  Object arrays hand out the same str objects on every
 # lookup, so a transcript holds no copies of them.
@@ -318,12 +321,11 @@ _BELL_NAMES = np.array([label.name for label in sorted(BellLabel)], dtype=object
 _BASIS_NAMES = np.array([basis.name for basis in sorted(Basis)], dtype=object)
 
 
-def _without(positions: np.ndarray, removed: np.ndarray) -> np.ndarray:
-    """Mask of the sorted `positions` that are not in `removed`, a subset
-    of them."""
-    keep = np.ones(len(positions), dtype=bool)
-    keep[np.searchsorted(positions, removed)] = False
-    return keep
+def _mask(values: np.ndarray, size: int) -> np.ndarray:
+    """Bool mask over range(size), set at the `values`."""
+    mask = np.zeros(size, dtype=bool)
+    mask[values] = True
+    return mask
 
 
 def _named(positions: np.ndarray, codes: np.ndarray, names=_PAULI_NAMES) -> dict[int, str]:
@@ -369,16 +371,12 @@ def _decoy_events(check: str, slots: np.ndarray, outcomes: np.ndarray) -> list[d
     ]
 
 
-def _transmit(
-    hop: str,
-    photons: np.ndarray,
-    eve: EveInterceptResend | None,
-    transcript: Transcript,
-) -> np.ndarray:
-    transcript.append("transmit", hop=hop, count=len(photons))
-    if eve is not None and eve.hop == hop:
-        return eve.intercept_sequence(photons)
-    return photons
+def _transmit(run: _Run, hop: str, count: int) -> EveInterceptResend | None:
+    """Log `count` photons sent over `hop`; returns Eve if she sits on the
+    hop, else None."""
+    run.transcript.append("transmit", hop=hop, count=count)
+    eve = run.eve
+    return eve if eve is not None and eve.hop == hop else None
 
 
 def zx_check(
@@ -424,14 +422,14 @@ def decoy_round(run: _Run, check_id: str, hop: str, photons: np.ndarray) -> np.n
     states = run.rng_dealer.integers(4, size=count)
     decoys = run.register.prepare_singles(states)
     total = len(run.positions) + count
-    slots = np.sort(run.rng_dealer.choice(total, size=count, replace=False))
+    is_decoy = _mask(run.rng_dealer.choice(total, size=count, replace=False), total)
     # The k-th checking photon sits at the k-th slot, in slot order.
-    is_decoy = np.zeros(total, dtype=bool)
-    is_decoy[slots] = True
+    slots = np.flatnonzero(is_decoy)
     sequence = np.empty(total, dtype=np.int64)
     sequence[slots] = decoys
     sequence[~is_decoy] = photons[run.positions]
-    received = _transmit(hop, sequence, run.eve, run.transcript)
+    eve = _transmit(run, hop, total)
+    received = sequence if eve is None else eve.intercept_sequence(sequence)
     in_x = states >> 1
     run.transcript.append(
         "decoy_positions",
@@ -473,7 +471,8 @@ class _Run:
     two halves of every surviving pair, and the steps both protocol
     modes share.
 
-    ``positions`` is the sorted array of surviving positions.
+    ``positions`` is the sorted array of surviving positions; each sorted
+    subset of them is read off a mask over positions (see `_mask`).
     ``dealer`` holds the dealer's half of each position's pair and
     ``partner`` the other half, both indexed by position; entries at
     retired positions are stale."""
@@ -538,19 +537,25 @@ class _Run:
         self, hop: str, photons: np.ndarray, party: str | None = None
     ) -> np.ndarray:
         """Send one photon per surviving position over `hop` and log its
-        receipt; returns the photons that arrive."""
-        out = photons.copy()
-        out[self.positions] = _transmit(
-            hop, photons[self.positions], self.eve, self.transcript
-        )
+        receipt; returns the photons that arrive, `photons` itself unless
+        Eve sits on the hop."""
+        eve = _transmit(self, hop, len(self.positions))
+        if eve is not None:
+            photons = photons.copy()
+            photons[self.positions] = eve.intercept_sequence(photons[self.positions])
         receipt = {} if party is None else {"party": party}
         self.transcript.append("receipt", **receipt, hop=hop)
-        return out
+        return photons
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Sample the next check's share of the surviving positions, as
         `sample_sizes` plans it, sorted."""
-        return np.sort(rng.choice(self.positions, size=next(self.sample_plan), replace=False))
+        drawn = rng.choice(self.positions, size=next(self.sample_plan), replace=False)
+        return np.flatnonzero(_mask(drawn, self.config.n_pairs))
+
+    def without(self, removed: np.ndarray) -> np.ndarray:
+        """The surviving positions not in `removed`, a subset of them."""
+        return self.positions[~_mask(removed, self.config.n_pairs)[self.positions]]
 
     def sample_event(self, check: str, sampled: np.ndarray) -> None:
         """Announce the positions a check has sampled."""
@@ -567,7 +572,7 @@ class _Run:
         self.transcript.append("check_report", **report.to_dict())
         self.checks.append(report)
         if sampled is not None:
-            self.positions = self.positions[_without(self.positions, sampled)]
+            self.positions = self.without(sampled)
         if report.verdict == "abort":
             raise _Abort(check_id)
 
@@ -610,7 +615,7 @@ class _Run:
         positions = self.positions
         gates = np.full(len(positions), -1) if fixed is None else fixed[positions]
         if rotated is not None:
-            gates[np.searchsorted(positions, rotated)] = SingleGate.H
+            gates[_mask(rotated, self.config.n_pairs)[positions]] = SingleGate.H
         free = gates < 0
         gates[free] = _random_paulis(rng, np.count_nonzero(free))
         self.register.apply_gates(photons[positions], gates)
@@ -685,7 +690,7 @@ def _original_steps(run: _Run) -> None:
     # Alice picks her own samples, encodes the message elsewhere, and
     # sends her sequence to Charlie.
     q3 = run.draw(rng_alice)
-    message_positions = run.positions[_without(run.positions, q3)]
+    message_positions = run.without(q3)
     alice_ops = run.encrypt(run.dealer, rng_alice, fixed=run.encode(message_positions))
     if attack is not None:
         run.dealer = attack.intercept_dealer(run.positions, run.dealer)
@@ -752,7 +757,7 @@ def _improved_steps(run: _Run) -> None:
             run.partner = attack.forward(run.positions, run.partner, honest=samples)
         else:
             agent_ops[k] = run.encrypt(run.partner, rng_agents[k], rotated=samples)
-            encrypted = run.positions[_without(run.positions, samples)]
+            encrypted = run.without(samples)
             run.record_ops("agent_ops", encrypted, agent_ops[k], party=f"agent{k}")
 
         hop = f"agent{k}->agent{k + 1}" if not last_chain_agent else f"agent{k}->alice"

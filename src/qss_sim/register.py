@@ -65,11 +65,15 @@ state's is 2*(basis is X) + bit, a basis is its X-mask entry and a Bell
 outcome's code is its place in the draw.  Operations of one call that
 touch the same row run in list order: the call runs in rounds of items
 on distinct rows, each round found by one first-touch pass whose cost
-grows with the call's n items, not with the rows of the table.  A
-measuring call draws its Born-rule uniforms with one ``rng.random(n)``
-in list order, which yields the same numbers as n scalar draws, so a
-vector call replays exactly the outcomes of the loop of per-photon
-calls it stands for.
+grows with the call's n items, not with the rows of the table.  The
+first round's pass also proves a measuring call's photons distinct,
+before the call draws its uniforms: a row has two seats, so no photon
+is listed twice when each photon on a row that an earlier item touches
+differs from that item's photons and no two such photons share a row.
+Nothing in a call sorts.  A measuring call draws its Born-rule uniforms
+with one ``rng.random(n)`` in list order, which yields the same numbers
+as n scalar draws, so a vector call replays exactly the outcomes of the
+loop of per-photon calls it stands for.
 
 All randomness comes from the register's own numpy Generator, so a fixed
 seed and a fixed operation sequence reproduce the same outcomes exactly.
@@ -291,8 +295,9 @@ def _bell_picks(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _first_touch(rows_a: np.ndarray, rows_b: np.ndarray, stamp: np.ndarray) -> np.ndarray:
     """Mask of the items whose rows no earlier item touches.  Pass one
     array twice for items that touch one row each.  `stamp` is scratch
-    indexed by row; only the items' rows are written, so the cost grows
-    with the number of items, not with the number of rows."""
+    indexed by row, left holding the first item that touches each of the
+    items' rows; only those rows are written, so the cost grows with the
+    number of items, not with the number of rows."""
     n = len(rows_a)
     order = np.arange(n)
     lists = (rows_a,) if rows_a is rows_b else (rows_a, rows_b)
@@ -360,11 +365,46 @@ def _codes(values: Sequence[int], symbols: type[enum.IntEnum], what: str) -> np.
     return codes
 
 
-def _require_distinct(ids: np.ndarray) -> None:
-    """Raise if a measuring call lists a photon twice."""
-    ordered = np.sort(ids)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise RegisterError("a measurement lists the same photon twice")
+def _require_distinct(lists: tuple, now: np.ndarray, stamp: np.ndarray) -> None:
+    """Raise if a measuring call lists a photon twice.  `lists` holds the
+    photon ids and rows of each of the call's photon lists, and `now` and
+    `stamp` are what `_first_touch` made of those rows: stamp[r] is the
+    first item that touches row r.  A photon is late if an earlier item
+    touches its row.  A row has two seats, so the photons are distinct
+    when every late photon differs from the photons of its row's first
+    item and no two late photons of different items share a row.  (Two
+    late photons of one item on one row would make three photons on it
+    with the first item's, so one of the checks finds them.)  Only the
+    items that are not `now` are looked at, _BLOCK at a time, so the
+    check holds one index per late photon and one block's temporaries;
+    the caller has already refused an item that lists one photon
+    twice."""
+    items = np.flatnonzero(~now)
+    late = []
+    for block in _blocks(items, len(items)):
+        for ids, rows in lists:
+            firsts = stamp[rows[block]]
+            own = block
+            if len(lists) > 1:
+                # An item of two photons may be late on one of its rows only.
+                is_late = firsts != block
+                own, firsts = block[is_late], firsts[is_late]
+            # The photons of each late photon's first item.  Each array
+            # is freed once spent, so a block holds at most three.
+            seen = [first_ids[firsts] for first_ids, _ in lists]
+            del firsts
+            mine = ids[own]
+            if any((mine == photons).any() for photons in seen):
+                raise RegisterError("a measurement lists the same photon twice")
+            del seen, mine
+            late.append((rows, own))
+    # Each late photon writes its item into its row's stamp and reads it
+    # back: a row that late photons of two items share keeps only one.
+    for rows, own in late:
+        stamp[rows[own]] = own
+    for rows, own in late:
+        if (stamp[rows[own]] != own).any():
+            raise RegisterError("a measurement lists the same photon twice")
 
 
 def _raise_not_live(photon: int):
@@ -451,29 +491,46 @@ class Register:
         self._seat = _grow(self._seat, self._next_photon)
         return slice(start, self._next_photon)
 
-    def _rounds(self, first: np.ndarray, second: np.ndarray):
-        """Yield the items of a call (index arrays, or slices) in rounds
-        that touch distinct rows, each item after every earlier item that
+    def _rounds(self, first: np.ndarray, second: np.ndarray, measuring: bool = False):
+        """The items of a call (index arrays, or slices) in rounds that
+        touch distinct rows, each item after every earlier item that
         shares a row with it, and each round in blocks of at most _BLOCK
-        items, in list order.  Rows are looked up again for each round,
-        after the caller has processed the one before."""
+        items, in list order.  The first round is found now: for a
+        `measuring` call its first-touch pass also proves that no photon
+        is listed twice (see `_require_distinct`), so a call that lists
+        one raises before it draws or writes anything.  Each later round
+        looks its rows up again, after the caller has processed the one
+        before."""
         n = len(first)
-        if n == 1:
-            yield slice(None)
-            return
-        items = np.arange(n)
-        while len(items):
-            rows = self._seat[first[items]] >> 1
-            other = rows if first is second else self._seat[second[items]] >> 1
-            now = _first_touch(rows, other, self._stamp)
-            # Free them while the caller runs the round.
-            del rows, other
-            if len(items) == n and now.all():
-                yield from _blocks(slice(None), n)
-                return
+        if n <= 1:
+            return _blocks(slice(None), n) if n else ()
+        rows, other, now = self._touch(first, second, slice(None))
+        if now.all():
+            return _blocks(slice(None), n)
+        if measuring:
+            lists = ((first, rows),) if first is second else ((first, rows), (second, other))
+            _require_distinct(lists, now, self._stamp)
+        return self._later_rounds(first, second, now)
+
+    def _touch(self, first: np.ndarray, second: np.ndarray, items):
+        """The rows of the `items` of a call (an index array, or a slice
+        for all of them) in each photon list, and their `_first_touch`
+        mask."""
+        rows = self._seat[first[items]] >> 1
+        other = rows if first is second else self._seat[second[items]] >> 1
+        return rows, other, _first_touch(rows, other, self._stamp)
+
+    def _later_rounds(self, first: np.ndarray, second: np.ndarray, now: np.ndarray):
+        """Yield the rounds of a call whose first round is the items
+        `now`, as `_rounds` describes."""
+        items = np.arange(len(now))
+        while True:
             round_ = items[now]
             yield from _blocks(round_, len(round_))
             items = items[~now]
+            if not len(items):
+                return
+            now = self._touch(first, second, items)[2]
 
     def _gather(self, seats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat table indices and amplitudes of the rows of the photons on
@@ -512,13 +569,15 @@ class Register:
             raise RegisterError(f"cannot prepare {n} Bell pairs")
         (code,) = _codes([label], BellLabel, "Bell")
         rows, photons = self._new_rows(n), self._new_photons(2 * n)
-        pairs = np.arange(photons.start, photons.stop).reshape(n, 2)
+        # Two arrays of their own, not two columns of one: a caller that
+        # drops one of them frees it.
+        firsts = np.arange(photons.start, photons.stop, 2)
         self._amps[rows] = BELL_TENSORS[BellLabel(code)]
         # Pair i's photons take both seats of row i, in order.
         seats = slice(2 * rows.start, 2 * rows.stop)
         self._members[seats] = np.arange(photons.start + 1, photons.stop + 1)
         self._seat[photons] = np.arange(seats.start, seats.stop)
-        return pairs[:, 0], pairs[:, 1]
+        return firsts, firsts + 1
 
     def prepare_singles(self, states: Sequence[int]) -> np.ndarray:
         """Create one fresh photon per state code (``SingleState``)."""
@@ -580,10 +639,10 @@ class Register:
             in_x = _codes(in_x, Basis, "basis").astype(bool)
         if len(in_x) != len(ids):
             raise RegisterError("measure_singles needs one basis per photon")
-        _require_distinct(ids)
+        rounds = self._rounds(ids, ids, measuring=True)
         u = self.rng.random(len(ids))
         out = np.zeros(len(ids), dtype=np.int64)
-        for items in self._rounds(ids, ids):
+        for items in rounds:
             out[items] = self._collapse(ids[items], u[items], in_x[items])
         return out
 
@@ -628,10 +687,10 @@ class Register:
             raise RegisterError("measure_bells needs two equally long photon lists")
         if (ids_a == ids_b).any():
             raise RegisterError("Bell measurement needs two distinct photons")
-        _require_distinct(np.concatenate((ids_a, ids_b)))
+        rounds = self._rounds(ids_a, ids_b, measuring=True)
         u = self.rng.random(len(ids_a))
         picks = np.zeros(len(ids_a), dtype=np.int64)
-        for items in self._rounds(ids_a, ids_b):
+        for items in rounds:
             picks[items] = self._bell(ids_a[items], ids_b[items], u[items])
         return picks
 

@@ -276,3 +276,31 @@ def test_check_phases_are_called_through_module_globals(monkeypatch):
     report = run_improved(_improved(1, agents=4))
     assert report.detected is False
     assert calls == {"zx_check": 2 + 3, "decoy_round": 2, "verify_step6": 1}
+
+
+def test_trials_neither_sort_nor_search(monkeypatch):
+    # Sampled positions, the positions left after a check and the
+    # rotated ones are read off masks, and the register proves a
+    # measuring call's photons distinct in its first-touch pass, so a
+    # trial never maps numpy's sort or binary-search code.
+    from qss_sim.protocol import run_trial
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial called numpy's sort or searchsorted")
+
+    monkeypatch.setattr(np, "sort", refuse)
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    swap = AdversarySpec(kind="bob_swap_attack")
+    eve = AdversarySpec(kind="eve_intercept_resend", hop="bob->charlie")
+    trials = [
+        _improved(2, agents=4),
+        _improved(2, agents=3, step6_sample_count=8, adversary=swap),
+        ScenarioConfig(protocol="original", master_seed=2, adversary=swap),
+        ScenarioConfig(protocol="original", master_seed=2, error_threshold=1.0, adversary=eve),
+    ]
+    reports = [run_trial(config) for config in trials]
+    # Each ran to its end: the honest and Eve trials to the readout, and
+    # the chain's swap attack to the dealer's step-6 verification.
+    assert [r.detected for r in reports] == [False, True, False, False]
+    assert reports[1].checks[-1].check_id == "step6_check"
+    assert all(None not in r.recovered.values() for r in reports if not r.detected)

@@ -167,16 +167,39 @@ def test_gates_on_both_photons_of_one_pair_in_one_call():
 
 
 def test_listing_a_photon_twice_in_a_measuring_call_raises():
+    # The repeat check reads the first-touch pass over rows: a photon on
+    # a row that an earlier item touches must differ from that item's
+    # photons, and no two such photons may share a row.  [b, a, a] and
+    # the Bell call over [b, a, e] and [c, d, a] repeat a photon that is
+    # not its row's first, so a comparison against each row's first item
+    # alone lets them through.  In the call over [c, a] and [a, e], a
+    # repeats the first item's photon from the other list.  Every
+    # refused call draws and writes nothing.
     reg = Register(seed=3)
     (a,), (b,) = reg.prepare_bells(1, BellLabel.PSI_MINUS)
     (c,), (d,) = reg.prepare_bells(1, BellLabel.PSI_MINUS)
-    with pytest.raises(RegisterError):
-        reg.measure_singles([a, a], [False, False])
-    with pytest.raises(RegisterError):
-        reg.measure_bells([a, b], [c, a])
-    with pytest.raises(RegisterError):
-        reg.measure_bells([a], [a])
-    assert reg.live_photons == {a, b, c, d}
+    (e,), (f,) = reg.prepare_bells(1, BellLabel.PSI_MINUS)
+    (g,), (h,) = reg.prepare_bells(1, BellLabel.PSI_MINUS)
+    live, state = reg.live_photons, reg.rng.bit_generator.state
+    refused = [
+        lambda: reg.measure_singles([a, a], [False, False]),
+        lambda: reg.measure_singles([b, a, a], [False, True, False]),
+        lambda: reg.measure_singles([a, b, a], [False, False, True]),
+        lambda: reg.measure_bells([a, b], [c, a]),
+        lambda: reg.measure_bells([a], [a]),
+        lambda: reg.measure_bells([b, a, e], [c, d, a]),
+        lambda: reg.measure_bells([c, a], [a, e]),
+    ]
+    for call in refused:
+        with pytest.raises(RegisterError):
+            call()
+        assert reg.live_photons == live == {a, b, c, d, e, f, g, h}
+        assert reg.rng.bit_generator.state == state
+    # Both photons of one pair are legal, and so is a Bell call whose
+    # second item is late on c and d's row only.
+    assert len(reg.measure_singles([a, b], [False, False])) == 2
+    assert len(reg.measure_bells([c, d], [e, g])) == 2
+    assert reg.live_photons == {f, h}
 
 
 def test_vector_draws_equal_scalar_draws():
@@ -376,16 +399,16 @@ def _peak_bytes_per_item(call, n: int) -> float:
 
 
 # Peak bytes per item that a call of n items allocates, each a few
-# percent above its value with numpy 2.4.6: (95, 87, 148) at 4608 items
-# and (33, 49, 58) at 32768.  The kernels compute in place, reuse their
+# percent above its value with numpy 2.4.6: (86, 77, 138) at 4608 items
+# and (25, 25, 34) at 32768.  The kernels compute in place, reuse their
 # buffers and run at most _BLOCK items at once, so a large call allocates
 # its own arrays of ids, seats, uniforms and outcomes, a few words per
 # item, plus one block's temporaries; one stray (4, 4, n) temporary costs
 # 128 bytes per item.
 _BYTES_PER_ITEM = {
-    "apply_gates": {4608: 100, 32768: 35},
-    "measure_singles": {4608: 91, 32768: 52},
-    "measure_bells": {4608: 155, 32768: 61},
+    "apply_gates": {4608: 91, 32768: 27},
+    "measure_singles": {4608: 82, 32768: 27},
+    "measure_bells": {4608: 146, 32768: 36},
 }
 
 
