@@ -78,18 +78,29 @@ def swap_table() -> dict[tuple[BellLabel, BellLabel, BellLabel], BellLabel]:
     (1,4) in the value.  Every outcome occurs with probability 1/4."""
     table = {}
     for left, right in itertools.product(BellLabel, BellLabel):
-        psi = np.tensordot(
-            BELL_VECTORS[left].reshape(2, 2),
-            BELL_VECTORS[right].reshape(2, 2),
-            axes=0,
-        )  # axes: photon 1, 2, 3, 4
-        for measured in BellLabel:
-            proj = np.conj(BELL_VECTORS[measured].reshape(2, 2))
-            res = np.tensordot(psi, proj, axes=([1, 2], [0, 1]))
-            prob = float(np.sum(np.abs(res) ** 2))
-            assert abs(prob - 0.25) < 1e-12
+        for measured, prob, res in _swap_outcomes(left, right):
             table[(left, right, measured)] = bell_label_of(res / math.sqrt(prob))
     return table
+
+
+def _swap_outcomes(left: BellLabel, right: BellLabel):
+    """Yield each Bell outcome `measured` on photons (2,3), with its
+    probability and the unnormalized state of (1,4) it leaves, when pairs
+    (1,2) and (3,4) start in `left` and `right`.  Raise ValueError unless
+    the probability is 1/4: an explicit check, so that it holds under
+    ``python -O``."""
+    psi = np.tensordot(
+        BELL_VECTORS[left].reshape(2, 2),
+        BELL_VECTORS[right].reshape(2, 2),
+        axes=0,
+    )  # axes: photon 1, 2, 3, 4
+    for measured in BellLabel:
+        proj = np.conj(BELL_VECTORS[measured].reshape(2, 2))
+        res = np.tensordot(psi, proj, axes=([1, 2], [0, 1]))
+        prob = float(np.sum(np.abs(res) ** 2))
+        if not abs(prob - 0.25) < 1e-12:
+            raise ValueError(f"Bell outcome probability {prob!r}, not 1/4")
+        yield measured, prob, res
 
 
 def _measure_probs(vec: np.ndarray, basis: Basis) -> np.ndarray:
@@ -161,18 +172,8 @@ def swap_attack_step6_pass_rate() -> float:
     Bell pairs; by direct expansion each of the four outcomes has
     probability 1/4, so the outcome matches the announced operations with
     probability 1/4 regardless of the Paulis or Hadamards applied."""
-    psi = np.tensordot(
-        BELL_VECTORS[BellLabel.PSI_MINUS].reshape(2, 2),
-        BELL_VECTORS[BellLabel.PSI_MINUS].reshape(2, 2),
-        axes=0,
-    )
-    probs = []
-    for measured in BellLabel:
-        proj = np.conj(BELL_VECTORS[measured].reshape(2, 2))
-        res = np.tensordot(psi, proj, axes=([1, 2], [0, 1]))
-        probs.append(float(np.sum(np.abs(res) ** 2)))
-    assert all(abs(p - 0.25) < 1e-12 for p in probs)
-    return max(probs)
+    outcomes = _swap_outcomes(BellLabel.PSI_MINUS, BellLabel.PSI_MINUS)
+    return max(prob for _, prob, _ in outcomes)
 
 
 def eve_state_information() -> float:

@@ -19,11 +19,11 @@ steps both modes share (pair preparation, transmission, sample draws,
 Pauli encryption, Bell readout, collaboration).  ``sample_sizes`` is the
 one plan of how many positions each check samples: ``validate_config``
 rejects a config whose plan fails, and ``_Run.draw`` takes each size
-from it in run order.  Each transcript event is recorded where it
-happens; a payload value that grows with the number of pairs is a
-``_Deferred`` built on first read, and the Z/X and checking-photon
-results are deferred runs of one event per position.  The check phases
-``zx_check``, ``decoy_round`` and ``verify_step6`` are module-level
+from it in run order.  Each announcement, and each private record, is
+one transcript event, recorded where it happens; a payload value that
+grows with the number of pairs is a read-only array of positions,
+results or codes, named only when the transcript is listed.  The check
+phases ``zx_check``, ``decoy_round`` and ``verify_step6`` are module-level
 functions of the run, and each run looks them up here at call time, so
 per-phase timing can wrap them by name.  Every check ends in
 ``_Run.settle``, the one place that builds a check report, records it,
@@ -107,23 +107,32 @@ class CheckReport:
         }
 
 
-class _Deferred:
-    """A value built on first read, as ``build(*args)``.  The arguments
-    are arrays and strings, so a deferred value holds no register, rng or
-    runner; its arrays are made read-only, so no later step can change
-    what a read builds."""
+# Names by code of the payload keys that hold codes.  Object arrays hand
+# out the same str objects on every lookup, so a listed transcript holds
+# no copies of them.
+_BASIS_NAMES = np.array([basis.name for basis in sorted(Basis)], dtype=object)
+_CODE_NAMES = {
+    "ops": np.array([p.name for p in sorted(PauliOp)], dtype=object),
+    "outcomes": np.array([label.name for label in sorted(BellLabel)], dtype=object),
+    "basis": _BASIS_NAMES,
+    "bases": _BASIS_NAMES,
+}
 
-    __slots__ = ("build", "args")
 
-    def __init__(self, build, *args: Any) -> None:
-        for arg in args:
-            if isinstance(arg, np.ndarray):
-                arg.flags.writeable = False
-        self.build = build
-        self.args = args
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """`array`, made read-only: no later step may change a transcript
+    payload."""
+    array.flags.writeable = False
+    return array
 
-    def __call__(self) -> Any:
-        return self.build(*self.args)
+
+def _listed(key: str, value: Any) -> Any:
+    """A payload value as plain JSON: an array as a list, with codes
+    named by `_CODE_NAMES[key]`."""
+    if not isinstance(value, np.ndarray):
+        return value
+    names = _CODE_NAMES.get(key)
+    return (value if names is None else names.take(value)).tolist()
 
 
 class Transcript:
@@ -133,43 +142,24 @@ class Transcript:
     operations, the reader's decoded totals, the message positions) for
     analysis.
 
-    A payload value that grows with the number of pairs is recorded as a
-    `_Deferred` that builds it from the step's arrays, and a run of one
-    event per position as one `_Deferred` (see `defer`).  Both are built
-    in place, in order, the first time `events` or `to_list()` reads
-    them; `append` itself never looks inside a payload."""
+    ``events`` holds one dict per announcement or private record, as
+    `append` recorded it.  A payload value that grows with the number of
+    pairs is a read-only array, made so where it is recorded: positions
+    and measured results, and the codes of Paulis (``ops``, an agent per
+    row in the chain's layered publication), Bell outcomes
+    (``outcomes``) and bases (``basis``, X where true, and ``bases``).
+    `to_list()` is the one place that names codes and turns arrays into
+    lists; `append` never looks inside a payload."""
 
     def __init__(self) -> None:
-        self._events: list[dict[str, Any] | _Deferred] = []
-        self._built = 0  # _events[:_built] are built
+        self.events: list[dict[str, Any]] = []
 
     def append(self, kind: str, **payload: Any) -> None:
-        self._events.append({"kind": kind, **payload})
-
-    def defer(self, build, *args: Any) -> None:
-        """Record the events that ``build(*args)`` returns, built on
-        first read."""
-        self._events.append(_Deferred(build, *args))
-
-    @property
-    def events(self) -> list[dict[str, Any]]:
-        """Every event in order, deferred runs and values built."""
-        if self._built < len(self._events):
-            built = []
-            for item in self._events[self._built :]:
-                if isinstance(item, _Deferred):
-                    built += item()
-                    continue
-                for key, value in item.items():
-                    if isinstance(value, _Deferred):
-                        item[key] = value()
-                built.append(item)
-            self._events[self._built :] = built
-            self._built = len(self._events)
-        return self._events
+        self.events.append({"kind": kind, **payload})
 
     def to_list(self) -> list[dict[str, Any]]:
-        return list(self.events)
+        """Every event as a new dict of plain JSON values."""
+        return [{key: _listed(key, value) for key, value in e.items()} for e in self.events]
 
 
 @dataclass
@@ -314,61 +304,12 @@ def validate_config(config: ScenarioConfig) -> None:
 # position; operations are Pauli codes (see `pauli`), so composing two
 # layers is one XOR.
 
-# Names by code.  Object arrays hand out the same str objects on every
-# lookup, so a transcript holds no copies of them.
-_PAULI_NAMES = np.array([p.name for p in sorted(PauliOp)], dtype=object)
-_BELL_NAMES = np.array([label.name for label in sorted(BellLabel)], dtype=object)
-_BASIS_NAMES = np.array([basis.name for basis in sorted(Basis)], dtype=object)
-
 
 def _mask(values: np.ndarray, size: int) -> np.ndarray:
     """Bool mask over range(size), set at the `values`."""
     mask = np.zeros(size, dtype=bool)
     mask[values] = True
     return mask
-
-
-def _named(positions: np.ndarray, codes: np.ndarray, names=_PAULI_NAMES) -> dict[int, str]:
-    """One name per position, names[code], for the transcript."""
-    return dict(zip(positions.tolist(), names[codes].tolist()))
-
-
-def _layer_ops(positions: np.ndarray, layers: np.ndarray) -> dict[str, dict[int, str]]:
-    """The operations of agents 0..k-1, whose codes are the rows of
-    `layers`, by agent."""
-    return {f"agent{j}": _named(positions, codes) for j, codes in enumerate(layers)}
-
-
-# Builders of deferred runs of per-position events (see `Transcript.defer`).
-
-
-def _zx_events(
-    check: str,
-    positions: np.ndarray,
-    in_x: np.ndarray,
-    remote: np.ndarray,
-    local: np.ndarray,
-) -> list[dict[str, Any]]:
-    """The remote and then the local announcement at each position."""
-    events = []
-    for pos, basis, r, l in zip(
-        positions.tolist(),
-        _BASIS_NAMES[in_x.astype(np.int64)].tolist(),
-        remote.tolist(),
-        local.tolist(),
-    ):
-        events += (
-            {"kind": "zx_remote", "check": check, "position": pos, "basis": basis, "result": r},
-            {"kind": "zx_local", "check": check, "position": pos, "result": l},
-        )
-    return events
-
-
-def _decoy_events(check: str, slots: np.ndarray, outcomes: np.ndarray) -> list[dict[str, Any]]:
-    return [
-        {"kind": "decoy_result", "check": check, "slot": slot, "result": outcome}
-        for slot, outcome in zip(slots.tolist(), outcomes.tolist())
-    ]
 
 
 def _transmit(run: _Run, hop: str, count: int) -> EveInterceptResend | None:
@@ -406,7 +347,14 @@ def zx_check(
     remote_out, local_out = results[:, 0], results[:, 1]
     parity = expected_parity(expected[sampled], in_x)
     mismatches = int(np.count_nonzero((remote_out ^ local_out) != parity))
-    run.transcript.defer(_zx_events, check_id, sampled, in_x, remote_out, local_out)
+    run.transcript.append(
+        "zx_results",
+        check=check_id,
+        positions=_frozen(sampled),
+        basis=_frozen(in_x),
+        remote=_frozen(remote_out),
+        local=_frozen(local_out),
+    )
     run.settle(check_id, len(sampled), mismatches, sampled)
 
 
@@ -432,13 +380,10 @@ def decoy_round(run: _Run, check_id: str, hop: str, photons: np.ndarray) -> np.n
     received = sequence if eve is None else eve.intercept_sequence(sequence)
     in_x = states >> 1
     run.transcript.append(
-        "decoy_positions",
-        check=check_id,
-        slots=slots.tolist(),
-        bases=_BASIS_NAMES[in_x].tolist(),
+        "decoy_positions", check=check_id, slots=_frozen(slots), bases=_frozen(in_x)
     )
     outcomes = run.register.measure_singles(received[slots], in_x)
-    run.transcript.defer(_decoy_events, check_id, slots, outcomes)
+    run.transcript.append("decoy_results", check=check_id, results=_frozen(outcomes))
     run.settle(check_id, count, int(np.count_nonzero(outcomes != states & 1)))
     out = photons.copy()
     out[run.positions] = received[~is_decoy]
@@ -457,8 +402,12 @@ def verify_step6(run: _Run, sampled: np.ndarray, published: np.ndarray) -> None:
     run.register.apply_gates(returned, np.full(len(returned), SingleGate.H))
     outcomes = run.register.measure_bells(run.dealer[sampled], returned)
     mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published[sampled]))
-    named = _Deferred(_named, sampled, outcomes, _BELL_NAMES)
-    run.transcript.append("bell_outcomes", check="step6_check", outcomes=named)
+    run.transcript.append(
+        "bell_outcomes",
+        check="step6_check",
+        positions=_frozen(sampled),
+        outcomes=_frozen(outcomes),
+    )
     run.settle("step6_check", len(sampled), mismatches, sampled)
 
 
@@ -559,9 +508,7 @@ class _Run:
 
     def sample_event(self, check: str, sampled: np.ndarray) -> None:
         """Announce the positions a check has sampled."""
-        self.transcript.append(
-            "sample_positions", check=check, positions=_Deferred(np.ndarray.tolist, sampled)
-        )
+        self.transcript.append("sample_positions", check=check, positions=_frozen(sampled))
 
     def settle(
         self, check_id: str, samples: int, mismatches: int, sampled: np.ndarray | None = None
@@ -579,7 +526,11 @@ class _Run:
     def announce(self, check: str, party: str, positions: np.ndarray, ops: np.ndarray) -> None:
         """`party` publishes its operations `ops` on the sorted `positions`."""
         self.transcript.append(
-            "publish_ops", check=check, party=party, ops=_Deferred(_named, positions, ops)
+            "publish_ops",
+            check=check,
+            party=party,
+            positions=_frozen(positions),
+            ops=_frozen(ops),
         )
 
     def record_ops(self, kind: str, positions: np.ndarray, ops: np.ndarray, **party: str) -> None:
@@ -587,7 +538,7 @@ class _Run:
         at the sorted `positions`, with the agent's ``party`` name when
         given."""
         self.transcript.append(
-            kind, private=True, **party, ops=_Deferred(_named, positions, ops[positions])
+            kind, private=True, **party, positions=_frozen(positions), ops=_frozen(ops[positions])
         )
 
     def encode(self, positions: np.ndarray) -> np.ndarray:
@@ -639,9 +590,7 @@ class _Run:
         every surviving position; `reader` strips them from the readout
         and decodes the dealer's message."""
         positions = self.positions
-        self.transcript.append(
-            "collaboration_positions", positions=_Deferred(np.ndarray.tolist, positions)
-        )
+        self.transcript.append("collaboration_positions", positions=_frozen(positions))
         dealer_codes = totals[positions]
         for party, publish in publishers:
             ops = publish(positions)
@@ -702,14 +651,14 @@ def _original_steps(run: _Run) -> None:
     run.record_ops("alice_ops", run.positions, alice_ops)
     if attack is None:
         run.record_ops("bob_ops", bob_positions, bob_ops)
-    listed = _Deferred(np.ndarray.tolist, message_positions)
-    run.transcript.append("message_positions", private=True, positions=listed)
+    run.transcript.append("message_positions", private=True, positions=_frozen(message_positions))
 
     # Final sample check: Charlie's outcomes against Alice's and Bob's
     # announced operations.
     run.sample_event("final_sample_check", q3)
+    # The reader's decoded totals, Pauli codes and not Bell outcomes.
     run.transcript.append(
-        "bell_outcomes", check="final_sample_check", outcomes=_Deferred(_named, q3, totals[q3])
+        "bell_outcomes", check="final_sample_check", positions=_frozen(q3), ops=_frozen(totals[q3])
     )
     published = attack.fake_ops(q3) if attack is not None else bob_ops[q3]
     run.announce("final_sample_check", "bob", q3, published)
@@ -777,8 +726,9 @@ def _improved_steps(run: _Run) -> None:
                     attack.fake_ops(samples) if last_chain_agent else attack.swap_correct(samples)
                 )
             published[samples] = np.bitwise_xor.reduce(layers)
+            # Row j of `ops` holds agent j's operations.
             run.transcript.append(
-                "publish_ops", check=check_id, ops=_Deferred(_layer_ops, samples, layers)
+                "publish_ops", check=check_id, positions=_frozen(samples), ops=_frozen(layers)
             )
 
         if not last_chain_agent:
@@ -792,8 +742,7 @@ def _improved_steps(run: _Run) -> None:
     alice_ops = run.encode(run.positions)
     run.encrypt(run.dealer, run.rng_dealer, fixed=alice_ops)
     run.record_ops("alice_ops", run.positions, alice_ops)
-    listed = _Deferred(np.ndarray.tolist, run.positions)
-    run.transcript.append("message_positions", private=True, positions=listed)
+    run.transcript.append("message_positions", private=True, positions=_frozen(run.positions))
 
     # Steps 7-9: both sequences go to the last agent behind checking photons.
     run.partner = decoy_round(run, "decoy_check_t", "alice->zach:t", run.partner)

@@ -2,8 +2,10 @@
 
 The protocol records what no party announces -- each party's Pauli
 operations, the reader's decoded totals and the message positions -- as
-transcript events marked ``"private": True``.  ``private_record`` gathers
-them by kind, with operations as ``{position: PauliOp}``.
+transcript events marked ``"private": True``, each with a ``positions``
+array and, for operations, an ``ops`` array of Pauli codes beside it.
+``private_record`` gathers them by kind, with operations as
+``{position: PauliOp}``.
 """
 
 from qss_sim.pauli import PauliOp
@@ -14,7 +16,7 @@ def private_events(report) -> list[dict]:
 
 
 def _ops(event: dict) -> dict[int, PauliOp]:
-    return {pos: PauliOp[name] for pos, name in event["ops"].items()}
+    return dict(zip(event["positions"].tolist(), map(PauliOp, event["ops"].tolist())))
 
 
 def private_record(report) -> dict:
@@ -30,7 +32,7 @@ def private_record(report) -> dict:
     for event in private_events(report):
         kind = event["kind"]
         if kind == "message_positions":
-            record[kind] = event["positions"]
+            record[kind] = event["positions"].tolist()
         elif kind == "agent_ops":
             record[kind][int(event["party"].removeprefix("agent"))] = _ops(event)
         else:

@@ -3,22 +3,25 @@
 Every spec runs a seeded batch and compares the sha256 of its
 ``jsonl_report`` text with a recorded digest, and the sha256 of every
 trial's public transcript events and of its private ones (which the JSON
-lines leave out) with two more.  A refactor of the engine or the protocol
-pipeline must leave every digest unchanged; a change that alters the
-order of random draws changes them and has to say so.
+lines leave out) with two more.  The transcript digests are pinned twice:
+of the listed events, one per announcement, and of the same events
+expanded back to the per-position form the transcript once recorded, so
+that the change of form is shown to lose nothing.  A refactor of the
+engine or the protocol pipeline must leave every digest unchanged; a
+change that alters the order of random draws changes them and has to say
+so.
 """
 
 import dataclasses
-import enum
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from qss_sim import cli
 from qss_sim.adversaries import AdversarySpec
 from qss_sim.harness import BatchSpec, jsonl_report, run_batch
-from qss_sim.pauli import PauliOp
 from qss_sim.protocol import ScenarioConfig
 
 from private_records import private_events
@@ -109,7 +112,7 @@ GOLDEN = {
 }
 
 # name -> (sha256 of its trials' public events, of their private events),
-# see trials_json
+# see trials_json, in the per-position form (see expand)
 GOLDEN_TRIALS = {
     "improved-eve-agent0-agent1-t1": (
         "32dd2ca4228a57f87c4c9c922eec11fb5cf218210aa2a2fa54321fc4b0205dac",
@@ -162,15 +165,74 @@ GOLDEN_TRIALS = {
 }
 
 
+# The same digests of the listed events, one per announcement.
+GOLDEN_EVENTS = {
+    "improved-eve-agent0-agent1-t1": (
+        "f0c241c18656355f0a3475a8f5b2c7d779f823485f773a962da40d3fc483ae63",
+        "143897eb1fb6b825e3b4b0ce3018acb042a6803d513da6dfb00223c51c3c8b1a",
+    ),
+    "improved-eve-zach-a-t1": (
+        "e6df303eb57652b1c778b3cff193911671bfde4a9f415bb7bb9f25dbb49351ca",
+        "b8938025b6dc3e5ef5092b9c62a4b25bd57e9a31c9a3ab52bd9d8c0705501f17",
+    ),
+    "improved-eve-zach-t-t0": (
+        "6caf566ee007160df730f6a8b9a1ee213c5610235255e175ff538aad02555f80",
+        "64d4a51bd0f1c160ba25ea9f93a9a00619efe2ee985fa5219570eb9485e38956",
+    ),
+    "improved-honest-3": (
+        "ca247b5c873ab956d536977409ad70a8f8eb4276d8e8df54d398405e024e59c0",
+        "4a252d7933a5a5a11536603ac513f0746ade4b0926ee6172d0a0308e6ca719f7",
+    ),
+    "improved-swap-false-4": (
+        "af4b5981be6793fee760f32716e6369456b46b6e371b919b406855747e103640",
+        "ec8c61243b7d8a482018d22cfb5b47a9c4652e8b728fb98052c754ad7f25815e",
+    ),
+    "improved-swap-true-3-t1": (
+        "363844411ea9b40138bb0c65b19c7b17e690c5a7214975982dda7c0148da3cd7",
+        "5558b3fa22508ebea9b921cf5323222211826f5efa88043384729932a8614a10",
+    ),
+    "original-eve-alice-charlie-t1": (
+        "3da05d8cfa9220209cb4632530ed80465b064999a9c76e2c525e39c441483594",
+        "e013bd8d8464534291de37fd467cb8ab6309ff848d19e6402c5e498cdab11022",
+    ),
+    "original-eve-bob-alice-t0": (
+        "a19ebf883fc8f2d887e6cfc1299c327808019cbd8ba3851ca3bcb24ff9795233",
+        "fdbe274dfb6fdf2e63df5fe56c4ef676477280dff1a4758ad13d74cbcbea5954",
+    ),
+    "original-eve-bob-charlie-t1": (
+        "cf9acd26272a74d813646901440b6fc112dc19d82e547c4bbc2b28f496ff637d",
+        "20332a8192e28b8e04635955320df3cb7871206c10885b3b9ddabe4831c064d5",
+    ),
+    "original-honest": (
+        "28b6fc678cbdfce099a579b2e52c69b3b17a7da4e59fe91526fbb2df1134868b",
+        "553328cdbaa78fec9686e5fa62012dc30a8ccbcc4160b8a9434ae1f959a577e9",
+    ),
+    "original-swap-false": (
+        "1df3aa6f2f3a19ac6947662339702e9793c2557364884e0bd31b45b3c46aa27c",
+        "4d43e4ceec7d08cccf9921b0ffc352399641c1709f73a00e8a19f1974b502ffb",
+    ),
+    "original-swap-true": (
+        "46fdf5c285c958c5c662d50266023a7880d562ed7fb6aaaa76ecb4e68336ccb7",
+        "4d43e4ceec7d08cccf9921b0ffc352399641c1709f73a00e8a19f1974b502ffb",
+    ),
+}
+
+
 # One spec at the size of the long single-trial runs, whose array shapes
 # the 24-pair specs never reach: (scenario, trials, JSON-lines digest,
-# public-events digest, private-events digest), at seed_base 500.
+# public-events digest, private-events digest in the per-position form),
+# at seed_base 500.
 LARGE = (
     _original(_eve("bob->charlie"), threshold=1.0, n_pairs=4096),
     2,
     "bf259c916d0f1641f1e82a550cb7944dfc5bf36af36642465259fab2625b0144",
     "844e2240f416cfa43eab834bf4e503bc527045a625ee300e0dcc0b4e68fe3456",
     "8733ff078956fe459ec81640fb49abd9b0951acff7b543c3aec49c763f0d8a7c",
+)
+# LARGE's public and private digests of the listed events.
+LARGE_EVENTS = (
+    "66ac43b64c320ebde9b170b38b20cbe049483e02ad3d1dbab80e7ce80fd745fc",
+    "ca6ef6578ced37ca5649eaa56f64c78ccb47615f0b9288faa676a2c5aec100b8",
 )
 
 
@@ -220,20 +282,63 @@ def test_golden_cli_digest(name, to_file, tmp_path, capsys):
     assert _sha256(text) == digest
 
 
-def _by_name(obj):
-    if isinstance(obj, enum.Enum):
-        return obj.name
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def trials_json(reports, private: bool) -> str:
+def trials_json(trials: list[list[dict]], private: bool) -> str:
     """Every trial's public events, or its private ones, as one JSON list
-    per trial, enums by name, dict keys in insertion order."""
-    trials = [
-        [e for e in r.transcript.to_list() if e.get("private", False) == private]
-        for r in reports
-    ]
-    return json.dumps(trials, default=_by_name, separators=(",", ":"))
+    per trial, dict keys in insertion order."""
+    return json.dumps(
+        [[e for e in events if e.get("private", False) == private] for events in trials],
+        separators=(",", ":"),
+    )
+
+
+def _by_position(event: dict) -> dict:
+    """`event` with its positions and its names merged into one
+    {position: name} dict, by agent for the chain's layered publication,
+    under ``outcomes`` for every Bell readout."""
+    positions = event["positions"]
+    out = {}
+    for key, value in event.items():
+        if key == "positions":
+            continue
+        if key in ("ops", "outcomes"):
+            if event["kind"] == "publish_ops" and "party" not in event:
+                value = {f"agent{j}": dict(zip(positions, row)) for j, row in enumerate(value)}
+            else:
+                value = dict(zip(positions, value))
+            if event["kind"] == "bell_outcomes":
+                key = "outcomes"
+        out[key] = value
+    return out
+
+
+def expand(events: list[dict]) -> list[dict]:
+    """One trial's listed events in the per-position form: a
+    ``zx_remote`` and a ``zx_local`` event per Z/X-checked position, a
+    ``decoy_result`` event per checking-photon slot, and operations and
+    Bell readouts as {position: name} dicts."""
+    expanded = []
+    slots = {}
+    for e in events:
+        kind, check = e["kind"], e.get("check")
+        if kind == "zx_results":
+            for pos, basis, remote, local in zip(
+                e["positions"], e["basis"], e["remote"], e["local"]
+            ):
+                expanded += (
+                    {"kind": "zx_remote", "check": check, "position": pos, "basis": basis,
+                     "result": remote},
+                    {"kind": "zx_local", "check": check, "position": pos, "result": local},
+                )
+        elif kind == "decoy_results":
+            expanded += (
+                {"kind": "decoy_result", "check": check, "slot": slot, "result": result}
+                for slot, result in zip(slots[check], e["results"])
+            )
+        else:
+            if kind == "decoy_positions":
+                slots[check] = e["slots"]
+            expanded.append(_by_position(e) if "ops" in e or "outcomes" in e else e)
+    return expanded
 
 
 def golden_reports(scenario: ScenarioConfig):
@@ -242,14 +347,20 @@ def golden_reports(scenario: ScenarioConfig):
     return reports
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_TRIALS))
-def test_golden_transcript_and_extra_digest(name):
+def _transcript_digests(reports, per_position, listed):
     # Public events pin what the parties announce, private ones the
     # analysis-only record kept beside them.
+    trials = [r.transcript.to_list() for r in reports]
+    for digests, form in ((listed, trials), (per_position, [expand(t) for t in trials])):
+        public, private = digests
+        assert _sha256(trials_json(form, private=False)) == public
+        assert _sha256(trials_json(form, private=True)) == private
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRIALS))
+def test_golden_transcript_and_extra_digest(name):
     reports = golden_reports(GOLDEN[name][0])
-    public, private = GOLDEN_TRIALS[name]
-    assert _sha256(trials_json(reports, private=False)) == public
-    assert _sha256(trials_json(reports, private=True)) == private
+    _transcript_digests(reports, GOLDEN_TRIALS[name], GOLDEN_EVENTS[name])
 
 
 def test_large_golden_digests():
@@ -258,11 +369,7 @@ def test_large_golden_digests():
     reports = []
     stats = run_batch(spec, reports.append)
     assert _sha256(jsonl_report(spec, stats, reports)) == jsonl_digest
-    assert _sha256(trials_json(reports, private=False)) == public
-    assert _sha256(trials_json(reports, private=True)) == private
-
-
-_CODES = {p.name: int(p) for p in PauliOp}
+    _transcript_digests(reports, (public, private), LARGE_EVENTS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -279,11 +386,13 @@ def test_private_record_reproduces_recovered_message(name):
             continue
         record = {e["kind"]: e for e in private_events(report)}
         positions = record["message_positions"]["positions"]
-        codes = {pos: _CODES[op] for pos, op in record["totals"]["ops"].items()}
+        totals = record["totals"]
+        codes = np.zeros(report.config.n_pairs, dtype=np.int64)
+        codes[totals["positions"]] = totals["ops"]
+        codes = codes[positions]
         for e in events:
             if e["kind"] == "publish_ops" and e["check"] == "collaboration":
-                assert list(e["ops"]) == positions
-                for pos, op in e["ops"].items():
-                    codes[pos] ^= _CODES[op]
-        bits = "".join(f"{codes[pos] >> 1}{codes[pos] & 1}" for pos in positions)
+                assert e["positions"].tolist() == positions.tolist()
+                codes ^= e["ops"]
+        bits = "".join(f"{code >> 1}{code & 1}" for code in codes.tolist())
         assert recovered == [bits]

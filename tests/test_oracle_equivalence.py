@@ -6,10 +6,14 @@ runs of the Register engine.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qss_sim
 from qss_sim.oracles import (
     bell_pauli_table,
     decoy_error_rate,
@@ -100,6 +104,28 @@ def test_decoy_error_closed_forms():
 
 def test_swap_attack_step6_pass_rate_is_one_quarter():
     assert swap_attack_step6_pass_rate() == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("oracle", ["swap_attack_step6_pass_rate", "swap_table"])
+def test_bell_probability_checks_hold_under_optimize(oracle):
+    # A Bell vector of the wrong norm gives outcome probabilities other
+    # than 1/4; the oracle must refuse it even where asserts are off.
+    code = (
+        "from qss_sim import oracles\n"
+        "from qss_sim.pauli import BellLabel\n"
+        "oracles.BELL_VECTORS[BellLabel.PHI_PLUS] = 2 * oracles.BELL_VECTORS[BellLabel.PHI_PLUS]\n"
+        f"print(oracles.{oracle}())\n"
+    )
+    src = os.path.dirname(os.path.dirname(qss_sim.__file__))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode != 0, result.stdout
+    assert "ValueError: Bell outcome probability" in result.stderr
 
 
 def test_eve_state_information_is_half_bit():

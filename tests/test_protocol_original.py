@@ -77,7 +77,7 @@ def test_transcript_records_protocol_flow():
     first_zx2 = next(
         i
         for i, e in enumerate(report.transcript.events)
-        if e["kind"] == "zx_remote" and e["check"] == "zx_check_2"
+        if e["kind"] == "zx_results" and e["check"] == "zx_check_2"
     )
     assert pub < first_zx2
 
