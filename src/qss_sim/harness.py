@@ -48,7 +48,6 @@ class BatchSpec:
 class CheckStats:
     total_samples: int = 0
     total_mismatches: int = 0
-    trials_seen: int = 0
 
     @property
     def mean_error_rate(self) -> float:
@@ -101,7 +100,6 @@ class AggregateStats:
             cs = self.check_stats.setdefault(check.check_id, CheckStats())
             cs.total_samples += check.samples
             cs.total_mismatches += check.mismatches
-            cs.trials_seen += 1
         for party, bits in report.recovered.items():
             self.recovery_seen[party] += 1
             if bits is not None and bits == report.dealer_message:

@@ -65,11 +65,12 @@ state's is 2*(basis is X) + bit, a basis is its X-mask entry and a Bell
 outcome's code is its place in the draw.  Operations of one call that
 touch the same row run in list order: the call runs in rounds of items
 on distinct rows, each round found by one first-touch pass whose cost
-grows with the call's n items, not with the rows of the table.  The
-first round's pass also proves a measuring call's photons distinct,
-before the call draws its uniforms: a row has two seats, so no photon
-is listed twice when each photon on a row that an earlier item touches
-differs from that item's photons and no two such photons share a row.
+grows with the call's n items, not with the rows of the table.  A
+measuring call whose first round is not the whole call then checks,
+before it draws its uniforms, that it lists no photon twice: a live
+photon owns one seat and a seat is its row and side, so the photons are
+distinct when, side by side, their rows are.  Each listed photon writes
+its place in the call into its row's scratch entry and reads it back.
 Nothing in a call sorts.  A measuring call draws its Born-rule uniforms
 with one ``rng.random(n)`` in list order, which yields the same numbers
 as n scalar draws, so a vector call replays exactly the outcomes of the
@@ -365,48 +366,6 @@ def _codes(values: Sequence[int], symbols: type[enum.IntEnum], what: str) -> np.
     return codes
 
 
-def _require_distinct(lists: tuple, now: np.ndarray, stamp: np.ndarray) -> None:
-    """Raise if a measuring call lists a photon twice.  `lists` holds the
-    photon ids and rows of each of the call's photon lists, and `now` and
-    `stamp` are what `_first_touch` made of those rows: stamp[r] is the
-    first item that touches row r.  A photon is late if an earlier item
-    touches its row.  A row has two seats, so the photons are distinct
-    when every late photon differs from the photons of its row's first
-    item and no two late photons of different items share a row.  (Two
-    late photons of one item on one row would make three photons on it
-    with the first item's, so one of the checks finds them.)  Only the
-    items that are not `now` are looked at, _BLOCK at a time, so the
-    check holds one index per late photon and one block's temporaries;
-    the caller has already refused an item that lists one photon
-    twice."""
-    items = np.flatnonzero(~now)
-    late = []
-    for block in _blocks(items, len(items)):
-        for ids, rows in lists:
-            firsts = stamp[rows[block]]
-            own = block
-            if len(lists) > 1:
-                # An item of two photons may be late on one of its rows only.
-                is_late = firsts != block
-                own, firsts = block[is_late], firsts[is_late]
-            # The photons of each late photon's first item.  Each array
-            # is freed once spent, so a block holds at most three.
-            seen = [first_ids[firsts] for first_ids, _ in lists]
-            del firsts
-            mine = ids[own]
-            if any((mine == photons).any() for photons in seen):
-                raise RegisterError("a measurement lists the same photon twice")
-            del seen, mine
-            late.append((rows, own))
-    # Each late photon writes its item into its row's stamp and reads it
-    # back: a row that late photons of two items share keeps only one.
-    for rows, own in late:
-        stamp[rows[own]] = own
-    for rows, own in late:
-        if (stamp[rows[own]] != own).any():
-            raise RegisterError("a measurement lists the same photon twice")
-
-
 def _raise_not_live(photon: int):
     raise ConsumedPhotonError(
         f"photon {photon} is not live (never created or already measured)"
@@ -441,7 +400,7 @@ class Register:
         self.rng = rng
         self._amps = np.zeros((16, 2, 2))
         self._members = np.zeros(32, dtype=np.int64)
-        # Scratch of `_first_touch`, one entry per row.
+        # Scratch of `_first_touch` and `_refuse_repeats`, one entry per row.
         self._stamp = np.zeros(16, dtype=np.int64)
         self._seat = np.zeros(32, dtype=np.int64)
         self._next_photon = 0
@@ -495,30 +454,50 @@ class Register:
         """The items of a call (index arrays, or slices) in rounds that
         touch distinct rows, each item after every earlier item that
         shares a row with it, and each round in blocks of at most _BLOCK
-        items, in list order.  The first round is found now: for a
-        `measuring` call its first-touch pass also proves that no photon
-        is listed twice (see `_require_distinct`), so a call that lists
-        one raises before it draws or writes anything.  Each later round
-        looks its rows up again, after the caller has processed the one
-        before."""
+        items, in list order.  The first round is found now.  If it is not
+        the whole call, a `measuring` call then checks that it lists no
+        photon twice (see `_refuse_repeats`), so a call that lists one
+        raises before it draws or writes anything.  The items of a call of
+        one round touch distinct rows, so in it only a Bell item can list a
+        photon twice, which `measure_bells` refuses itself.  Each later
+        round looks its rows up again, after the caller has processed the
+        one before."""
         n = len(first)
         if n <= 1:
             return _blocks(slice(None), n) if n else ()
-        rows, other, now = self._touch(first, second, slice(None))
+        now = self._touch(first, second, slice(None))
         if now.all():
             return _blocks(slice(None), n)
         if measuring:
-            lists = ((first, rows),) if first is second else ((first, rows), (second, other))
-            _require_distinct(lists, now, self._stamp)
+            self._refuse_repeats(first, second)
         return self._later_rounds(first, second, now)
 
-    def _touch(self, first: np.ndarray, second: np.ndarray, items):
-        """The rows of the `items` of a call (an index array, or a slice
-        for all of them) in each photon list, and their `_first_touch`
-        mask."""
+    def _touch(self, first: np.ndarray, second: np.ndarray, items) -> np.ndarray:
+        """The `_first_touch` mask of the `items` of a call (an index
+        array, or a slice for all of them)."""
         rows = self._seat[first[items]] >> 1
         other = rows if first is second else self._seat[second[items]] >> 1
-        return rows, other, _first_touch(rows, other, self._stamp)
+        return _first_touch(rows, other, self._stamp)
+
+    def _refuse_repeats(self, first: np.ndarray, second: np.ndarray) -> None:
+        """Raise if a measuring call lists a photon twice.  A live photon
+        owns one seat, 2*row + side, so on one side a row holds one photon:
+        the photons are distinct when, side by side, their rows are.  On
+        each side every listed photon writes its place in the call (item i
+        of `first` is i, of a distinct `second` n + i) into `_stamp` at its
+        row and reads it back, _BLOCK photons at a time.  A row listed twice
+        on one side returns its own place to at most one of its photons,
+        whatever order numpy applies repeated writes in."""
+        rows = self._seat[first if first is second else np.concatenate((first, second))]
+        odd = (rows & 1).astype(bool)
+        rows >>= 1
+        for on_side in (~odd, odd):
+            places = np.flatnonzero(on_side)
+            for block in _blocks(places, len(places)):
+                self._stamp[rows[block]] = block
+            for block in _blocks(places, len(places)):
+                if (self._stamp[rows[block]] != block).any():
+                    raise RegisterError("a measurement lists the same photon twice")
 
     def _later_rounds(self, first: np.ndarray, second: np.ndarray, now: np.ndarray):
         """Yield the rounds of a call whose first round is the items
@@ -530,7 +509,7 @@ class Register:
             items = items[~now]
             if not len(items):
                 return
-            now = self._touch(first, second, items)[2]
+            now = self._touch(first, second, items)
 
     def _gather(self, seats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat table indices and amplitudes of the rows of the photons on

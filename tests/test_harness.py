@@ -50,9 +50,12 @@ def test_run_batch_honest_aggregate():
     assert stats.recovery_frequency == {"charlie": 1.0}
     assert stats.eavesdropper_exact_frequency is None
     assert stats.mutual_information_bits is None
-    for cs in stats.check_stats.values():
+    for check_id, cs in stats.check_stats.items():
         assert cs.total_mismatches == 0
-        assert cs.trials_seen == 5
+        # Each check ran in every trial, and its samples fold into one sum.
+        samples = [c.samples for r in reports for c in r.checks if c.check_id == check_id]
+        assert len(samples) == 5
+        assert cs.total_samples == sum(samples)
 
 
 def test_trials_use_distinct_seeds():

@@ -280,9 +280,10 @@ def test_check_phases_are_called_through_module_globals(monkeypatch):
 
 def test_trials_neither_sort_nor_search(monkeypatch):
     # Sampled positions, the positions left after a check and the
-    # rotated ones are read off masks, and the register proves a
-    # measuring call's photons distinct in its first-touch pass, so a
-    # trial never maps numpy's sort or binary-search code.
+    # rotated ones are read off masks, and the register checks a
+    # measuring call's photons distinct by writing and reading back one
+    # scratch entry per row, so a trial never maps numpy's sort or
+    # binary-search code.
     from qss_sim.protocol import run_trial
 
     def refuse(*args, **kwargs):
