@@ -16,10 +16,13 @@ transcript, and adversary seams:
 Each mode is a short step function over one per-trial runner, ``_Run``,
 which owns the streams, register, adversaries and transcript and the
 steps both modes share (pair preparation, transmission, sample draws,
-Pauli encryption, Bell readout, collaboration).  ``sample_sizes`` is the
-one plan of how many positions each check samples: ``validate_config``
-rejects a config whose plan fails, and ``_Run.draw`` takes each size
-from it in run order.  Each announcement, and each private record, is
+Pauli encryption, Bell readout, collaboration).  ``plan`` is the one
+table of a run's checks, one row per hop in run order: the hop, the
+check that guards it, the check's kind and its sample size.
+``validate_config`` builds it once, rejecting a config whose sizes
+fail or whose eavesdropper sits on no hop of it; ``_Run`` keeps a cursor
+at the next row, and each step takes its hop, check id and sample size
+from there.  Each announcement, and each private record, is
 one transcript event, recorded where it happens; a payload value that
 grows with the number of pairs is a read-only array of positions,
 results or codes, named only when the transcript is listed.  The check
@@ -27,7 +30,8 @@ phases ``zx_check``, ``decoy_round`` and ``verify_step6`` are module-level
 functions of the run, and each run looks them up here at call time, so
 per-phase timing can wrap them by name.  Every check ends in
 ``_Run.settle``, the one place that builds a check report, records it,
-retires the sampled positions and ends the run on an abort verdict;
+retires the sampled positions, moves the cursor on and ends the run on
+an abort verdict, and which raises if a check settles off its row;
 ``_Run.execute`` builds the one RunReport.  The dishonest first agent is
 one ``SwapAttack`` in both modes.
 
@@ -201,51 +205,53 @@ def _bits_str(bits: list[int]) -> str:
 # validation
 
 
-def hop_names(config: ScenarioConfig) -> list[str]:
-    if config.protocol == "original":
-        return ["bob->alice", "bob->charlie", "alice->charlie"]
-    m = config.agent_count
-    hops = ["alice->agent0"]
-    hops += [f"agent{k}->agent{k + 1}" for k in range(m - 2)]
-    hops += [f"agent{m - 2}->alice", "alice->zach:t", "alice->zach:a"]
-    return hops
+def plan(config: ScenarioConfig) -> tuple[tuple[str, str, str, int], ...]:
+    """The run's checks in run order, one row ``(hop, check, kind,
+    samples)`` per hop: the transmission the check guards, its id, its
+    kind (``zx``, ``final``, ``step6`` or ``decoy``) and how many photons
+    it samples.  A position-consuming check retires what it samples, so
+    its size is taken from the positions the earlier checks left; a decoy
+    check samples ``checking_photon_count`` checking photons and consumes
+    no position.  Raise ConfigError if the step-6 sample cannot be drawn
+    or no message position would be left.  The scalar fields must
+    already be valid (see `validate_config`)."""
 
+    def guarded():
+        # (hop, check, kind) of each position-consuming check, in run
+        # order, made lazily: a plan over many agents stops where its
+        # positions run out.
+        if config.protocol == "original":
+            yield "bob->alice", "zx_check_1", "zx"
+            yield "bob->charlie", "zx_check_2", "zx"
+            yield "alice->charlie", "final_sample_check", "final"
+            return
+        m = config.agent_count
+        yield "alice->agent0", "zx_check_step2", "zx"
+        for k in range(m - 2):
+            yield f"agent{k}->agent{k + 1}", f"hop_check_{k}", "zx"
+        yield f"agent{m - 2}->alice", "step6_check", "step6"
 
-def _sample_size(pool: int, fraction: float) -> int:
-    return min(pool, max(1, math.ceil(fraction * pool)))
-
-
-def sample_sizes(config: ScenarioConfig) -> list[int]:
-    """The number of positions each position-consuming check samples, in
-    run order: ``zx_check_1``, ``zx_check_2`` and ``final_sample_check``
-    in the original protocol; ``zx_check_step2``, each ``hop_check_k``
-    and ``step6_check`` in the improved one.  Each check retires what it
-    samples, so each size is taken from the positions the earlier checks
-    left.  Raise ConfigError if the step-6 sample cannot be drawn or no
-    message position would be left.  The scalar fields must already be
-    valid (see `validate_config`)."""
-    if config.protocol == "original":
-        checks, last = 3, None
-    else:
-        checks, last = config.agent_count, config.step6_sample_count
+    rows = []
     remaining = config.n_pairs
-    sizes = []
-    for i in range(checks):
-        if i == checks - 1 and last is not None:
-            if last > remaining:
+    for hop, check, kind in guarded():
+        if kind == "step6" and config.step6_sample_count is not None:
+            if config.step6_sample_count > remaining:
                 raise ConfigError("step6_sample_count exceeds the surviving positions")
-            q = last
+            q = config.step6_sample_count
         elif remaining < 1:
             # Each check takes a position, so this ends within n_pairs
             # checks, however many agents there are.
             break
         else:
-            q = _sample_size(remaining, config.sample_fraction)
-        sizes.append(q)
+            q = min(remaining, max(1, math.ceil(config.sample_fraction * remaining)))
+        rows.append((hop, check, kind, q))
         remaining -= q
     if remaining < 1:
         raise ConfigError("sampling would leave no message positions")
-    return sizes
+    if config.protocol == "improved":
+        count = config.checking_photon_count
+        rows += [(f"alice->zach:{s}", f"decoy_check_{s}", "decoy", count) for s in "ta"]
+    return tuple(rows)
 
 
 def require_integer(name: str, value: Any) -> None:
@@ -258,8 +264,9 @@ def require_integer(name: str, value: Any) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
-def validate_config(config: ScenarioConfig) -> None:
-    """Raise ConfigError if the scenario cannot run to completion."""
+def validate_config(config: ScenarioConfig) -> tuple[tuple[str, str, str, int], ...]:
+    """Raise ConfigError if the scenario cannot run to completion; return
+    its `plan`."""
     if config.protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {config.protocol!r}")
     for name in ("n_pairs", "master_seed", "agent_count", "checking_photon_count"):
@@ -284,14 +291,14 @@ def validate_config(config: ScenarioConfig) -> None:
     if config.step6_sample_count is not None and config.step6_sample_count < 1:
         raise ConfigError("step6_sample_count must be positive when given")
 
-    sample_sizes(config)
-
+    rows = plan(config)
+    hops = [row[0] for row in rows]
     adv = config.adversary
-    if adv.kind == "eve_intercept_resend" and adv.hop not in hop_names(config):
+    if adv.kind == "eve_intercept_resend" and adv.hop not in hops:
         raise ConfigError(
-            f"adversary hop {adv.hop!r} is not a hop of this protocol; "
-            f"valid hops: {hop_names(config)}"
+            f"adversary hop {adv.hop!r} is not a hop of this protocol; valid hops: {hops}"
         )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +319,16 @@ def _mask(values: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
-def _transmit(run: _Run, hop: str, count: int) -> EveInterceptResend | None:
-    """Log `count` photons sent over `hop`; returns Eve if she sits on the
-    hop, else None."""
-    run.transcript.append("transmit", hop=hop, count=count)
+def _transmit(run: _Run, count: int) -> EveInterceptResend | None:
+    """Log `count` photons sent over the plan row's hop; returns Eve if she
+    sits on the hop, else None."""
+    run.transcript.append("transmit", hop=run.row[0], count=count)
     eve = run.eve
-    return eve if eve is not None and eve.hop == hop else None
+    return eve if eve is not None and eve.hop == run.row[0] else None
 
 
 def zx_check(
     run: _Run,
-    check_id: str,
     sampled: np.ndarray,
     expected: np.ndarray,
     rng_remote: np.random.Generator,
@@ -349,23 +355,24 @@ def zx_check(
     mismatches = int(np.count_nonzero((remote_out ^ local_out) != parity))
     run.transcript.append(
         "zx_results",
-        check=check_id,
+        check=run.row[1],
         positions=_frozen(sampled),
         basis=_frozen(in_x),
         remote=_frozen(remote_out),
         local=_frozen(local_out),
     )
-    run.settle(check_id, len(sampled), mismatches, sampled)
+    run.settle(len(sampled), mismatches, sampled)
 
 
-def decoy_round(run: _Run, check_id: str, hop: str, photons: np.ndarray) -> np.ndarray:
-    """Send one photon per surviving position over `hop` with the
-    dealer's checking photons mixed in at secret slots; after transit,
-    announce slots and preparation bases, measure the checking photons,
-    and compare with preparation.  The check settles with no position
-    consumed.  Returns the photons that arrive, indexed by position (ids
-    may have been replaced in transit)."""
-    count = run.config.checking_photon_count
+def decoy_round(run: _Run, photons: np.ndarray) -> np.ndarray:
+    """Send one photon per surviving position over the plan row's hop
+    with as many of the dealer's checking photons as the row samples
+    mixed in at secret slots; after transit, announce slots and
+    preparation bases, measure the checking photons, and compare with
+    preparation.  The check settles with no position consumed.  Returns
+    the photons that arrive, indexed by position (ids may have been
+    replaced in transit)."""
+    _, check_id, _, count = run.row
     # A draw k picks state code k: basis X if k >= 2, bit k & 1.
     states = run.rng_dealer.integers(4, size=count)
     decoys = run.register.prepare_singles(states)
@@ -376,7 +383,7 @@ def decoy_round(run: _Run, check_id: str, hop: str, photons: np.ndarray) -> np.n
     sequence = np.empty(total, dtype=np.int64)
     sequence[slots] = decoys
     sequence[~is_decoy] = photons[run.positions]
-    eve = _transmit(run, hop, total)
+    eve = _transmit(run, total)
     received = sequence if eve is None else eve.intercept_sequence(sequence)
     in_x = states >> 1
     run.transcript.append(
@@ -384,7 +391,7 @@ def decoy_round(run: _Run, check_id: str, hop: str, photons: np.ndarray) -> np.n
     )
     outcomes = run.register.measure_singles(received[slots], in_x)
     run.transcript.append("decoy_results", check=check_id, results=_frozen(outcomes))
-    run.settle(check_id, count, int(np.count_nonzero(outcomes != states & 1)))
+    run.settle(count, int(np.count_nonzero(outcomes != states & 1)))
     out = photons.copy()
     out[run.positions] = received[~is_decoy]
     return out
@@ -404,11 +411,11 @@ def verify_step6(run: _Run, sampled: np.ndarray, published: np.ndarray) -> None:
     mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published[sampled]))
     run.transcript.append(
         "bell_outcomes",
-        check="step6_check",
+        check=run.row[1],
         positions=_frozen(sampled),
         outcomes=_frozen(outcomes),
     )
-    run.settle("step6_check", len(sampled), mismatches, sampled)
+    run.settle(len(sampled), mismatches, sampled)
 
 
 class _Abort(Exception):
@@ -424,10 +431,14 @@ class _Run:
     subset of them is read off a mask over positions (see `_mask`).
     ``dealer`` holds the dealer's half of each position's pair and
     ``partner`` the other half, both indexed by position; entries at
-    retired positions are stale."""
+    retired positions are stale.  ``row`` is the `plan` row of the next
+    check to settle, (hop, check, kind, samples), and ``rows`` iterates
+    over the rows after it; the steps take each hop, check id and sample
+    size from ``row``."""
 
     def __init__(self, config: ScenarioConfig, protocol: str, n_parties: int) -> None:
-        validate_config(config)
+        self.rows = iter(validate_config(config))
+        self.row: tuple[str, str, str, int] | None = next(self.rows)
         if config.protocol != protocol:
             raise ConfigError(f"run_{protocol} needs protocol={protocol!r}")
         children = np.random.SeedSequence(config.master_seed).spawn(3 + n_parties)
@@ -443,7 +454,6 @@ class _Run:
         elif adv.kind == "bob_swap_attack":
             self.attack = SwapAttack(self.register, rng_adv, adv)
         self.config = config
-        self.sample_plan = iter(sample_sizes(config))
         self.threshold = config.error_threshold
         self.transcript = Transcript()
         self.checks: list[CheckReport] = []
@@ -482,39 +492,43 @@ class _Run:
         )
         self.transcript.append("prepare", party=party, pairs=self.config.n_pairs)
 
-    def transmit(
-        self, hop: str, photons: np.ndarray, party: str | None = None
-    ) -> np.ndarray:
-        """Send one photon per surviving position over `hop` and log its
-        receipt; returns the photons that arrive, `photons` itself unless
-        Eve sits on the hop."""
-        eve = _transmit(self, hop, len(self.positions))
+    def transmit(self, photons: np.ndarray, party: str | None = None) -> np.ndarray:
+        """Send one photon per surviving position over the plan row's hop
+        and log its receipt; returns the photons that arrive, `photons`
+        itself unless Eve sits on the hop."""
+        eve = _transmit(self, len(self.positions))
         if eve is not None:
             photons = photons.copy()
             photons[self.positions] = eve.intercept_sequence(photons[self.positions])
         receipt = {} if party is None else {"party": party}
-        self.transcript.append("receipt", **receipt, hop=hop)
+        self.transcript.append("receipt", **receipt, hop=self.row[0])
         return photons
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """Sample the next check's share of the surviving positions, as
-        `sample_sizes` plans it, sorted."""
-        drawn = rng.choice(self.positions, size=next(self.sample_plan), replace=False)
+        """Sample as many of the surviving positions as the plan row's
+        check samples, sorted."""
+        drawn = rng.choice(self.positions, size=self.row[3], replace=False)
         return np.flatnonzero(_mask(drawn, self.config.n_pairs))
 
     def without(self, removed: np.ndarray) -> np.ndarray:
         """The surviving positions not in `removed`, a subset of them."""
         return self.positions[~_mask(removed, self.config.n_pairs)[self.positions]]
 
-    def sample_event(self, check: str, sampled: np.ndarray) -> None:
-        """Announce the positions a check has sampled."""
-        self.transcript.append("sample_positions", check=check, positions=_frozen(sampled))
+    def sample_event(self, sampled: np.ndarray) -> None:
+        """Announce the positions the plan row's check has sampled."""
+        self.transcript.append("sample_positions", check=self.row[1], positions=_frozen(sampled))
 
-    def settle(
-        self, check_id: str, samples: int, mismatches: int, sampled: np.ndarray | None = None
-    ) -> None:
-        """Report a check and retire the `sampled` positions it consumed;
-        an abort verdict ends the run here."""
+    def settle(self, samples: int, mismatches: int, sampled: np.ndarray | None = None) -> None:
+        """Report the plan row's check, retire the `sampled` positions it
+        consumed and move on to the next row; an abort verdict ends the run
+        here.  Raise RuntimeError, naming the check, if no row is left or
+        the row plans another sample count: the steps broke the plan."""
+        if self.row is None:
+            raise RuntimeError(f"a check settled after {self.checks[-1].check_id}, the plan's last")
+        _, check_id, _, planned = self.row
+        if samples != planned:
+            raise RuntimeError(f"{check_id} settled {samples} samples; its plan row has {planned}")
+        self.row = next(self.rows, None)
         report = CheckReport(check_id, samples, mismatches, self.threshold)
         self.transcript.append("check_report", **report.to_dict())
         self.checks.append(report)
@@ -609,12 +623,12 @@ def _original_steps(run: _Run) -> None:
     rng_bob, rng_charlie = run.rng_parties
     attack = run.attack
     run.prepare("bob")
-    run.dealer = run.transmit("bob->alice", run.dealer, "alice")
+    run.dealer = run.transmit(run.dealer, "alice")
 
     # First eavesdropping check (Alice-Bob).
     q1 = run.draw(rng_alice)
-    run.sample_event("zx_check_1", q1)
-    zx_check(run, "zx_check_1", q1, run.identity(), rng_bob)
+    run.sample_event(q1)
+    zx_check(run, q1, run.identity(), rng_bob)
 
     # Bob encrypts his sequence and sends it to Charlie -- or substitutes
     # halves of his own pairs.
@@ -624,17 +638,17 @@ def _original_steps(run: _Run) -> None:
         run.partner = attack.forward(run.positions, run.partner)
     else:
         bob_ops = run.encrypt(run.partner, rng_bob)
-    run.partner = run.transmit("bob->charlie", run.partner, "charlie")
+    run.partner = run.transmit(run.partner, "charlie")
 
     # Second eavesdropping check (Alice-Charlie), with Bob's operations
     # published first.
     q2 = run.draw(rng_alice)
-    run.sample_event("zx_check_2", q2)
+    run.sample_event(q2)
     announced = attack.swap_correct(q2) if attack is not None else bob_ops[q2]
-    run.announce("zx_check_2", "bob", q2, announced)
+    run.announce(run.row[1], "bob", q2, announced)
     expected = run.identity()
     expected[q2] = announced
-    zx_check(run, "zx_check_2", q2, expected, rng_charlie)
+    zx_check(run, q2, expected, rng_charlie)
 
     # Alice picks her own samples, encodes the message elsewhere, and
     # sends her sequence to Charlie.
@@ -643,7 +657,7 @@ def _original_steps(run: _Run) -> None:
     alice_ops = run.encrypt(run.dealer, rng_alice, fixed=run.encode(message_positions))
     if attack is not None:
         run.dealer = attack.intercept_dealer(run.positions, run.dealer)
-    run.dealer = run.transmit("alice->charlie", run.dealer, "charlie")
+    run.dealer = run.transmit(run.dealer, "charlie")
 
     # Charlie's Bell readout over every surviving position.
     totals = run.readout()
@@ -655,15 +669,15 @@ def _original_steps(run: _Run) -> None:
 
     # Final sample check: Charlie's outcomes against Alice's and Bob's
     # announced operations.
-    run.sample_event("final_sample_check", q3)
+    run.sample_event(q3)
     # The reader's decoded totals, Pauli codes and not Bell outcomes.
     run.transcript.append(
-        "bell_outcomes", check="final_sample_check", positions=_frozen(q3), ops=_frozen(totals[q3])
+        "bell_outcomes", check=run.row[1], positions=_frozen(q3), ops=_frozen(totals[q3])
     )
     published = attack.fake_ops(q3) if attack is not None else bob_ops[q3]
-    run.announce("final_sample_check", "bob", q3, published)
+    run.announce(run.row[1], "bob", q3, published)
     mismatches = int(np.count_nonzero(totals[q3] != alice_ops[q3] ^ published))
-    run.settle("final_sample_check", len(q3), mismatches, q3)
+    run.settle(len(q3), mismatches, q3)
 
     # Collaboration: Bob publishes his operations on the message
     # positions and Charlie decodes.
@@ -688,19 +702,18 @@ def _improved_steps(run: _Run) -> None:
     rng_agents = run.rng_parties
     attack = run.attack
     run.prepare("alice")
-    run.partner = run.transmit("alice->agent0", run.partner, "agent0")
+    run.partner = run.transmit(run.partner, "agent0")
 
     # Step 2: Z/X check between the dealer and the first agent.
     q = run.draw(run.rng_dealer)
-    run.sample_event("zx_check_step2", q)
-    zx_check(run, "zx_check_step2", q, run.identity(), rng_agents[0])
+    run.sample_event(q)
+    zx_check(run, q, run.identity(), rng_agents[0])
 
     # Steps 3-6: the encryption chain through agents 0..M-2.  Each
     # agent's codes are I where it applied no Pauli; a dishonest first
     # agent applies none.
     agent_ops = [run.identity() for _ in range(m)]
     for k in range(m - 1):
-        last_chain_agent = k == m - 2
         samples = run.draw(rng_agents[k])
         if k == 0 and attack is not None:
             run.partner = attack.forward(run.positions, run.partner, honest=samples)
@@ -709,10 +722,9 @@ def _improved_steps(run: _Run) -> None:
             encrypted = run.without(samples)
             run.record_ops("agent_ops", encrypted, agent_ops[k], party=f"agent{k}")
 
-        hop = f"agent{k}->agent{k + 1}" if not last_chain_agent else f"agent{k}->alice"
-        check_id = f"hop_check_{k}" if not last_chain_agent else "step6_check"
-        run.partner = run.transmit(hop, run.partner)
-        run.sample_event(check_id, samples)
+        run.partner = run.transmit(run.partner)
+        run.sample_event(samples)
+        _, check_id, kind, _ = run.row
 
         # Publication of the earlier agents' operations on the sampled
         # photons; agent k itself only Hadamard-rotated them.  The
@@ -723,7 +735,7 @@ def _improved_steps(run: _Run) -> None:
             layers = np.array([agent_ops[j][samples] for j in range(k)])
             if attack is not None:
                 layers[0] = (
-                    attack.fake_ops(samples) if last_chain_agent else attack.swap_correct(samples)
+                    attack.fake_ops(samples) if kind == "step6" else attack.swap_correct(samples)
                 )
             published[samples] = np.bitwise_xor.reduce(layers)
             # Row j of `ops` holds agent j's operations.
@@ -731,10 +743,10 @@ def _improved_steps(run: _Run) -> None:
                 "publish_ops", check=check_id, positions=_frozen(samples), ops=_frozen(layers)
             )
 
-        if not last_chain_agent:
+        if kind == "zx":
             # The receiving agent undoes the Hadamard and the pair is
             # checked with the usual Z/X procedure.
-            zx_check(run, check_id, samples, published, rng_agents[k + 1], remote_applies_h=True)
+            zx_check(run, samples, published, rng_agents[k + 1], remote_applies_h=True)
         else:
             verify_step6(run, samples, published)
 
@@ -745,8 +757,8 @@ def _improved_steps(run: _Run) -> None:
     run.transcript.append("message_positions", private=True, positions=_frozen(run.positions))
 
     # Steps 7-9: both sequences go to the last agent behind checking photons.
-    run.partner = decoy_round(run, "decoy_check_t", "alice->zach:t", run.partner)
-    run.dealer = decoy_round(run, "decoy_check_a", "alice->zach:a", run.dealer)
+    run.partner = decoy_round(run, run.partner)
+    run.dealer = decoy_round(run, run.dealer)
 
     # Step 10: Bell readout by the last agent.
     totals = run.readout()
@@ -762,8 +774,9 @@ def _improved_steps(run: _Run) -> None:
 def run_improved(config: ScenarioConfig) -> RunReport:
     """One run of the improved protocol with agent_count agents; agent 0
     is the first chain agent, agent M-2 the last one before the sequence
-    returns to the dealer, and agent M-1 the final receiver."""
-    return _Run(config, "improved", config.agent_count).execute(_improved_steps, "zach")
+    returns to the dealer, and agent M-1 the final receiver, who draws
+    nothing and so has no stream."""
+    return _Run(config, "improved", config.agent_count - 1).execute(_improved_steps, "zach")
 
 
 def run_trial(config: ScenarioConfig) -> RunReport:

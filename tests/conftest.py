@@ -27,15 +27,18 @@ def pytest_make_parametrize_id(config, val, argname):
 @pytest.fixture
 def unit_run():
     """Build a run for calling one check phase by itself:
-    ``unit_run(register, n_positions, rng_dealer=None, eve=None,
-    **config)`` gives a `_Run` over the test's own register (and dealer
-    stream and eavesdropper, when given) whose surviving positions are
-    ``0..n_positions-1``.  The test sets the run's ``dealer`` and
-    ``partner`` photons, and reads each check's report from
-    ``run.checks``."""
+    ``unit_run(register, n_positions, samples=None, rng_dealer=None,
+    eve=None, **config)`` gives a `_Run` over the test's own register
+    (and dealer stream and eavesdropper, when given) whose surviving
+    positions are ``0..n_positions-1`` and whose plan is the one row
+    ``("hop", "unit", "unit", samples)``, `samples` defaulting to
+    `n_positions`.  The test sets the run's ``dealer`` and ``partner``
+    photons, and reads each check's report from ``run.checks``."""
 
-    def make(register, n_positions, rng_dealer=None, eve=None, **config):
+    def make(register, n_positions, samples=None, rng_dealer=None, eve=None, **config):
         run = _Run(ScenarioConfig(**config), "original", 2)
+        run.row = ("hop", "unit", "unit", n_positions if samples is None else samples)
+        run.rows = iter(())
         run.register = register
         run.positions = np.arange(n_positions)
         if rng_dealer is not None:

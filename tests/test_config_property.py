@@ -1,8 +1,10 @@
-"""Property: every scenario that `validate_config` accepts runs to completion."""
+"""Properties: every scenario that `validate_config` accepts runs to completion
+through the checks its plan lists, and the plan keeps the hops and sample
+sizes of its reference implementations."""
 
 import dataclasses
 import json
-import re
+import math
 
 import numpy as np
 import pytest
@@ -16,11 +18,48 @@ from qss_sim.protocol import (
     ConfigError,
     RunReport,
     ScenarioConfig,
-    hop_names,
+    plan,
     run_trial,
-    sample_sizes,
     validate_config,
 )
+
+
+# Reference copies of the two functions that `plan` replaced, frozen as
+# they were: the hops in run order, and the sizes of the
+# position-consuming checks in run order.
+
+
+def _reference_hop_names(config: ScenarioConfig) -> list[str]:
+    if config.protocol == "original":
+        return ["bob->alice", "bob->charlie", "alice->charlie"]
+    m = config.agent_count
+    hops = ["alice->agent0"]
+    hops += [f"agent{k}->agent{k + 1}" for k in range(m - 2)]
+    hops += [f"agent{m - 2}->alice", "alice->zach:t", "alice->zach:a"]
+    return hops
+
+
+def _reference_sample_sizes(config: ScenarioConfig) -> list[int]:
+    if config.protocol == "original":
+        checks, last = 3, None
+    else:
+        checks, last = config.agent_count, config.step6_sample_count
+    remaining = config.n_pairs
+    sizes = []
+    for i in range(checks):
+        if i == checks - 1 and last is not None:
+            if last > remaining:
+                raise ConfigError("step6_sample_count exceeds the surviving positions")
+            q = last
+        elif remaining < 1:
+            break
+        else:
+            q = min(remaining, max(1, math.ceil(config.sample_fraction * remaining)))
+        sizes.append(q)
+        remaining -= q
+    if remaining < 1:
+        raise ConfigError("sampling would leave no message positions")
+    return sizes
 
 
 @st.composite
@@ -30,7 +69,7 @@ def scenarios(draw) -> ScenarioConfig:
     )
     adversary = AdversarySpec(
         kind=draw(st.sampled_from(VALID_KINDS)),
-        hop=draw(st.sampled_from(hop_names(shape))),
+        hop=draw(st.sampled_from(_reference_hop_names(shape))),
         basis_policy=draw(st.sampled_from(VALID_POLICIES)),
         publish_true_ops=draw(st.booleans()),
     )
@@ -46,28 +85,39 @@ def scenarios(draw) -> ScenarioConfig:
     )
 
 
-# The checks that sample and retire positions, as `sample_sizes` plans
-# them; the decoy checks consume none.
-_POSITION_CHECKS = re.compile(
-    r"zx_check_1|zx_check_2|final_sample_check|zx_check_step2|hop_check_\d+|step6_check"
-)
-
-
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(scenarios())
 def test_accepted_configs_run_to_completion(config):
     try:
-        validate_config(config)
+        rows = validate_config(config)
     except ConfigError:
         return
     report = run_trial(config)
     assert isinstance(report, RunReport)
-    # Each check samples what the plan says; an abort ends the run early.
-    samples = [c.samples for c in report.checks if _POSITION_CHECKS.fullmatch(c.check_id)]
-    plan = sample_sizes(config)
-    assert samples == plan[: len(samples)]
+    # The trial's checks are its plan's rows, in order, with the planned
+    # sample counts, decoy checks included; an abort ends the run early.
+    checks = [(c.check_id, c.samples) for c in report.checks]
+    assert checks == [(check, samples) for _, check, _, samples in rows[: len(checks)]]
     if not report.detected:
-        assert len(samples) == len(plan)
+        assert len(checks) == len(rows)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(scenarios())
+def test_plan_matches_the_reference_hops_and_sizes(config):
+    try:
+        sizes = _reference_sample_sizes(config)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as caught:
+            plan(config)
+        assert str(caught.value) == str(exc)
+        return
+    rows = plan(config)
+    assert [hop for hop, *_ in rows] == _reference_hop_names(config)
+    assert [samples for _, _, kind, samples in rows if kind != "decoy"] == sizes
+    assert [samples for _, _, kind, samples in rows if kind == "decoy"] == (
+        [config.checking_photon_count] * 2 if config.protocol == "improved" else []
+    )
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -9,8 +9,9 @@ from qss_sim.protocol import (
     ScenarioConfig,
     _Abort,
     decoy_round,
-    hop_names,
+    plan,
     run_improved,
+    run_trial,
     verify_step6,
 )
 from qss_sim.register import Register, SingleGate
@@ -49,15 +50,17 @@ def test_check_sequence_grows_with_chain_length():
     ]
 
 
-def test_hop_names_improved():
-    assert hop_names(_improved(0, agents=4)) == [
-        "alice->agent0",
-        "agent0->agent1",
-        "agent1->agent2",
-        "agent2->alice",
-        "alice->zach:t",
-        "alice->zach:a",
-    ]
+def test_plan_improved():
+    # 64 pairs: each position-consuming check samples a quarter of what
+    # the earlier ones left; a decoy check samples the checking photons.
+    assert plan(_improved(0, agents=4, step6_sample_count=3)) == (
+        ("alice->agent0", "zx_check_step2", "zx", 16),
+        ("agent0->agent1", "hop_check_0", "zx", 12),
+        ("agent1->agent2", "hop_check_1", "zx", 9),
+        ("agent2->alice", "step6_check", "step6", 3),
+        ("alice->zach:t", "decoy_check_t", "decoy", 8),
+        ("alice->zach:a", "decoy_check_a", "decoy", 8),
+    )
 
 
 def test_readout_composes_all_encryption_layers():
@@ -169,8 +172,8 @@ def test_decoy_round_honest_channel_is_clean(unit_run):
     reg = Register(seed=60)
     rng = np.random.default_rng(61)
     payload = np.array([reg.prepare_single(s) for s in _four_states(reg, 10)])
-    run = unit_run(reg, len(payload), rng_dealer=rng, checking_photon_count=16)
-    out = decoy_round(run, "unit", "hop", payload)
+    run = unit_run(reg, len(payload), rng_dealer=rng, samples=16)
+    out = decoy_round(run, payload)
     rep = run.checks[-1]
     assert rep.samples == 16
     assert rep.mismatches == 0
@@ -188,8 +191,8 @@ def test_decoy_round_zero_count_passes_vacuously(unit_run):
     reg = Register(seed=62)
     rng = np.random.default_rng(63)
     payload = np.array([reg.prepare_single(s) for s in _four_states(reg, 4)])
-    run = unit_run(reg, len(payload), rng_dealer=rng, checking_photon_count=0)
-    out = decoy_round(run, "unit", "hop", payload)
+    run = unit_run(reg, len(payload), rng_dealer=rng, samples=0)
+    out = decoy_round(run, payload)
     rep = run.checks[-1]
     assert rep.samples == 0
     assert rep.verdict == "pass"
@@ -204,9 +207,9 @@ def test_decoy_round_intercept_resend_error_near_one_quarter(unit_run):
     spec = AdversarySpec(kind="eve_intercept_resend", hop="hop", basis_policy="fixed-Z")
     eve = EveInterceptResend(reg, np.random.default_rng(66), spec)
     payload = np.zeros(0, dtype=np.int64)
-    run = unit_run(reg, len(payload), rng_dealer=rng, eve=eve, checking_photon_count=2000)
+    run = unit_run(reg, len(payload), rng_dealer=rng, eve=eve, samples=2000)
     with pytest.raises(_Abort):
-        decoy_round(run, "unit", "hop", payload)
+        decoy_round(run, payload)
     rep = run.checks[-1]
     assert rep.verdict == "abort"
     assert rep.samples == 2000
@@ -284,8 +287,6 @@ def test_trials_neither_sort_nor_search(monkeypatch):
     # measuring call's photons distinct by writing and reading back one
     # scratch entry per row, so a trial never maps numpy's sort or
     # binary-search code.
-    from qss_sim.protocol import run_trial
-
     def refuse(*args, **kwargs):
         raise AssertionError("a trial called numpy's sort or searchsorted")
 
@@ -305,3 +306,54 @@ def test_trials_neither_sort_nor_search(monkeypatch):
     assert [r.detected for r in reports] == [False, True, False, False]
     assert reports[1].checks[-1].check_id == "step6_check"
     assert all(None not in r.recovered.values() for r in reports if not r.detected)
+
+
+def test_a_check_off_its_plan_row_raises(monkeypatch, unit_run):
+    # `settle` holds each check to its plan row: a check that settles
+    # another sample count than its row's, or settles once every row has,
+    # broke the run order.
+    import qss_sim.protocol as protocol
+
+    zx_check = protocol.zx_check
+
+    def short_by_one(run, sampled, *rest, **kwargs):
+        zx_check(run, sampled[1:], *rest, **kwargs)
+
+    monkeypatch.setattr(protocol, "zx_check", short_by_one)
+    short = "^zx_check_step2 settled 15 samples; its plan row has 16$"
+    with pytest.raises(RuntimeError, match=short):
+        run_improved(_improved(0))
+    run = unit_run(Register(seed=69), 4)
+    run.settle(4, 0)
+    with pytest.raises(RuntimeError, match="^a check settled after unit, the plan's last$"):
+        run.settle(4, 0)
+
+
+@pytest.mark.parametrize(
+    "protocol, agents", [("original", 2)] + [("improved", m) for m in range(2, 6)]
+)
+def test_every_party_stream_is_drawn_from(monkeypatch, protocol, agents):
+    # A run spawns a stream only for a party that draws: the chain's
+    # final receiver draws nothing, so it has none.
+    made = []
+    default_rng = np.random.default_rng
+
+    class Counting:
+        """A Generator that counts the lookups of its methods."""
+
+        def __init__(self, seed):
+            self.generator = default_rng(seed)
+            self.draws = 0
+            made.append(self)
+
+        def __getattr__(self, name):
+            self.draws += 1
+            return getattr(self.generator, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    config = ScenarioConfig(protocol=protocol, n_pairs=32, master_seed=4, agent_count=agents)
+    assert run_trial(config).detected is False
+    # The streams are made in order: register, dealer, adversary, then
+    # one per party.
+    draws = [stream.draws for stream in made[3:]]
+    assert draws and 0 not in draws

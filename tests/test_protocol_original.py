@@ -11,7 +11,7 @@ from qss_sim.protocol import (
     ConfigError,
     ScenarioConfig,
     _Abort,
-    hop_names,
+    plan,
     run_original,
     run_trial,
     validate_config,
@@ -110,9 +110,13 @@ def test_validate_config_rejects_bad_scenarios():
         )
 
 
-def test_hop_names_original():
-    cfg = _honest(0)
-    assert hop_names(cfg) == ["bob->alice", "bob->charlie", "alice->charlie"]
+def test_plan_original():
+    # 32 pairs: each check samples a quarter of what the earlier ones left.
+    assert plan(_honest(0)) == (
+        ("bob->alice", "zx_check_1", "zx", 8),
+        ("bob->charlie", "zx_check_2", "zx", 6),
+        ("alice->charlie", "final_sample_check", "final", 5),
+    )
 
 
 def test_mismatched_mode_rejected():
@@ -212,7 +216,7 @@ def test_zx_check_unit_honest_pairs(unit_run):
     remote, local, expected = _by_position(remote, local, expected)
     run = unit_run(reg, 40)
     run.partner, run.dealer = remote, local
-    zx_check(run, "unit", np.arange(40), expected, rng)
+    zx_check(run, np.arange(40), expected, rng)
     rep = run.checks[-1]
     assert run.transcript.events[-1] == {"kind": "check_report", **rep.to_dict()}
     assert run.positions.size == 0  # every sampled position is retired
@@ -236,7 +240,7 @@ def test_zx_check_unit_shifted_pairs_with_announced_op(unit_run):
     remote, local, expected = _by_position(remote, local, expected)
     run = unit_run(reg, 40)
     run.partner, run.dealer = remote, local
-    zx_check(run, "unit", np.arange(40), expected, rng)
+    zx_check(run, np.arange(40), expected, rng)
     rep = run.checks[-1]
     assert rep.mismatches == 0
 
@@ -255,7 +259,7 @@ def test_zx_check_unit_wrong_announcement_shows_errors(unit_run):
     run = unit_run(reg, 60)
     run.partner, run.dealer = remote, local
     with pytest.raises(_Abort):
-        zx_check(run, "unit", np.arange(60), expected, rng)
+        zx_check(run, np.arange(60), expected, rng)
     rep = run.checks[-1]
     # An iY shift against an announced identity fails in every basis.
     assert rep.mismatches == 60
