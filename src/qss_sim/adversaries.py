@@ -21,7 +21,9 @@ methods under them.
 Adversary objects only ever see what a real attacker would: photons that
 pass through their hands, the shared register, and the positions the
 protocol announces, which it passes to their methods.  They are never
-handed the transcript or any other party's private state.
+handed the transcript or any other party's private state, and they keep
+no record of their own: Eve returns what she read with the photons she
+resends, and the run's transcript is its one record.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import BELL_CODES, Basis, BellLabel, PauliOp
+from .pauli import BELL_CODES, BellLabel, PauliOp
 from .register import Register, SingleGate
 
 PAULI_ORDER = (PauliOp.I, PauliOp.X, PauliOp.IY, PauliOp.Z)
@@ -83,18 +85,6 @@ class EveInterceptResend:
         self.rng = rng
         self.hop = spec.hop
         self.policy = spec.basis_policy
-        self._observed: list[tuple[Basis, int]] = []
-        # The X-basis mask and outcomes of each sequence intercepted since
-        # `observations` was last read.
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-
-    @property
-    def observations(self) -> list[tuple[Basis, int]]:
-        """(basis, outcome) of every photon measured so far, in order."""
-        for in_x, outcomes in self._pending:
-            self._observed += zip(map(Basis, in_x.tolist()), outcomes.tolist())
-        self._pending.clear()
-        return self._observed
 
     def _pick_bases(self, count: int) -> np.ndarray:
         """X-basis mask of `count` policy bases."""
@@ -104,14 +94,14 @@ class EveInterceptResend:
             return np.ones(count, dtype=bool)
         return self.rng.random(count) >= 0.5
 
-    def intercept_sequence(self, photons: np.ndarray) -> np.ndarray:
-        """Measure every photon in a policy basis, in order, and return
-        fresh photons in the observed eigenstates."""
+    def intercept_sequence(self, photons: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Measure every photon in a policy basis, in order.  Returns the
+        fresh photons she resends in the observed eigenstates, and what
+        she read: the X-basis mask and the outcomes."""
         in_x = self._pick_bases(len(photons))
         outcomes = self.register.measure_singles(photons, in_x)
-        self._pending.append((in_x, outcomes))
         # State code 2*(basis is X) + bit.
-        return self.register.prepare_singles(2 * in_x + outcomes)
+        return self.register.prepare_singles(2 * in_x + outcomes), in_x, outcomes
 
 
 def _fake_pairs(
@@ -168,22 +158,18 @@ class SwapAttack:
         self, positions: np.ndarray, photons: np.ndarray, honest: np.ndarray | None = None
     ) -> np.ndarray:
         """Keep the genuine photon at each of `positions` and forward a
-        fake-pair half in its place, except at the `honest` positions,
-        some of `positions`, whose photons he Hadamard-rotates and
-        forwards as an honest chain agent would."""
-        swapped = positions
+        fake-pair half in its place.  The photons at the `honest`
+        positions, none of `positions`, he Hadamard-rotates and forwards
+        as an honest chain agent would."""
         if honest is not None:
             self.register.apply_gates(photons[honest], np.full(len(honest), SingleGate.H))
-            is_honest = np.zeros(len(photons), dtype=bool)
-            is_honest[honest] = True
-            swapped = positions[~is_honest[positions]]
         size = len(photons)
-        self.kept = _scatter(size, swapped, photons[swapped])
-        kept, forwarded, ops = _fake_pairs(self.register, self.rng, len(swapped))
-        self.fake_kept = _scatter(size, swapped, kept)
-        self.fake_op = _scatter(size, swapped, ops)
+        self.kept = _scatter(size, positions, photons[positions])
+        kept, forwarded, ops = _fake_pairs(self.register, self.rng, len(positions))
+        self.fake_kept = _scatter(size, positions, kept)
+        self.fake_op = _scatter(size, positions, ops)
         out = photons.copy()
-        out[swapped] = forwarded
+        out[positions] = forwarded
         return out
 
     def swap_correct(self, positions: np.ndarray) -> np.ndarray:

@@ -22,18 +22,21 @@ check that guards it, the check's kind and its sample size.
 ``validate_config`` builds it once, rejecting a config whose sizes
 fail or whose eavesdropper sits on no hop of it; ``_Run`` keeps a cursor
 at the next row, and each step takes its hop, check id and sample size
-from there.  Each announcement, and each private record, is
-one transcript event, recorded where it happens; a payload value that
-grows with the number of pairs is a read-only array of positions,
-results or codes, named only when the transcript is listed.  The check
-phases ``zx_check``, ``decoy_round`` and ``verify_step6`` are module-level
-functions of the run, and each run looks them up here at call time, so
-per-phase timing can wrap them by name.  Every check ends in
-``_Run.settle``, the one place that builds a check report, records it,
-retires the sampled positions, moves the cursor on and ends the run on
-an abort verdict, and which raises if a check settles off its row;
-``_Run.execute`` builds the one RunReport.  The dishonest first agent is
-one ``SwapAttack`` in both modes.
+from there.  Every transmission crosses its hop in ``_transmit``, which
+logs it and is the one place a run hands photons to the eavesdropper.
+The transcript is the one record of a run; the adversaries keep none.
+Each announcement, and each private record, is one transcript event,
+recorded where it happens; a payload value that grows with the number
+of pairs is an array of positions, results or codes, which the
+transcript makes read-only as it records it and names only when it is
+listed.  The check phases ``zx_check``, ``decoy_round`` and
+``verify_step6`` are module-level functions of the run, and each run
+looks them up here at call time, so per-phase timing can wrap them by
+name.  Every check ends in ``_Run.settle``, the one place that builds a
+check report, records it, retires the sampled positions, moves the
+cursor on and ends the run on an abort verdict, and which raises if a
+check settles off its row; ``_Run.execute`` builds the one RunReport.
+The dishonest first agent is one ``SwapAttack`` in both modes.
 
 A run is fully deterministic given (config, master seed): every random
 choice comes from a stream spawned from the master seed in a fixed
@@ -123,13 +126,6 @@ _CODE_NAMES = {
 }
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """`array`, made read-only: no later step may change a transcript
-    payload."""
-    array.flags.writeable = False
-    return array
-
-
 def _listed(key: str, value: Any) -> Any:
     """A payload value as plain JSON: an array as a list, with codes
     named by `_CODE_NAMES[key]`."""
@@ -148,17 +144,20 @@ class Transcript:
 
     ``events`` holds one dict per announcement or private record, as
     `append` recorded it.  A payload value that grows with the number of
-    pairs is a read-only array, made so where it is recorded: positions
-    and measured results, and the codes of Paulis (``ops``, an agent per
-    row in the chain's layered publication), Bell outcomes
-    (``outcomes``) and bases (``basis``, X where true, and ``bases``).
-    `to_list()` is the one place that names codes and turns arrays into
-    lists; `append` never looks inside a payload."""
+    pairs is an array: positions and measured results, and the codes of
+    Paulis (``ops``, an agent per row in the chain's layered
+    publication), Bell outcomes (``outcomes``) and bases (``basis``, X
+    where true, and ``bases``).  `append` makes every array it records
+    read-only, so no later step can change what was recorded; `to_list()`
+    is the one place that names codes and turns arrays into lists."""
 
     def __init__(self) -> None:
         self.events: list[dict[str, Any]] = []
 
     def append(self, kind: str, **payload: Any) -> None:
+        for value in payload.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
         self.events.append({"kind": kind, **payload})
 
     def to_list(self) -> list[dict[str, Any]]:
@@ -319,12 +318,18 @@ def _mask(values: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
-def _transmit(run: _Run, count: int) -> EveInterceptResend | None:
-    """Log `count` photons sent over the plan row's hop; returns Eve if she
-    sits on the hop, else None."""
-    run.transcript.append("transmit", hop=run.row[0], count=count)
+def _transmit(run: _Run, sequence: np.ndarray) -> np.ndarray:
+    """Send the photons of `sequence` over the plan row's hop and log it;
+    returns the photons that arrive: the ones Eve resends if she sits on
+    the hop, else `sequence` itself.  This is the one place a run meets
+    Eve; what she read is not recorded."""
+    hop = run.row[0]
+    run.transcript.append("transmit", hop=hop, count=len(sequence))
     eve = run.eve
-    return eve if eve is not None and eve.hop == run.row[0] else None
+    if eve is None or eve.hop != hop:
+        return sequence
+    resent, _, _ = eve.intercept_sequence(sequence)
+    return resent
 
 
 def zx_check(
@@ -356,10 +361,10 @@ def zx_check(
     run.transcript.append(
         "zx_results",
         check=run.row[1],
-        positions=_frozen(sampled),
-        basis=_frozen(in_x),
-        remote=_frozen(remote_out),
-        local=_frozen(local_out),
+        positions=sampled,
+        basis=in_x,
+        remote=remote_out,
+        local=local_out,
     )
     run.settle(len(sampled), mismatches, sampled)
 
@@ -383,14 +388,11 @@ def decoy_round(run: _Run, photons: np.ndarray) -> np.ndarray:
     sequence = np.empty(total, dtype=np.int64)
     sequence[slots] = decoys
     sequence[~is_decoy] = photons[run.positions]
-    eve = _transmit(run, total)
-    received = sequence if eve is None else eve.intercept_sequence(sequence)
+    received = _transmit(run, sequence)
     in_x = states >> 1
-    run.transcript.append(
-        "decoy_positions", check=check_id, slots=_frozen(slots), bases=_frozen(in_x)
-    )
+    run.transcript.append("decoy_positions", check=check_id, slots=slots, bases=in_x)
     outcomes = run.register.measure_singles(received[slots], in_x)
-    run.transcript.append("decoy_results", check=check_id, results=_frozen(outcomes))
+    run.transcript.append("decoy_results", check=check_id, results=outcomes)
     run.settle(count, int(np.count_nonzero(outcomes != states & 1)))
     out = photons.copy()
     out[run.positions] = received[~is_decoy]
@@ -412,8 +414,8 @@ def verify_step6(run: _Run, sampled: np.ndarray, published: np.ndarray) -> None:
     run.transcript.append(
         "bell_outcomes",
         check=run.row[1],
-        positions=_frozen(sampled),
-        outcomes=_frozen(outcomes),
+        positions=sampled,
+        outcomes=outcomes,
     )
     run.settle(len(sampled), mismatches, sampled)
 
@@ -494,12 +496,14 @@ class _Run:
 
     def transmit(self, photons: np.ndarray, party: str | None = None) -> np.ndarray:
         """Send one photon per surviving position over the plan row's hop
-        and log its receipt; returns the photons that arrive, `photons`
-        itself unless Eve sits on the hop."""
-        eve = _transmit(self, len(self.positions))
-        if eve is not None:
+        and log its receipt; returns the photons that arrive, indexed by
+        position: a copy of `photons` if they were intercepted, else
+        `photons` itself."""
+        sent = photons[self.positions]
+        received = _transmit(self, sent)
+        if received is not sent:
             photons = photons.copy()
-            photons[self.positions] = eve.intercept_sequence(photons[self.positions])
+            photons[self.positions] = received
         receipt = {} if party is None else {"party": party}
         self.transcript.append("receipt", **receipt, hop=self.row[0])
         return photons
@@ -516,7 +520,7 @@ class _Run:
 
     def sample_event(self, sampled: np.ndarray) -> None:
         """Announce the positions the plan row's check has sampled."""
-        self.transcript.append("sample_positions", check=self.row[1], positions=_frozen(sampled))
+        self.transcript.append("sample_positions", check=self.row[1], positions=sampled)
 
     def settle(self, samples: int, mismatches: int, sampled: np.ndarray | None = None) -> None:
         """Report the plan row's check, retire the `sampled` positions it
@@ -543,8 +547,8 @@ class _Run:
             "publish_ops",
             check=check,
             party=party,
-            positions=_frozen(positions),
-            ops=_frozen(ops),
+            positions=positions,
+            ops=ops,
         )
 
     def record_ops(self, kind: str, positions: np.ndarray, ops: np.ndarray, **party: str) -> None:
@@ -552,7 +556,7 @@ class _Run:
         at the sorted `positions`, with the agent's ``party`` name when
         given."""
         self.transcript.append(
-            kind, private=True, **party, positions=_frozen(positions), ops=_frozen(ops[positions])
+            kind, private=True, **party, positions=positions, ops=ops[positions]
         )
 
     def encode(self, positions: np.ndarray) -> np.ndarray:
@@ -604,7 +608,7 @@ class _Run:
         every surviving position; `reader` strips them from the readout
         and decodes the dealer's message."""
         positions = self.positions
-        self.transcript.append("collaboration_positions", positions=_frozen(positions))
+        self.transcript.append("collaboration_positions", positions=positions)
         dealer_codes = totals[positions]
         for party, publish in publishers:
             ops = publish(positions)
@@ -665,15 +669,13 @@ def _original_steps(run: _Run) -> None:
     run.record_ops("alice_ops", run.positions, alice_ops)
     if attack is None:
         run.record_ops("bob_ops", bob_positions, bob_ops)
-    run.transcript.append("message_positions", private=True, positions=_frozen(message_positions))
+    run.transcript.append("message_positions", private=True, positions=message_positions)
 
     # Final sample check: Charlie's outcomes against Alice's and Bob's
     # announced operations.
     run.sample_event(q3)
     # The reader's decoded totals, Pauli codes and not Bell outcomes.
-    run.transcript.append(
-        "bell_outcomes", check=run.row[1], positions=_frozen(q3), ops=_frozen(totals[q3])
-    )
+    run.transcript.append("bell_outcomes", check=run.row[1], positions=q3, ops=totals[q3])
     published = attack.fake_ops(q3) if attack is not None else bob_ops[q3]
     run.announce(run.row[1], "bob", q3, published)
     mismatches = int(np.count_nonzero(totals[q3] != alice_ops[q3] ^ published))
@@ -715,12 +717,12 @@ def _improved_steps(run: _Run) -> None:
     agent_ops = [run.identity() for _ in range(m)]
     for k in range(m - 1):
         samples = run.draw(rng_agents[k])
+        rest = run.without(samples)
         if k == 0 and attack is not None:
-            run.partner = attack.forward(run.positions, run.partner, honest=samples)
+            run.partner = attack.forward(rest, run.partner, honest=samples)
         else:
             agent_ops[k] = run.encrypt(run.partner, rng_agents[k], rotated=samples)
-            encrypted = run.without(samples)
-            run.record_ops("agent_ops", encrypted, agent_ops[k], party=f"agent{k}")
+            run.record_ops("agent_ops", rest, agent_ops[k], party=f"agent{k}")
 
         run.partner = run.transmit(run.partner)
         run.sample_event(samples)
@@ -739,9 +741,7 @@ def _improved_steps(run: _Run) -> None:
                 )
             published[samples] = np.bitwise_xor.reduce(layers)
             # Row j of `ops` holds agent j's operations.
-            run.transcript.append(
-                "publish_ops", check=check_id, positions=_frozen(samples), ops=_frozen(layers)
-            )
+            run.transcript.append("publish_ops", check=check_id, positions=samples, ops=layers)
 
         if kind == "zx":
             # The receiving agent undoes the Hadamard and the pair is
@@ -754,7 +754,7 @@ def _improved_steps(run: _Run) -> None:
     alice_ops = run.encode(run.positions)
     run.encrypt(run.dealer, run.rng_dealer, fixed=alice_ops)
     run.record_ops("alice_ops", run.positions, alice_ops)
-    run.transcript.append("message_positions", private=True, positions=_frozen(run.positions))
+    run.transcript.append("message_positions", private=True, positions=run.positions)
 
     # Steps 7-9: both sequences go to the last agent behind checking photons.
     run.partner = decoy_round(run, run.partner)

@@ -44,10 +44,9 @@ def test_eve_resends_her_own_eigenstate():
     eve = EveInterceptResend(reg, np.random.default_rng(2), spec)
     for _ in range(50):
         a, b = reg.prepare_bell(BellLabel.PSI_MINUS)
-        out = eve.intercept_sequence([a])[0]
-        basis, bit = eve.observations[-1]
-        assert basis is Basis.Z
-        assert reg.measure_single(out, Basis.Z) == bit
+        resent, in_x, outcomes = eve.intercept_sequence([a])
+        assert in_x.tolist() == [Basis.Z]
+        assert reg.measure_single(resent[0], Basis.Z) == outcomes[0]
         reg.measure_single(b, Basis.Z)
 
 
@@ -56,13 +55,14 @@ def test_eve_fixed_x_policy():
     spec = AdversarySpec(kind="eve_intercept_resend", hop="h", basis_policy="fixed-X")
     eve = EveInterceptResend(reg, np.random.default_rng(4), spec)
     p = reg.prepare_single(SingleState.PLUS)
-    out = eve.intercept_sequence([p])[0]
-    assert eve.observations == [(Basis.X, 0)]
-    assert reg.measure_single(out, Basis.X) == 0
+    resent, in_x, outcomes = eve.intercept_sequence([p])
+    assert in_x.tolist() == [Basis.X]
+    assert outcomes.tolist() == [0]
+    assert reg.measure_single(resent[0], Basis.X) == 0
 
 
 def test_eve_information_about_four_state_photons():
-    # Empirical mutual information between Eve's (basis, outcome) record
+    # Empirical mutual information between Eve's (basis, outcome) reads
     # and the prepared state, vs. the exact 0.5 bits/photon.
     from qss_sim.harness import empirical_mutual_information
 
@@ -74,9 +74,9 @@ def test_eve_information_about_four_state_photons():
     pairs = []
     for _ in range(5000):
         state = states[int(rng.integers(4))]
-        out = eve.intercept_sequence([reg.prepare_single(state)])[0]
-        reg.measure_single(out, state.basis)
-        pairs.append((state.value, eve.observations[-1]))
+        resent, in_x, outcomes = eve.intercept_sequence([reg.prepare_single(state)])
+        reg.measure_single(resent[0], state.basis)
+        pairs.append((state.value, (int(in_x[0]), int(outcomes[0]))))
     assert empirical_mutual_information(pairs) == pytest.approx(0.5, abs=0.05)
 
 

@@ -2,11 +2,12 @@
 
 An intercept-resend eavesdropper on one hop, with a zero error
 threshold and enough pairs that her ~25% error rate cannot hide, must
-trip the first check after that hop and nothing else."""
+trip the first check after that hop and nothing else.  She intercepts
+once, on her hop, every photon sent over it."""
 
 import pytest
 
-from qss_sim.adversaries import AdversarySpec
+from qss_sim.adversaries import AdversarySpec, EveInterceptResend
 from qss_sim.protocol import ScenarioConfig, run_trial
 
 from private_records import private_events
@@ -32,7 +33,15 @@ CASES = [
 @pytest.mark.parametrize(
     "protocol, hop, check_id, private_kinds", CASES, ids=[case[1] for case in CASES]
 )
-def test_eve_on_each_hop_aborts_at_its_check(protocol, hop, check_id, private_kinds):
+def test_eve_on_each_hop_aborts_at_its_check(monkeypatch, protocol, hop, check_id, private_kinds):
+    intercepted = []
+    intercept = EveInterceptResend.intercept_sequence
+
+    def counted(self, photons):
+        intercepted.append(len(photons))
+        return intercept(self, photons)
+
+    monkeypatch.setattr(EveInterceptResend, "intercept_sequence", counted)
     config = ScenarioConfig(
         protocol=protocol,
         n_pairs=128,
@@ -44,6 +53,11 @@ def test_eve_on_each_hop_aborts_at_its_check(protocol, hop, check_id, private_ki
     )
     report = run_trial(config)
     reader = "charlie" if protocol == "original" else "zach"
+    transmits = [e for e in report.transcript.events if e["kind"] == "transmit"]
+    sent = [e["count"] for e in transmits if e["hop"] == hop]
+    # One interception in the trial: every photon sent over her hop.
+    assert len(sent) == 1
+    assert intercepted == sent
 
     assert report.detected is True
     assert report.checks[-1].check_id == check_id

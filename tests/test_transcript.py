@@ -62,6 +62,23 @@ def test_events_keep_append_order():
     assert list(listed[1]) == ["kind", "positions"]
 
 
+def test_append_makes_array_payloads_read_only():
+    # `append` freezes each array it records, in place, and records every
+    # other payload value as it was given.
+    t = Transcript()
+    positions, ops = np.array([3, 1]), np.array([[PauliOp.X], [PauliOp.Z]])
+    t.append("a", check="unit", n=2, positions=positions, ops=ops)
+    (event,) = t.events
+    assert list(event) == ["kind", "check", "n", "positions", "ops"]
+    assert event["check"] == "unit"
+    assert type(event["n"]) is int and event["n"] == 2
+    assert event["positions"] is positions and event["ops"] is ops
+    for array in (positions, ops):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_array_payloads_are_read_only(name):
     report = run_trial(SCENARIOS[name])
