@@ -13,7 +13,12 @@ Three kinds are supported:
 
 One class, ``SwapAttack``, runs that playbook against both protocols:
 the same fake pairs, swap correction and publications, with the chain's
-honest sample photons as the one difference.  ``SwapAttackOriginal`` and
+honest sample photons as the one difference.  The protocol asks it what
+it asks an honest first agent, and nothing else: ``forward`` the photons
+he should pass on, ``publish`` his operations on announced positions for
+a check of a given kind, and ``intercept_dealer`` the dealer's encoded
+sequence.  Which publication the attacker makes at which check is
+decided in ``SwapAttack.publish`` alone.  ``SwapAttackOriginal`` and
 ``SwapAttackImproved``, the names of the two classes it replaced, are
 bound to it because the benchmark's tracer still finds the attacker's
 methods under them.
@@ -65,6 +70,8 @@ class AdversarySpec:
             raise ValueError(f"unknown basis policy {self.basis_policy!r}")
         if self.kind == "eve_intercept_resend" and self.hop is None:
             raise ValueError("eve_intercept_resend needs a target hop")
+        if not isinstance(self.publish_true_ops, (bool, np.bool_)):
+            raise ValueError(f"publish_true_ops must be a bool, got {self.publish_true_ops!r}")
 
 
 def random_pauli(rng: np.random.Generator) -> PauliOp:
@@ -130,16 +137,18 @@ class SwapAttack:
     He plays one intercept-resend and entanglement-swapping playbook.  He
     keeps the genuine photons he should forward and sends halves of his
     own singlets instead, each shifted by a random Pauli (the fake
-    pairs).  When the positions of a check that he publishes for are
-    announced, he Bell-measures the genuine photons against his kept
-    fake halves and announces the Pauli that makes the check pass (the
-    swap correction).  In the original protocol this fools both checks
-    after his hop, and he finally intercepts the dealer's encoded
-    sequence to read her Paulis outright.  In the chain he forwards his
-    own sample photons honestly, so his hop's check passes; the dealer's
-    own Hadamard-and-Bell verification gives him no announcement to
-    correct, so he can only publish his fake Paulis there, and the
-    unentangled sample photons betray him.
+    pairs).  When the positions of a hop's Z/X check are announced, he
+    Bell-measures the genuine photons against his kept fake halves and
+    announces the Pauli that makes the check pass (the swap correction).
+    In the original protocol this fools both checks after his hop, and
+    he finally intercepts the dealer's encoded sequence to read her
+    Paulis outright.  In the chain he forwards his own sample photons
+    honestly, so his hop's check passes; the dealer's own
+    Hadamard-and-Bell verification gives him no announcement to correct,
+    so he can only publish his fake Paulis there, and the unentangled
+    sample photons betray him.  He answers the calls an honest agent
+    answers (``forward``, ``publish``, ``intercept_dealer``), and
+    `publish` alone picks his announcement from the check's kind.
 
     Photon sequences are position-indexed photon-id arrays, positions are
     sorted, and Paulis are codes (see `pauli`); -1 marks a position with
@@ -172,26 +181,23 @@ class SwapAttack:
         out[positions] = forwarded
         return out
 
-    def swap_correct(self, positions: np.ndarray) -> np.ndarray:
-        """Entanglement-swap each announced check position and announce
-        the Pauli that makes the dealer's pair pass the check."""
-        outcomes = self.register.measure_bells(self.kept[positions], self.fake_kept[positions])
-        return BELL_CODES[outcomes] ^ self.fake_op[positions]
-
-    def fake_ops(self, positions: np.ndarray) -> np.ndarray:
-        """The truthful Paulis of his fake pairs, which he publishes for a
-        check he cannot swap-correct: the original protocol's final
-        sample check, whose arithmetic they satisfy, and the chain's
-        step-6 verification, which they do not."""
+    def publish(self, positions: np.ndarray, kind: str) -> np.ndarray:
+        """The Paulis he announces on the sorted `positions` for a check of
+        `kind`, a plan row's kind, or ``"collaboration"``.  A hop's Z/X
+        check (``zx``) he swap-corrects: he Bell-measures each genuine
+        photon against its kept fake half and announces the Pauli that
+        makes the dealer's pair pass.  At collaboration he announces
+        uniformly random Paulis unless he wants the reader to decode
+        correctly.  Everywhere else he announces his fake pairs' true
+        Paulis: they satisfy the original protocol's final sample check,
+        but not the chain's step-6 verification, which he cannot
+        correct."""
+        if kind == "zx":
+            outcomes = self.register.measure_bells(self.kept[positions], self.fake_kept[positions])
+            return BELL_CODES[outcomes] ^ self.fake_op[positions]
+        if kind == "collaboration" and not self.publish_true_ops:
+            return _random_paulis(self.rng, len(positions))
         return self.fake_op[positions]
-
-    def publish_final(self, positions: np.ndarray) -> np.ndarray:
-        """Operations published at collaboration time.  Truthful if Bob
-        wants the reader to decode correctly, uniformly random
-        otherwise."""
-        if self.publish_true_ops:
-            return self.fake_op[positions]
-        return _random_paulis(self.rng, len(positions))
 
     def intercept_dealer(self, positions: np.ndarray, photons: np.ndarray) -> np.ndarray:
         """Bell-measure each intercepted dealer photon against the kept

@@ -36,7 +36,16 @@ name.  Every check ends in ``_Run.settle``, the one place that builds a
 check report, records it, retires the sampled positions, moves the
 cursor on and ends the run on an abort verdict, and which raises if a
 check settles off its row; ``_Run.execute`` builds the one RunReport.
-The dishonest first agent is one ``SwapAttack`` in both modes.
+
+Every first agent, honest or not, answers the same three calls:
+``forward`` the photons he passes on, ``publish`` his operations on
+announced positions for a check of the plan row's kind (or at
+collaboration), and ``intercept_dealer`` the dealer's encoded sequence.
+An honest agent is an ``_Agent``; the dishonest first agent is one
+``SwapAttack`` in both modes, and what he publishes at which check is
+decided there, not here.  The steps test for the attacker only to keep
+his operations out of the private records and to read out what he
+learned.
 
 A run is fully deterministic given (config, master seed): every random
 choice comes from a stream spawned from the master seed in a fixed
@@ -46,7 +55,6 @@ order, so identical configs replay byte-identical transcripts.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -181,22 +189,17 @@ class RunReport:
             "detected": self.detected,
             "checks": [c.to_dict() for c in self.checks],
             "dealer_message": _bits_str(self.dealer_message),
-            "recovered": {
-                party: (None if bits is None else _bits_str(bits))
-                for party, bits in self.recovered.items()
-            },
-            "eavesdropper_message": (
-                None
-                if self.eavesdropper_message is None
-                else _bits_str(self.eavesdropper_message)
-            ),
+            "recovered": {party: _bits_str(bits) for party, bits in self.recovered.items()},
+            "eavesdropper_message": _bits_str(self.eavesdropper_message),
         }
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _bits_str(bits: list[int]) -> str:
+def _bits_str(bits: list[int] | None) -> str | None:
+    if bits is None:
+        return None
     return bytes(bits).translate(_BIT_CHARS).decode("ascii")
 
 
@@ -253,14 +256,23 @@ def plan(config: ScenarioConfig) -> tuple[tuple[str, str, str, int], ...]:
     return tuple(rows)
 
 
+# What `require_type` takes for a number: concrete types, since an
+# isinstance check against a `numbers` ABC costs about a microsecond and
+# every trial validates its config.
+_INTEGER_TYPES = (int, np.integer)
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def require_type(name: str, value: Any, kind: type | tuple[type, ...], noun: str) -> None:
+    """Raise ConfigError, calling the field `name` and its type `noun`,
+    unless `value` is a `kind`; a bool is never one."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+
+
 def require_integer(name: str, value: Any) -> None:
     """Raise ConfigError unless `value` is an integer; a bool is not one."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    require_type(name, value, _INTEGER_TYPES, "an integer")
 
 
 def validate_config(config: ScenarioConfig) -> tuple[tuple[str, str, str, int], ...]:
@@ -272,6 +284,9 @@ def validate_config(config: ScenarioConfig) -> tuple[tuple[str, str, str, int], 
         require_integer(name, getattr(config, name))
     if config.step6_sample_count is not None:
         require_integer("step6_sample_count", config.step6_sample_count)
+    for name in ("sample_fraction", "error_threshold"):
+        require_type(name, getattr(config, name), _REAL_TYPES, "a real number")
+    require_type("adversary", config.adversary, AdversarySpec, "an AdversarySpec")
     if config.master_seed < 0:
         raise ConfigError("master_seed must be non-negative")
     if config.n_pairs < 2:
@@ -541,15 +556,18 @@ class _Run:
         if report.verdict == "abort":
             raise _Abort(check_id)
 
-    def announce(self, check: str, party: str, positions: np.ndarray, ops: np.ndarray) -> None:
-        """`party` publishes its operations `ops` on the sorted `positions`."""
+    def announce(
+        self, party: str, agent: Any, positions: np.ndarray, collaboration: bool = False
+    ) -> np.ndarray:
+        """`party`'s `agent` publishes its operations on the sorted
+        `positions` for the plan row's check, or at collaboration; returns
+        them."""
+        check, kind = ("collaboration", "collaboration") if collaboration else self.row[1:3]
+        ops = agent.publish(positions, kind)
         self.transcript.append(
-            "publish_ops",
-            check=check,
-            party=party,
-            positions=positions,
-            ops=ops,
+            "publish_ops", check=check, party=party, positions=positions, ops=ops
         )
+        return ops
 
     def record_ops(self, kind: str, positions: np.ndarray, ops: np.ndarray, **party: str) -> None:
         """Record privately, for analysis, the position-indexed codes `ops`
@@ -603,19 +621,44 @@ class _Run:
         totals[self.positions] = BELL_CODES[outcomes]
         return totals
 
-    def collaborate(self, reader: str, totals: np.ndarray, publishers) -> None:
-        """Each (party, publish) in `publishers` announces its operation on
-        every surviving position; `reader` strips them from the readout
-        and decodes the dealer's message."""
+    def collaborate(self, reader: str, totals: np.ndarray, agents: dict[str, Any]) -> None:
+        """Each party's agent in `agents` publishes its operation on every
+        surviving position; `reader` strips them from the readout and
+        decodes the dealer's message."""
         positions = self.positions
         self.transcript.append("collaboration_positions", positions=positions)
         dealer_codes = totals[positions]
-        for party, publish in publishers:
-            ops = publish(positions)
-            self.announce("collaboration", party, positions, ops)
-            dealer_codes = dealer_codes ^ ops
+        for party, agent in agents.items():
+            dealer_codes = dealer_codes ^ self.announce(party, agent, positions, collaboration=True)
         self.recovered = decode_message(dealer_codes)
         self.transcript.append("recovered", party=reader, bits=_bits_str(self.recovered))
+
+
+class _Agent:
+    """An honest agent of `run`, asked what a `SwapAttack` first agent is
+    asked.  ``ops`` holds the Pauli codes of his last `forward`, indexed by
+    position."""
+
+    def __init__(self, run: _Run, rng: np.random.Generator) -> None:
+        self.run = run
+        self.rng = rng
+
+    def forward(
+        self, positions: np.ndarray, photons: np.ndarray, honest: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Encrypt every surviving photon, Hadamard-rotating the `honest`
+        ones (see `_Run.encrypt`), and forward them all: `positions`, the
+        ones an attacker would swap out, need no other treatment."""
+        self.ops = self.run.encrypt(photons, self.rng, rotated=honest)
+        return photons
+
+    def publish(self, positions: np.ndarray, kind: str) -> np.ndarray:
+        """His true operations on `positions`, whatever the check."""
+        return self.ops[positions]
+
+    def intercept_dealer(self, positions: np.ndarray, photons: np.ndarray) -> np.ndarray:
+        """The dealer's photons pass him by untouched."""
+        return photons
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +668,7 @@ class _Run:
 def _original_steps(run: _Run) -> None:
     rng_alice = run.rng_dealer
     rng_bob, rng_charlie = run.rng_parties
-    attack = run.attack
+    bob = run.attack or _Agent(run, rng_bob)
     run.prepare("bob")
     run.dealer = run.transmit(run.dealer, "alice")
 
@@ -634,41 +677,32 @@ def _original_steps(run: _Run) -> None:
     run.sample_event(q1)
     zx_check(run, q1, run.identity(), rng_bob)
 
-    # Bob encrypts his sequence and sends it to Charlie -- or substitutes
-    # halves of his own pairs.
+    # Bob encrypts his sequence and sends it to Charlie -- or, attacking,
+    # substitutes halves of his own pairs.
     bob_positions = run.positions
-    bob_ops = run.identity()
-    if attack is not None:
-        run.partner = attack.forward(run.positions, run.partner)
-    else:
-        bob_ops = run.encrypt(run.partner, rng_bob)
-    run.partner = run.transmit(run.partner, "charlie")
+    run.partner = run.transmit(bob.forward(run.positions, run.partner), "charlie")
 
     # Second eavesdropping check (Alice-Charlie), with Bob's operations
     # published first.
     q2 = run.draw(rng_alice)
     run.sample_event(q2)
-    announced = attack.swap_correct(q2) if attack is not None else bob_ops[q2]
-    run.announce(run.row[1], "bob", q2, announced)
     expected = run.identity()
-    expected[q2] = announced
+    expected[q2] = run.announce("bob", bob, q2)
     zx_check(run, q2, expected, rng_charlie)
 
     # Alice picks her own samples, encodes the message elsewhere, and
-    # sends her sequence to Charlie.
+    # sends her sequence to Charlie, past Bob.
     q3 = run.draw(rng_alice)
     message_positions = run.without(q3)
     alice_ops = run.encrypt(run.dealer, rng_alice, fixed=run.encode(message_positions))
-    if attack is not None:
-        run.dealer = attack.intercept_dealer(run.positions, run.dealer)
-    run.dealer = run.transmit(run.dealer, "charlie")
+    run.dealer = run.transmit(bob.intercept_dealer(run.positions, run.dealer), "charlie")
 
     # Charlie's Bell readout over every surviving position.
     totals = run.readout()
     run.record_ops("totals", run.positions, totals)
     run.record_ops("alice_ops", run.positions, alice_ops)
-    if attack is None:
-        run.record_ops("bob_ops", bob_positions, bob_ops)
+    if run.attack is None:
+        run.record_ops("bob_ops", bob_positions, bob.ops)
     run.transcript.append("message_positions", private=True, positions=message_positions)
 
     # Final sample check: Charlie's outcomes against Alice's and Bob's
@@ -676,17 +710,15 @@ def _original_steps(run: _Run) -> None:
     run.sample_event(q3)
     # The reader's decoded totals, Pauli codes and not Bell outcomes.
     run.transcript.append("bell_outcomes", check=run.row[1], positions=q3, ops=totals[q3])
-    published = attack.fake_ops(q3) if attack is not None else bob_ops[q3]
-    run.announce(run.row[1], "bob", q3, published)
+    published = run.announce("bob", bob, q3)
     mismatches = int(np.count_nonzero(totals[q3] != alice_ops[q3] ^ published))
     run.settle(len(q3), mismatches, q3)
 
     # Collaboration: Bob publishes his operations on the message
     # positions and Charlie decodes.
-    bob_publish = attack.publish_final if attack is not None else bob_ops.__getitem__
-    run.collaborate("charlie", totals, [("bob", bob_publish)])
-    if attack is not None:
-        run.eavesdropper_bits = decode_message(attack.inferred[run.positions])
+    run.collaborate("charlie", totals, {"bob": bob})
+    if run.attack is not None:
+        run.eavesdropper_bits = decode_message(run.attack.inferred[run.positions])
 
 
 def run_original(config: ScenarioConfig) -> RunReport:
@@ -700,9 +732,7 @@ def run_original(config: ScenarioConfig) -> RunReport:
 
 
 def _improved_steps(run: _Run) -> None:
-    m = run.config.agent_count
     rng_agents = run.rng_parties
-    attack = run.attack
     run.prepare("alice")
     run.partner = run.transmit(run.partner, "agent0")
 
@@ -711,36 +741,28 @@ def _improved_steps(run: _Run) -> None:
     run.sample_event(q)
     zx_check(run, q, run.identity(), rng_agents[0])
 
-    # Steps 3-6: the encryption chain through agents 0..M-2.  Each
-    # agent's codes are I where it applied no Pauli; a dishonest first
-    # agent applies none.
-    agent_ops = [run.identity() for _ in range(m)]
-    for k in range(m - 1):
+    # Steps 3-6: the encryption chain through agents 0..M-2, the first of
+    # them possibly the attacker.
+    agents = [run.attack or _Agent(run, rng_agents[0])]
+    agents += [_Agent(run, rng) for rng in rng_agents[1:]]
+    for k, agent in enumerate(agents):
         samples = run.draw(rng_agents[k])
         rest = run.without(samples)
-        if k == 0 and attack is not None:
-            run.partner = attack.forward(rest, run.partner, honest=samples)
-        else:
-            agent_ops[k] = run.encrypt(run.partner, rng_agents[k], rotated=samples)
-            run.record_ops("agent_ops", rest, agent_ops[k], party=f"agent{k}")
+        run.partner = agent.forward(rest, run.partner, honest=samples)
+        if agent is not run.attack:
+            run.record_ops("agent_ops", rest, agent.ops, party=f"agent{k}")
 
         run.partner = run.transmit(run.partner)
         run.sample_event(samples)
         _, check_id, kind, _ = run.row
 
         # Publication of the earlier agents' operations on the sampled
-        # photons; agent k itself only Hadamard-rotated them.  The
-        # dishonest first agent swap-corrects a hop check but has no
-        # correction for the dealer's own verification.
+        # photons; agent k itself only Hadamard-rotated them.
         published = run.identity()
         if k > 0:
-            layers = np.array([agent_ops[j][samples] for j in range(k)])
-            if attack is not None:
-                layers[0] = (
-                    attack.fake_ops(samples) if kind == "step6" else attack.swap_correct(samples)
-                )
-            published[samples] = np.bitwise_xor.reduce(layers)
             # Row j of `ops` holds agent j's operations.
+            layers = np.array([a.publish(samples, kind) for a in agents[:k]])
+            published[samples] = np.bitwise_xor.reduce(layers)
             run.transcript.append("publish_ops", check=check_id, positions=samples, ops=layers)
 
         if kind == "zx":
@@ -765,10 +787,7 @@ def _improved_steps(run: _Run) -> None:
     run.record_ops("totals", run.positions, totals)
 
     # Step 11: collaboration.
-    publishers = [(f"agent{k}", agent_ops[k].__getitem__) for k in range(m - 1)]
-    if attack is not None:
-        publishers[0] = ("agent0", attack.publish_final)
-    run.collaborate("zach", totals, publishers)
+    run.collaborate("zach", totals, {f"agent{k}": agent for k, agent in enumerate(agents)})
 
 
 def run_improved(config: ScenarioConfig) -> RunReport:

@@ -12,7 +12,7 @@ from qss_sim.adversaries import (
     random_pauli,
 )
 from qss_sim.pauli import Basis, BellLabel, PauliOp, compose, decode_bell_to_pauli
-from qss_sim.protocol import ScenarioConfig, run_original
+from qss_sim.protocol import ScenarioConfig, _Agent, run_original, run_trial
 from qss_sim.register import Register, SingleState
 
 
@@ -142,11 +142,51 @@ def test_adversaries_see_only_channel_state():
         assert params == ["register", "rng", "spec"]
     handler_params = {
         "forward": ["positions", "photons", "honest"],
-        "swap_correct": ["positions"],
-        "fake_ops": ["positions"],
-        "publish_final": ["positions"],
+        "publish": ["positions", "kind"],
         "intercept_dealer": ["positions", "photons"],
     }
+    assert sorted(name for name in vars(SwapAttack) if not name.startswith("_")) == sorted(
+        handler_params
+    )
     for name, expected in handler_params.items():
         sig = inspect.signature(getattr(SwapAttack, name))
         assert [p for p in sig.parameters if p != "self"] == expected
+        # The protocol asks an honest agent exactly what it asks the attacker.
+        assert inspect.signature(getattr(_Agent, name)) == sig
+    assert sorted(name for name in vars(_Agent) if not name.startswith("_")) == sorted(
+        handler_params
+    )
+
+
+@pytest.mark.parametrize(
+    "protocol, agent_count, kinds",
+    [
+        ("original", 2, ["zx", "final", "collaboration"]),
+        ("improved", 4, ["zx", "step6", "collaboration"]),
+        ("improved", 5, ["zx", "zx", "step6", "collaboration"]),
+    ],
+)
+def test_swap_attack_publishes_by_check_kind(monkeypatch, protocol, agent_count, kinds):
+    # The steps hand each publication its plan row's kind; the attacker
+    # alone decides what to announce for it.  In the chain the first
+    # agent publishes at every hop check after his own and at step 6.
+    seen = []
+    publish = SwapAttack.publish
+
+    def recording(self, positions, kind):
+        seen.append(kind)
+        return publish(self, positions, kind)
+
+    monkeypatch.setattr(SwapAttack, "publish", recording)
+    config = ScenarioConfig(
+        protocol=protocol,
+        n_pairs=64,
+        agent_count=agent_count,
+        error_threshold=1.0,
+        adversary=AdversarySpec(kind="bob_swap_attack", publish_true_ops=False),
+    )
+    report = run_trial(config)
+    assert seen == kinds
+    assert not report.detected
+    (recovered,) = report.recovered.values()
+    assert recovered != report.dealer_message

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qss_sim import harness
 from qss_sim.adversaries import VALID_KINDS, VALID_POLICIES, AdversarySpec
 from qss_sim.harness import BatchSpec, run_batch, validate_batch
 from qss_sim.protocol import (
@@ -154,6 +155,40 @@ def test_non_integer_counts_are_config_errors(name, value):
         spec = BatchSpec(scenario=dataclasses.replace(scenario, **{name: value}), trials=2)
     with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
         validate_batch(spec)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("sample_fraction", "0.25"),
+        ("sample_fraction", 0.25 + 0j),
+        ("error_threshold", None),
+        ("error_threshold", True),
+        ("adversary", None),
+        ("publish_true_ops", "no"),
+    ],
+)
+def test_mistyped_fields_are_refused_before_any_trial(monkeypatch, name, value):
+    # Validation refuses each by name before a trial can start on it.
+    def trial(config):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", trial)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        if name == "publish_true_ops":
+            adversary = AdversarySpec(kind="bob_swap_attack", publish_true_ops=value)
+            scenario = ScenarioConfig(adversary=adversary)
+        else:
+            scenario = dataclasses.replace(ScenarioConfig(), **{name: value})
+        run_batch(BatchSpec(scenario=scenario, trials=2), lambda report: None)
+
+
+def test_integer_and_numpy_real_fields_run():
+    pairs = [(np.float64(0.25), 0), (np.float32(0.5), 1), (1 / 3, np.float16(0.5))]
+    for fraction, threshold in pairs:
+        scenario = ScenarioConfig(sample_fraction=fraction, error_threshold=threshold)
+        validate_config(scenario)
+        assert isinstance(run_trial(scenario), RunReport)
 
 
 def test_numpy_integer_counts_run():
