@@ -36,6 +36,7 @@ import dataclasses
 import itertools
 import os
 import sys
+import time
 import typing
 from typing import IO, Any, Callable, NamedTuple
 
@@ -210,7 +211,9 @@ def _spec_from_args(args: argparse.Namespace) -> BatchSpec:
 def _write_batch(spec: BatchSpec, out: IO[str]) -> None:
     """Run the batch, writing each trial's line as the trial finishes."""
     if spec.output_format == "table":
-        out.write(table_report(spec, run_batch(spec, lambda report: None)))
+        start = time.perf_counter()
+        stats = run_batch(spec, lambda report: None)
+        out.write(table_report(spec, stats, time.perf_counter() - start))
         return
     trials = itertools.count()
     stats = run_batch(spec, lambda report: out.write(trial_line(spec, next(trials), report)))

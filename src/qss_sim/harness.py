@@ -15,10 +15,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
+
+import numpy as np
 
 from . import __version__
 from .protocol import (
@@ -90,7 +91,6 @@ class AggregateStats:
     eavesdropper_exact: int = 0
     # (dealer symbol, Eve symbol) -> count, keys in first-seen order.
     joint: Counter = field(default_factory=Counter)
-    wall_clock_seconds: float = 0.0  # table output only, never in JSON lines
 
     def add(self, report: RunReport) -> None:
         self.trials += 1
@@ -181,14 +181,12 @@ def run_batch(spec: BatchSpec, sink: Callable[[RunReport], Any]) -> AggregateSta
     """Run the trials in order, hand each report to `sink`, fold it into
     the aggregate statistics and drop it."""
     validate_batch(spec)
-    start = time.perf_counter()
     stats = AggregateStats()
     for t in range(spec.trials):
         report = run_trial(dataclasses.replace(spec.scenario, master_seed=spec.seed_base + t))
         sink(report)
         stats.add(report)
         del report  # the next trial runs without this one alive
-    stats.wall_clock_seconds = time.perf_counter() - start
     return stats
 
 
@@ -204,8 +202,15 @@ def aggregate(reports: Iterable[RunReport]) -> AggregateStats:
 # serialization
 
 
+def _plain(value: Any) -> Any:
+    """A numpy scalar, which a config may hold, as its Python value."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False)
+    return json.dumps(obj, separators=(",", ":"), sort_keys=False, default=_plain)
 
 
 def trial_line(spec: BatchSpec, t: int, report: RunReport) -> str:
@@ -245,8 +250,9 @@ def jsonl_report(spec: BatchSpec, stats: AggregateStats, reports: list[RunReport
     return "".join(lines) + summary_line(spec, stats)
 
 
-def table_report(spec: BatchSpec, stats: AggregateStats) -> str:
-    """Fixed-width human-readable summary table."""
+def table_report(spec: BatchSpec, stats: AggregateStats, seconds: float) -> str:
+    """Fixed-width human-readable summary table of a batch that ran for
+    `seconds` of wall-clock time."""
     out = []
     out.append(f"qss-sim {__version__}")
     cfg = spec.scenario
@@ -274,5 +280,5 @@ def table_report(spec: BatchSpec, stats: AggregateStats) -> str:
         out.append(
             f"eavesdropper MI         {stats.mutual_information_bits:.4f} bits/symbol"
         )
-    out.append(f"wall clock              {stats.wall_clock_seconds:.2f} s")
+    out.append(f"wall clock              {seconds:.2f} s")
     return "\n".join(out) + "\n"

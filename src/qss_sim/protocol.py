@@ -356,9 +356,10 @@ def zx_check(
 ) -> None:
     """Z/X correlation check over the sampled pairs of `run`.
 
-    For each sampled position the partner's holder (the remote party)
-    measures its photon in a random basis and announces basis and
-    result; the dealer measures her half in the same basis.  The outcome
+    The partner's holder (the remote party) measures its photon at each
+    sampled position in a random basis and announces bases and results;
+    then the dealer measures her halves in the same bases.  Each is one
+    register call, since a pair's two photons share a row.  The outcome
     parity must match the Bell correlation of the pair's announced Pauli
     shift, whose codes `expected` are indexed by position.  `sampled` is
     sorted, as `_Run.draw` returns it; the check settles on it."""
@@ -367,10 +368,8 @@ def zx_check(
     remote = run.partner[sampled]
     if remote_applies_h:
         register.apply_gates(remote, np.full(len(remote), SingleGate.H))
-    # Remote before local at each position: [r0, l0, r1, l1, ...].
-    photons = np.stack((remote, run.dealer[sampled]), axis=1).ravel()
-    results = register.measure_singles(photons, np.repeat(in_x, 2)).reshape(-1, 2)
-    remote_out, local_out = results[:, 0], results[:, 1]
+    remote_out = register.measure_singles(remote, in_x)
+    local_out = register.measure_singles(run.dealer[sampled], in_x)
     parity = expected_parity(expected[sampled], in_x)
     mismatches = int(np.count_nonzero((remote_out ^ local_out) != parity))
     run.transcript.append(

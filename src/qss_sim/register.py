@@ -44,15 +44,15 @@ slice by slice into one (4, n) array of probabilities and frees each
 spent array once the drawn residuals are read.  An X measurement applies
 its Hadamard to the amplitudes its collapse gathered, and preparation
 writes its fresh, contiguous rows and photons as slices.  The kernels run
-at most ``_BLOCK`` items at once: a larger round of a call (see below)
-runs in blocks, in list order, and a smaller one as one block.  The items
-of a round touch distinct rows and every kernel is elementwise per item,
-so the blocks give the bits of the whole round.  A call's working memory
-is then one block's temporaries, which stay in cache, plus its own arrays
-of ids, seats, uniforms and outcomes, a few words per item.  Each kernel
-checks the norms of the blocks it made before it writes them back, so a
-call of one round and one block that fails the check leaves the tables
-as they were; only the uniforms it drew are spent.
+at most ``_BLOCK`` items at once: a larger call runs in blocks, in list
+order, and a smaller one as one block.  The items of a call touch
+distinct rows and every kernel is elementwise per item, so the blocks
+give the bits of the whole call.  A call's working memory is then one
+block's temporaries, which stay in cache, plus its own arrays of ids,
+seats, uniforms and outcomes, a few words per item.  Each kernel checks
+the norms of the blocks it made before it writes them back, so a call of
+one block that fails the check leaves the tables as they were; only the
+uniforms it drew are spent.
 
 The vector methods (``prepare_bells``, ``prepare_singles``,
 ``apply_gates``, ``measure_singles``, ``measure_bells``) act on a whole
@@ -62,19 +62,18 @@ one-element case.  Both speak the ``SingleGate``, ``SingleState``,
 arrays carry, so a list of members and an array of codes are the same
 argument: a Pauli gate's code is its ``PauliOp`` code and H's is 4, a
 state's is 2*(basis is X) + bit, a basis is its X-mask entry and a Bell
-outcome's code is its place in the draw.  Operations of one call that
-touch the same row run in list order: the call runs in rounds of items
-on distinct rows, each round found by one first-touch pass whose cost
-grows with the call's n items, not with the rows of the table.  A
-measuring call whose first round is not the whole call then checks,
-before it draws its uniforms, that it lists no photon twice: a live
-photon owns one seat and a seat is its row and side, so the photons are
-distinct when, side by side, their rows are.  Each listed photon writes
-its place in the call into its row's scratch entry and reads it back.
-Nothing in a call sorts.  A measuring call draws its Born-rule uniforms
-with one ``rng.random(n)`` in list order, which yields the same numbers
-as n scalar draws, so a vector call replays exactly the outcomes of the
-loop of per-photon calls it stands for.
+outcome's code is its place in the draw.  Every vector call is one
+round: its items must touch distinct rows, though a Bell item may hold
+both photons of one row.  Operations that share a row go in separate
+calls, in the order they are to happen.  One pass checks this before
+anything is drawn or written: each item writes its place in the call
+into its rows' scratch entries and reads it back, so a call that puts
+two items on one row, or lists a photon twice, raises.  Its cost grows
+with the call's n items, not with the rows of the table, and nothing in
+a call sorts.  A measuring call draws its Born-rule uniforms with one
+``rng.random(n)`` in list order, which yields the same numbers as n
+scalar draws, so a vector call replays exactly the outcomes of the loop
+of per-photon calls it stands for.
 
 All randomness comes from the register's own numpy Generator, so a fixed
 seed and a fixed operation sequence reproduce the same outcomes exactly.
@@ -103,11 +102,11 @@ NORM_TOL = 1e-12
 # photon keeps every array under that limit.
 MAX_PHOTONS = np.iinfo(np.intp).max // 1024
 
-# The most items a kernel runs at once.  A larger round runs in blocks of
-# this many items, in list order.  The items of a round touch distinct
+# The most items a kernel runs at once.  A larger call runs in blocks of
+# this many items, in list order.  The items of a call touch distinct
 # rows, every kernel is elementwise per item and a call draws its
-# uniforms before its first round, so the blocks give the bits the whole
-# round would.  Their working arrays stay in cache, and a call's working
+# uniforms before its first block, so the blocks give the bits the whole
+# call would.  Their working arrays stay in cache, and a call's working
 # memory stops growing with its size; smaller blocks pay numpy's per-call
 # overhead more often (see CHANGES.md for the sweep).
 _BLOCK = 2048
@@ -293,26 +292,6 @@ def _bell_picks(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (p0 <= u).astype(np.int64) + (p01 <= u) + (p01 + p2 <= u)
 
 
-def _first_touch(rows_a: np.ndarray, rows_b: np.ndarray, stamp: np.ndarray) -> np.ndarray:
-    """Mask of the items whose rows no earlier item touches.  Pass one
-    array twice for items that touch one row each.  `stamp` is scratch
-    indexed by row, left holding the first item that touches each of the
-    items' rows; only those rows are written, so the cost grows with the
-    number of items, not with the number of rows."""
-    n = len(rows_a)
-    order = np.arange(n)
-    lists = (rows_a,) if rows_a is rows_b else (rows_a, rows_b)
-    # stamp[r] becomes the first item that touches row r.
-    for rows in lists:
-        stamp[rows] = n
-    for rows in lists:
-        np.minimum.at(stamp, rows, order)
-    now = stamp[rows_a] == order
-    if rows_b is not rows_a:
-        now &= stamp[rows_b] == order
-    return now
-
-
 def _gate_blocks(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
     """New blocks from the gate coefficients coeffs[r, c, m] (see
     ``_GATE_COEFFS``) and the (2, 2, n) blocks `a`, which are
@@ -335,15 +314,10 @@ def _rotate_x_to_z(a: np.ndarray, xs: np.ndarray) -> None:
     a[:, :, xs] = h
 
 
-def _blocks(items, count: int):
-    """The `count` items of a round (an index array, or a slice for all
-    items of a call) in blocks of at most _BLOCK items, in list order."""
-    if count <= _BLOCK:
-        return (items,)
-    starts = range(0, count, _BLOCK)
-    if isinstance(items, slice):
-        return (slice(start, start + _BLOCK) for start in starts)
-    return (items[start : start + _BLOCK] for start in starts)
+def _blocks(n: int):
+    """Slices over a call's n items, in blocks of at most _BLOCK items, in
+    list order."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
 def _integers(values: Sequence[int], what: str) -> np.ndarray:
@@ -400,7 +374,7 @@ class Register:
         self.rng = rng
         self._amps = np.zeros((16, 2, 2))
         self._members = np.zeros(32, dtype=np.int64)
-        # Scratch of `_first_touch` and `_refuse_repeats`, one entry per row.
+        # Scratch of `_require_distinct_rows`, one entry per row.
         self._stamp = np.zeros(16, dtype=np.int64)
         self._seat = np.zeros(32, dtype=np.int64)
         self._next_photon = 0
@@ -450,66 +424,24 @@ class Register:
         self._seat = _grow(self._seat, self._next_photon)
         return slice(start, self._next_photon)
 
-    def _rounds(self, first: np.ndarray, second: np.ndarray, measuring: bool = False):
-        """The items of a call (index arrays, or slices) in rounds that
-        touch distinct rows, each item after every earlier item that
-        shares a row with it, and each round in blocks of at most _BLOCK
-        items, in list order.  The first round is found now.  If it is not
-        the whole call, a `measuring` call then checks that it lists no
-        photon twice (see `_refuse_repeats`), so a call that lists one
-        raises before it draws or writes anything.  The items of a call of
-        one round touch distinct rows, so in it only a Bell item can list a
-        photon twice, which `measure_bells` refuses itself.  Each later
-        round looks its rows up again, after the caller has processed the
-        one before."""
-        n = len(first)
-        if n <= 1:
-            return _blocks(slice(None), n) if n else ()
-        now = self._touch(first, second, slice(None))
-        if now.all():
-            return _blocks(slice(None), n)
-        if measuring:
-            self._refuse_repeats(first, second)
-        return self._later_rounds(first, second, now)
-
-    def _touch(self, first: np.ndarray, second: np.ndarray, items) -> np.ndarray:
-        """The `_first_touch` mask of the `items` of a call (an index
-        array, or a slice for all of them)."""
-        rows = self._seat[first[items]] >> 1
-        other = rows if first is second else self._seat[second[items]] >> 1
-        return _first_touch(rows, other, self._stamp)
-
-    def _refuse_repeats(self, first: np.ndarray, second: np.ndarray) -> None:
-        """Raise if a measuring call lists a photon twice.  A live photon
-        owns one seat, 2*row + side, so on one side a row holds one photon:
-        the photons are distinct when, side by side, their rows are.  On
-        each side every listed photon writes its place in the call (item i
-        of `first` is i, of a distinct `second` n + i) into `_stamp` at its
-        row and reads it back, _BLOCK photons at a time.  A row listed twice
-        on one side returns its own place to at most one of its photons,
-        whatever order numpy applies repeated writes in."""
-        rows = self._seat[first if first is second else np.concatenate((first, second))]
-        odd = (rows & 1).astype(bool)
-        rows >>= 1
-        for on_side in (~odd, odd):
-            places = np.flatnonzero(on_side)
-            for block in _blocks(places, len(places)):
-                self._stamp[rows[block]] = block
-            for block in _blocks(places, len(places)):
-                if (self._stamp[rows[block]] != block).any():
-                    raise RegisterError("a measurement lists the same photon twice")
-
-    def _later_rounds(self, first: np.ndarray, second: np.ndarray, now: np.ndarray):
-        """Yield the rounds of a call whose first round is the items
-        `now`, as `_rounds` describes."""
-        items = np.arange(len(now))
-        while True:
-            round_ = items[now]
-            yield from _blocks(round_, len(round_))
-            items = items[~now]
-            if not len(items):
-                return
-            now = self._touch(first, second, items)
+    def _require_distinct_rows(self, *lists: np.ndarray) -> None:
+        """Raise unless the items of a call touch distinct rows, where item
+        i holds the i-th photon of each of `lists`.  The two photons of a
+        Bell item may share a row.  Item i writes i into `_stamp` at each
+        of its rows and reads it back: a row that two items touch returns
+        its own place to at most one of them, whatever order numpy applies
+        repeated writes in.  A photon sits on one row, so a call that
+        lists one twice raises too."""
+        n = len(lists[0])
+        if n < 2:
+            return
+        order = np.arange(n)
+        rows = [self._seat[ids] >> 1 for ids in lists]
+        for r in rows:
+            self._stamp[r] = order
+        for r in rows:
+            if (self._stamp[r] != order).any():
+                raise RegisterError("two items of one call touch the same row")
 
     def _gather(self, seats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat table indices and amplitudes of the rows of the photons on
@@ -585,12 +517,13 @@ class Register:
 
     def apply_gates(self, photons: Sequence[int], gates: Sequence[int]) -> None:
         """Apply the gate with code gates[i] (``SingleGate``) to
-        photons[i], in list order."""
+        photons[i]; the photons' rows must be distinct."""
         ids = self._require(photons)
         codes = _codes(gates, SingleGate, "gate")
         if len(codes) != len(ids):
             raise RegisterError("apply_gates needs one gate per photon")
-        for items in self._rounds(ids, ids):
+        self._require_distinct_rows(ids)
+        for items in _blocks(len(ids)):
             self._gate(ids[items], codes[items])
 
     def apply_gate(self, photon: int, gate: SingleGate) -> None:
@@ -607,21 +540,21 @@ class Register:
     # -- measurements (destructive) ---------------------------------------
 
     def measure_singles(self, photons: Sequence[int], in_x: Sequence[bool]) -> np.ndarray:
-        """Born-rule single-photon measurements, in list order, in the X
-        basis where `in_x` is set and in the Z basis elsewhere; returns
-        0/1 per photon (in the X basis 0 means the '+' outcome).  `in_x`
-        is a bool mask or a list of ``Basis`` codes.  Consumes the
-        photons."""
+        """Born-rule single-photon measurements, in the X basis where
+        `in_x` is set and in the Z basis elsewhere; returns 0/1 per photon
+        (in the X basis 0 means the '+' outcome).  `in_x` is a bool mask or
+        a list of ``Basis`` codes.  The photons' rows must be distinct.
+        Consumes the photons."""
         ids = self._require(photons)
         in_x = np.asarray(in_x)
         if in_x.dtype != bool:
             in_x = _codes(in_x, Basis, "basis").astype(bool)
         if len(in_x) != len(ids):
             raise RegisterError("measure_singles needs one basis per photon")
-        rounds = self._rounds(ids, ids, measuring=True)
+        self._require_distinct_rows(ids)
         u = self.rng.random(len(ids))
         out = np.zeros(len(ids), dtype=np.int64)
-        for items in rounds:
+        for items in _blocks(len(ids)):
             out[items] = self._collapse(ids[items], u[items], in_x[items])
         return out
 
@@ -655,8 +588,9 @@ class Register:
         return bits
 
     def measure_bells(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
-        """Joint Bell-basis measurements of the pairs (a[i], b[i]), in
-        list order; returns each outcome's code (``BellLabel``).
+        """Joint Bell-basis measurements of the pairs (a[i], b[i]); returns
+        each outcome's code (``BellLabel``).  No two pairs may touch one
+        row, though the two photons of a pair may share one.
 
         Each draws an outcome by the Born rule and leaves the surviving
         photons in the correct post-measurement state (which is what makes
@@ -666,10 +600,10 @@ class Register:
             raise RegisterError("measure_bells needs two equally long photon lists")
         if (ids_a == ids_b).any():
             raise RegisterError("Bell measurement needs two distinct photons")
-        rounds = self._rounds(ids_a, ids_b, measuring=True)
+        self._require_distinct_rows(ids_a, ids_b)
         u = self.rng.random(len(ids_a))
         picks = np.zeros(len(ids_a), dtype=np.int64)
-        for items in rounds:
+        for items in _blocks(len(ids_a)):
             picks[items] = self._bell(ids_a[items], ids_b[items], u[items])
         return picks
 

@@ -75,11 +75,11 @@ GOLDEN = {
     ),
     "original-eve-bob-alice-t0": (
         _original(_eve("bob->alice")),
-        "5ff12bf56d9bf3ffe7b53df8bdb8308567cfbb4b6a1b4365548303ccb2e92bcf",
+        "84e8b6f84d03444aa1159b03bf63a4a6166effeaf27dfa07e9d1391241649a21",
     ),
     "original-eve-bob-charlie-t1": (
         _original(_eve("bob->charlie", "fixed-Z"), threshold=1.0),
-        "b027b822a5627407bef2fc993384c361687d1af36c7b92f4cba2a3db06d5945c",
+        "834938e2e5785ae811ad6fb10a5755b477f1baf203c1a9beb19beedb745c32f8",
     ),
     "original-eve-alice-charlie-t1": (
         _original(_eve("alice->charlie"), threshold=1.0),
@@ -99,7 +99,7 @@ GOLDEN = {
     ),
     "improved-eve-agent0-agent1-t1": (
         _improved(_eve("agent0->agent1", "fixed-X"), 3, threshold=1.0),
-        "af99de180464faa61d7754affae8613e0a106931a8ac53e7d2f4946d6f6049ab",
+        "e18213ce2bd354d6a8f3ebca01ba2c003612709f60d015ed629069cf590cfaa8",
     ),
     "improved-eve-zach-t-t0": (
         _improved(_eve("alice->zach:t"), 3),
@@ -115,51 +115,51 @@ GOLDEN = {
 # see trials_json, in the per-position form (see expand)
 GOLDEN_TRIALS = {
     "improved-eve-agent0-agent1-t1": (
-        "32dd2ca4228a57f87c4c9c922eec11fb5cf218210aa2a2fa54321fc4b0205dac",
+        "76f8f88d10734cd661350d49e983b2aec66016ab1fd583e72e2d327e5f4b8d63",
         "1b27a68fdecbf40d36f8d80730ce48af2832c600ecc25edcc9780b5183bace36",
     ),
     "improved-eve-zach-a-t1": (
-        "de4d1cbd821b7a30978323669102b6b8f0ad2d3eb7da56d0e4bc420cdf3c0c57",
+        "e08453023a60ff4963b9d406d7ca85665bc66d9c6c50622d9ca9c96d885557f7",
         "10a6ca0994272593b4800ce880c3fe5b3c791ac12802c56bcdf28fb681199bda",
     ),
     "improved-eve-zach-t-t0": (
-        "2ec3ab3425667c1fb9ad740478f5b808e182a5616d98cb584dfaf62581e3b46d",
+        "756bfd2ce0d702d9456f1defa27439624af2103ed6bd727025bb9886f850d5e7",
         "4d268aa7d6c9a3822130bebba40899a9d951fa3948327e4a0bbbbb9b76b8b882",
     ),
     "improved-honest-3": (
-        "9d0f9138790384eb8684cf51c0a373b73a1c5b019e4edf11af1fc5180eadef29",
+        "b2fb902c2335da797a27840562ed292fb99948fd175e6e8952df5205bd0584cb",
         "ff33523009e1f38f1eb223b396e9f32dc2564c3364e359f0addd9d728142990c",
     ),
     "improved-swap-false-4": (
-        "ee48a76571d13a5d6810e7c05c5d381b9456e235d17650e976337d101c93b6d2",
+        "0792fc54bea4ac841166f41d738937512954c9317854148f2136f0977e1e2fbe",
         "9415d8b6de470a79e1f8657054019f327afb15ad2b97b4edc95ec51d412453ea",
     ),
     "improved-swap-true-3-t1": (
-        "9ca8983c8da946043c1bc655df98252a162156cebcccb44ef25733f98de08ca2",
+        "4a4241e8d03a655a5a812e2f8ddfffa320a275fbab2af7f0f9520d9145e7f0be",
         "aa7f5d08493d273a771c41f247c8416489b1189f0b1772a3ec543d5d79191cc1",
     ),
     "original-eve-alice-charlie-t1": (
-        "33212ac1b52abc1b2bf0014bf9c22e955a096e76481f339aade2c2375c314285",
+        "27d913e497d59e299dd14ec0002c5390f5ce0dcfcf1b305ae1653a374217b569",
         "23e7adfe4ff2d5bd7d9a7626b46badde801f1b02234d48093a78f9a68b9f772a",
     ),
     "original-eve-bob-alice-t0": (
-        "0423fa4ba65732f41c515411c1283dafe9a8777512b2e9616bdcb18fca3af097",
-        "fdbe274dfb6fdf2e63df5fe56c4ef676477280dff1a4758ad13d74cbcbea5954",
+        "d41c1e361ac8996b8110712da2c489d65344b51f28e23cc717287c8ee10e6b94",
+        "78817be5a17a1e0f2e2d53425f495e9a84ed1562aa9a6ff7e2b27dccdc22b944",
     ),
     "original-eve-bob-charlie-t1": (
-        "68ac551ca0978e58856bc3f0c0f01f41df24d0097f2cccbd65b72a8022b1b6e8",
+        "d4cb117a2fd862d4455edf294968dc70f0499ebf270277da121b1406a36922b1",
         "26b4b845f90f2f3e480ce4b43d305f7e06a9f170bf2985dca20b52747f955b33",
     ),
     "original-honest": (
-        "64977d5b42361f5ffaae276a0de2fafbf9e468ee6ee89d8bcab9bc93437f512d",
+        "e5ddf414c4e5f061b4a63d49f8c21926c0b255af1328bb20e3929614b9112891",
         "33e56b2c4bb95b98ed84f6a30261f91ddf841322a5e98b45ef5cfc77934af794",
     ),
     "original-swap-false": (
-        "4c86475d82fed67a946493e85410f057205e6c0a7a785a26954d0d463862d820",
+        "7c3ce562e6a68a76a970f65fa44416882ff89a7e9fe706526f000bcb79e502e5",
         "fef9d409df03f1657d9ac0fb4a6c0dec22b837ae30a13d92f2d833f05ac1b298",
     ),
     "original-swap-true": (
-        "838a98992a5bb7f8ec0d7dd9b4f92bb976edffdf9bd7362eb3e14a4283939cce",
+        "5fe7c1f1890e24f5d46678c5151178d356b05f5b326434e3e3e1a98882db0578",
         "fef9d409df03f1657d9ac0fb4a6c0dec22b837ae30a13d92f2d833f05ac1b298",
     ),
 }
@@ -168,51 +168,51 @@ GOLDEN_TRIALS = {
 # The same digests of the listed events, one per announcement.
 GOLDEN_EVENTS = {
     "improved-eve-agent0-agent1-t1": (
-        "f0c241c18656355f0a3475a8f5b2c7d779f823485f773a962da40d3fc483ae63",
+        "8881d80d4519bdd73d8b505130818e56295bec105f539c3fca53cff7bf23d4c6",
         "143897eb1fb6b825e3b4b0ce3018acb042a6803d513da6dfb00223c51c3c8b1a",
     ),
     "improved-eve-zach-a-t1": (
-        "e6df303eb57652b1c778b3cff193911671bfde4a9f415bb7bb9f25dbb49351ca",
+        "57f6a6d0daeeb307b1300ba454d67c2057ae8adf6ecf1d81147308a36d3b6d02",
         "b8938025b6dc3e5ef5092b9c62a4b25bd57e9a31c9a3ab52bd9d8c0705501f17",
     ),
     "improved-eve-zach-t-t0": (
-        "6caf566ee007160df730f6a8b9a1ee213c5610235255e175ff538aad02555f80",
+        "20bd879d0ffc8ab67b43c1eb0c355944ee280bb522452dd118ad54199ba58f62",
         "64d4a51bd0f1c160ba25ea9f93a9a00619efe2ee985fa5219570eb9485e38956",
     ),
     "improved-honest-3": (
-        "ca247b5c873ab956d536977409ad70a8f8eb4276d8e8df54d398405e024e59c0",
+        "a3a654851dc1fcfdbba5c34cb66bab5ab44e3e98d146f3615fe3558c037e64ae",
         "4a252d7933a5a5a11536603ac513f0746ade4b0926ee6172d0a0308e6ca719f7",
     ),
     "improved-swap-false-4": (
-        "af4b5981be6793fee760f32716e6369456b46b6e371b919b406855747e103640",
+        "7b46cbcd1b4a0fecbf47d9b575c1b81d40efd3d56dc721c6204eee467a5a33ca",
         "ec8c61243b7d8a482018d22cfb5b47a9c4652e8b728fb98052c754ad7f25815e",
     ),
     "improved-swap-true-3-t1": (
-        "363844411ea9b40138bb0c65b19c7b17e690c5a7214975982dda7c0148da3cd7",
+        "808460556834243e91b46c6c6becc2f7b9ebeff3463ec22a34b7e44aa2e61287",
         "5558b3fa22508ebea9b921cf5323222211826f5efa88043384729932a8614a10",
     ),
     "original-eve-alice-charlie-t1": (
-        "3da05d8cfa9220209cb4632530ed80465b064999a9c76e2c525e39c441483594",
+        "170411abdbc7345b94d0a1bfdfc0f4196f8120b2e206d2d7a4f1a633145323fc",
         "e013bd8d8464534291de37fd467cb8ab6309ff848d19e6402c5e498cdab11022",
     ),
     "original-eve-bob-alice-t0": (
-        "a19ebf883fc8f2d887e6cfc1299c327808019cbd8ba3851ca3bcb24ff9795233",
-        "fdbe274dfb6fdf2e63df5fe56c4ef676477280dff1a4758ad13d74cbcbea5954",
+        "800e6ffa730ad44da65b7f24202f686f62e08c3024d051bf14df33f75ef1d529",
+        "51abda5ee47277376c56835618f0307ca373f1e966b86f17cfa6bed60e2197aa",
     ),
     "original-eve-bob-charlie-t1": (
-        "cf9acd26272a74d813646901440b6fc112dc19d82e547c4bbc2b28f496ff637d",
+        "1acf3b9d27125bc4eaf64f24dacbcf741269b9c35fc7d26c923cc76d49c6ffb3",
         "20332a8192e28b8e04635955320df3cb7871206c10885b3b9ddabe4831c064d5",
     ),
     "original-honest": (
-        "28b6fc678cbdfce099a579b2e52c69b3b17a7da4e59fe91526fbb2df1134868b",
+        "3900f0e21a706f5456474acf3a42ccd5500b9c95f4a21da61339e97592eb0ae3",
         "553328cdbaa78fec9686e5fa62012dc30a8ccbcc4160b8a9434ae1f959a577e9",
     ),
     "original-swap-false": (
-        "1df3aa6f2f3a19ac6947662339702e9793c2557364884e0bd31b45b3c46aa27c",
+        "02595c20f289cd3b31b83e035b5817449be1e052147757b59ac246240728ee99",
         "4d43e4ceec7d08cccf9921b0ffc352399641c1709f73a00e8a19f1974b502ffb",
     ),
     "original-swap-true": (
-        "46fdf5c285c958c5c662d50266023a7880d562ed7fb6aaaa76ecb4e68336ccb7",
+        "92180552a0fdb62a4ddf4426fdd6a0b4eac10fb01d2adcefc094c5c15289f500",
         "4d43e4ceec7d08cccf9921b0ffc352399641c1709f73a00e8a19f1974b502ffb",
     ),
 }
@@ -225,13 +225,13 @@ GOLDEN_EVENTS = {
 LARGE = (
     _original(_eve("bob->charlie"), threshold=1.0, n_pairs=4096),
     2,
-    "bf259c916d0f1641f1e82a550cb7944dfc5bf36af36642465259fab2625b0144",
-    "844e2240f416cfa43eab834bf4e503bc527045a625ee300e0dcc0b4e68fe3456",
+    "e33a1f67675a480faff0d0e95c65c4ace527adb6ae77c202c5b75d845ebc828a",
+    "41599874c6a3bbd45433521753bdd79b3fade2835d095b39533703fd0dfbd905",
     "8733ff078956fe459ec81640fb49abd9b0951acff7b543c3aec49c763f0d8a7c",
 )
 # LARGE's public and private digests of the listed events.
 LARGE_EVENTS = (
-    "66ac43b64c320ebde9b170b38b20cbe049483e02ad3d1dbab80e7ce80fd745fc",
+    "0ced34b49492052abfb6a6389436bed18859a2bd54f0285f802d5e6607f91511",
     "ca6ef6578ced37ca5649eaa56f64c78ccb47615f0b9288faa676a2c5aec100b8",
 )
 

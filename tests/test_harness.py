@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,10 +117,23 @@ def test_jsonl_structure():
 def test_table_report_contents():
     spec = _spec(trials=2, output_format="table")
     stats = run_batch(spec, lambda report: None)
-    text = table_report(spec, stats)
+    text = table_report(spec, stats, 1.25)
     assert "zx_check_1" in text
     assert "detection frequency     0.0000" in text
-    assert "wall clock" in text
+    assert "wall clock              1.25 s" in text
+
+
+def test_numpy_scalar_fields_write_the_lines_of_python_values():
+    # Validation accepts numpy integers and floats; the JSON lines hold
+    # their Python values, byte for byte.
+    def lines(n_pairs, fraction, seed_base):
+        scenario = ScenarioConfig(protocol="original", n_pairs=n_pairs, sample_fraction=fraction)
+        spec = BatchSpec(scenario=scenario, trials=2, seed_base=seed_base)
+        out = []
+        stats = run_batch(spec, lambda r: out.append(harness.trial_line(spec, len(out), r)))
+        return "".join(out) + harness.summary_line(spec, stats)
+
+    assert lines(np.int64(32), np.float32(0.25), np.int64(3)) == lines(32, 0.25, 3)
 
 
 def test_check_stats_confidence_interval():
