@@ -111,22 +111,16 @@ class EveInterceptResend:
         return self.register.prepare_singles(2 * in_x + outcomes), in_x, outcomes
 
 
-def _fake_pairs(
-    register: Register, rng: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`count` fresh singlets, the forwarded half of each shifted by a
-    uniformly random Pauli: the kept halves, the forwarded halves and the
-    Pauli codes."""
-    kept, forwarded = register.prepare_bells(count, BellLabel.PSI_MINUS)
-    ops = _random_paulis(rng, count)
-    register.apply_gates(forwarded, ops)
-    return kept, forwarded, ops
-
-
-def _scatter(size: int, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A position-indexed array holding `values` at `positions` and -1
-    elsewhere."""
-    out = np.full(size, -1, dtype=np.int64)
+def _scatter(
+    size: int, positions: np.ndarray, values: np.ndarray | bool, fill: int | bool = -1
+) -> np.ndarray:
+    """An array over range(size) holding `values` at `positions` and `fill`
+    elsewhere: -1 for "no entry", ``PauliOp.I`` for "no operation" (both
+    int64), or False for a bool mask.  Every array over positions that
+    is filled at some of them is built here."""
+    out = np.zeros(size, dtype=bool if fill is False else np.int64)
+    if fill:
+        out.fill(fill)
     out[positions] = values
     return out
 
@@ -169,12 +163,17 @@ class SwapAttack:
         """Keep the genuine photon at each of `positions` and forward a
         fake-pair half in its place.  The photons at the `honest`
         positions, none of `positions`, he Hadamard-rotates and forwards
-        as an honest chain agent would."""
-        if honest is not None:
-            self.register.apply_gates(photons[honest], np.full(len(honest), SingleGate.H))
+        as an honest chain agent would.  The fake pairs are singlets whose
+        forwarded halves he shifts by uniformly random Paulis; that shift
+        and the rotation are one register call, as their rows are
+        distinct."""
+        kept, forwarded = self.register.prepare_bells(len(positions), BellLabel.PSI_MINUS)
+        ops = _random_paulis(self.rng, len(positions))
+        rotated = forwarded[:0] if honest is None else photons[honest]
+        gates = np.concatenate((np.full(len(rotated), SingleGate.H), ops))
+        self.register.apply_gates(np.concatenate((rotated, forwarded)), gates)
         size = len(photons)
         self.kept = _scatter(size, positions, photons[positions])
-        kept, forwarded, ops = _fake_pairs(self.register, self.rng, len(positions))
         self.fake_kept = _scatter(size, positions, kept)
         self.fake_op = _scatter(size, positions, ops)
         out = photons.copy()

@@ -60,7 +60,7 @@ from typing import Any
 
 import numpy as np
 
-from .adversaries import AdversarySpec, EveInterceptResend, SwapAttack, _random_paulis
+from .adversaries import AdversarySpec, EveInterceptResend, SwapAttack, _random_paulis, _scatter
 from .pauli import BELL_CODES, Basis, BellLabel, PauliOp, decode_message, expected_parity
 from .register import MAX_PHOTONS, Register, SingleGate
 
@@ -323,14 +323,10 @@ def validate_config(config: ScenarioConfig) -> tuple[tuple[str, str, str, int], 
 # read off a bool mask over positions, so no trial sorts or searches.
 # Photon sequences and every party's operations are arrays indexed by
 # position; operations are Pauli codes (see `pauli`), so composing two
-# layers is one XOR.
-
-
-def _mask(values: np.ndarray, size: int) -> np.ndarray:
-    """Bool mask over range(size), set at the `values`."""
-    mask = np.zeros(size, dtype=bool)
-    mask[values] = True
-    return mask
+# layers is one XOR.  An array over positions that is filled at some of
+# them (a mask, a party's operations, the readout) is built by
+# `_scatter`, with the fill that marks the rest.  A check phase reads
+# codes only on its own sample, so it takes them aligned with `sampled`.
 
 
 def _transmit(run: _Run, sequence: np.ndarray) -> np.ndarray:
@@ -350,7 +346,7 @@ def _transmit(run: _Run, sequence: np.ndarray) -> np.ndarray:
 def zx_check(
     run: _Run,
     sampled: np.ndarray,
-    expected: np.ndarray,
+    expected: np.ndarray | PauliOp,
     rng_remote: np.random.Generator,
     remote_applies_h: bool = False,
 ) -> None:
@@ -361,8 +357,9 @@ def zx_check(
     then the dealer measures her halves in the same bases.  Each is one
     register call, since a pair's two photons share a row.  The outcome
     parity must match the Bell correlation of the pair's announced Pauli
-    shift, whose codes `expected` are indexed by position.  `sampled` is
-    sorted, as `_Run.draw` returns it; the check settles on it."""
+    shift, whose codes `expected` are aligned with `sampled` (or
+    ``PauliOp.I`` when nothing was published).  `sampled` is sorted, as
+    `_Run.draw` returns it; the check settles on it."""
     register = run.register
     in_x = rng_remote.random(len(sampled)) < 0.5
     remote = run.partner[sampled]
@@ -370,7 +367,7 @@ def zx_check(
         register.apply_gates(remote, np.full(len(remote), SingleGate.H))
     remote_out = register.measure_singles(remote, in_x)
     local_out = register.measure_singles(run.dealer[sampled], in_x)
-    parity = expected_parity(expected[sampled], in_x)
+    parity = expected_parity(expected, in_x)
     mismatches = int(np.count_nonzero((remote_out ^ local_out) != parity))
     run.transcript.append(
         "zx_results",
@@ -396,7 +393,7 @@ def decoy_round(run: _Run, photons: np.ndarray) -> np.ndarray:
     states = run.rng_dealer.integers(4, size=count)
     decoys = run.register.prepare_singles(states)
     total = len(run.positions) + count
-    is_decoy = _mask(run.rng_dealer.choice(total, size=count, replace=False), total)
+    is_decoy = _scatter(total, run.rng_dealer.choice(total, size=count, replace=False), True, False)
     # The k-th checking photon sits at the k-th slot, in slot order.
     slots = np.flatnonzero(is_decoy)
     sequence = np.empty(total, dtype=np.int64)
@@ -413,18 +410,19 @@ def decoy_round(run: _Run, photons: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_step6(run: _Run, sampled: np.ndarray, published: np.ndarray) -> None:
+def verify_step6(run: _Run, sampled: np.ndarray, published: np.ndarray | PauliOp) -> None:
     """The dealer's own verification of the returned sequence.
 
     For each sampled position the dealer undoes the last agent's
     Hadamard, Bell-measures the returned photon against her retained
     half, and requires the decoded Pauli to equal the XOR of the agents'
-    published operations, whose codes `published` are indexed by
-    position.  `sampled` is sorted; the check settles on it."""
+    published operations, whose codes `published` are aligned with
+    `sampled` (or ``PauliOp.I`` when nothing was published).  `sampled`
+    is sorted; the check settles on it."""
     returned = run.partner[sampled]
     run.register.apply_gates(returned, np.full(len(returned), SingleGate.H))
     outcomes = run.register.measure_bells(run.dealer[sampled], returned)
-    mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published[sampled]))
+    mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published))
     run.transcript.append(
         "bell_outcomes",
         check=run.row[1],
@@ -444,7 +442,8 @@ class _Run:
     modes share.
 
     ``positions`` is the sorted array of surviving positions; each sorted
-    subset of them is read off a mask over positions (see `_mask`).
+    subset of them is read off a bool mask over positions, which
+    `_scatter` builds.
     ``dealer`` holds the dealer's half of each position's pair and
     ``partner`` the other half, both indexed by position; entries at
     retired positions are stale.  ``row`` is the `plan` row of the next
@@ -496,10 +495,6 @@ class _Run:
             transcript=self.transcript,
         )
 
-    def identity(self) -> np.ndarray:
-        """Position-indexed Pauli codes, I everywhere."""
-        return np.zeros(self.config.n_pairs, dtype=np.int64)
-
     def prepare(self, party: str) -> None:
         """`party` prepares one singlet per position; the dealer's half is
         the first photon of each pair."""
@@ -526,11 +521,11 @@ class _Run:
         """Sample as many of the surviving positions as the plan row's
         check samples, sorted."""
         drawn = rng.choice(self.positions, size=self.row[3], replace=False)
-        return np.flatnonzero(_mask(drawn, self.config.n_pairs))
+        return np.flatnonzero(_scatter(self.config.n_pairs, drawn, True, False))
 
     def without(self, removed: np.ndarray) -> np.ndarray:
         """The surviving positions not in `removed`, a subset of them."""
-        return self.positions[~_mask(removed, self.config.n_pairs)[self.positions]]
+        return self.positions[~_scatter(self.config.n_pairs, removed, True, False)[self.positions]]
 
     def sample_event(self, sampled: np.ndarray) -> None:
         """Announce the positions the plan row's check has sampled."""
@@ -582,9 +577,7 @@ class _Run:
         indexed by position (-1 elsewhere)."""
         bits = self.rng_dealer.integers(2, size=2 * len(positions))
         self.dealer_bits = bits.tolist()
-        codes = np.full(self.config.n_pairs, -1, dtype=np.int64)
-        codes[positions] = 2 * bits[0::2] + bits[1::2]
-        return codes
+        return _scatter(self.config.n_pairs, positions, 2 * bits[0::2] + bits[1::2])
 
     def encrypt(
         self,
@@ -601,13 +594,12 @@ class _Run:
         positions = self.positions
         gates = np.full(len(positions), -1) if fixed is None else fixed[positions]
         if rotated is not None:
-            gates[_mask(rotated, self.config.n_pairs)[positions]] = SingleGate.H
+            gates[_scatter(self.config.n_pairs, rotated, True, False)[positions]] = SingleGate.H
         free = gates < 0
         gates[free] = _random_paulis(rng, np.count_nonzero(free))
         self.register.apply_gates(photons[positions], gates)
-        ops = self.identity()
-        ops[positions] = np.where(gates == SingleGate.H, PauliOp.I, gates)
-        return ops
+        ops = np.where(gates == SingleGate.H, PauliOp.I, gates)
+        return _scatter(self.config.n_pairs, positions, ops, PauliOp.I)
 
     def readout(self) -> np.ndarray:
         """The reader's Bell measurement of every surviving pair, decoded
@@ -616,9 +608,7 @@ class _Run:
         outcomes = self.register.measure_bells(
             self.dealer[self.positions], self.partner[self.positions]
         )
-        totals = self.identity()
-        totals[self.positions] = BELL_CODES[outcomes]
-        return totals
+        return _scatter(self.config.n_pairs, self.positions, BELL_CODES[outcomes], PauliOp.I)
 
     def collaborate(self, reader: str, totals: np.ndarray, agents: dict[str, Any]) -> None:
         """Each party's agent in `agents` publishes its operation on every
@@ -674,7 +664,7 @@ def _original_steps(run: _Run) -> None:
     # First eavesdropping check (Alice-Bob).
     q1 = run.draw(rng_alice)
     run.sample_event(q1)
-    zx_check(run, q1, run.identity(), rng_bob)
+    zx_check(run, q1, PauliOp.I, rng_bob)
 
     # Bob encrypts his sequence and sends it to Charlie -- or, attacking,
     # substitutes halves of his own pairs.
@@ -685,9 +675,7 @@ def _original_steps(run: _Run) -> None:
     # published first.
     q2 = run.draw(rng_alice)
     run.sample_event(q2)
-    expected = run.identity()
-    expected[q2] = run.announce("bob", bob, q2)
-    zx_check(run, q2, expected, rng_charlie)
+    zx_check(run, q2, run.announce("bob", bob, q2), rng_charlie)
 
     # Alice picks her own samples, encodes the message elsewhere, and
     # sends her sequence to Charlie, past Bob.
@@ -738,7 +726,7 @@ def _improved_steps(run: _Run) -> None:
     # Step 2: Z/X check between the dealer and the first agent.
     q = run.draw(run.rng_dealer)
     run.sample_event(q)
-    zx_check(run, q, run.identity(), rng_agents[0])
+    zx_check(run, q, PauliOp.I, rng_agents[0])
 
     # Steps 3-6: the encryption chain through agents 0..M-2, the first of
     # them possibly the attacker.
@@ -757,11 +745,11 @@ def _improved_steps(run: _Run) -> None:
 
         # Publication of the earlier agents' operations on the sampled
         # photons; agent k itself only Hadamard-rotated them.
-        published = run.identity()
+        published = PauliOp.I
         if k > 0:
             # Row j of `ops` holds agent j's operations.
             layers = np.array([a.publish(samples, kind) for a in agents[:k]])
-            published[samples] = np.bitwise_xor.reduce(layers)
+            published = np.bitwise_xor.reduce(layers)
             run.transcript.append("publish_ops", check=check_id, positions=samples, ops=layers)
 
         if kind == "zx":

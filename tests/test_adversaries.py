@@ -133,6 +133,40 @@ def test_swap_attack_false_publication_corrupts_reader():
     assert diffs / total == pytest.approx(0.5, abs=0.06)
 
 
+def test_chain_swap_forward_makes_one_gate_call(monkeypatch):
+    # The chain's first agent, attacking, Hadamard-rotates his honest
+    # sample photons and shifts his fake halves by their Paulis in one
+    # register call.
+    sizes, forwards = [], []
+    apply_gates = Register.apply_gates
+    forward = SwapAttack.forward
+
+    def counting(self, photons, gates):
+        sizes.append(len(photons))
+        apply_gates(self, photons, gates)
+
+    def watched(self, positions, photons, honest=None):
+        sizes.clear()
+        out = forward(self, positions, photons, honest)
+        forwards.append((len(positions), len(honest), list(sizes)))
+        return out
+
+    monkeypatch.setattr(Register, "apply_gates", counting)
+    monkeypatch.setattr(SwapAttack, "forward", watched)
+    run_trial(
+        ScenarioConfig(
+            protocol="improved",
+            n_pairs=16,
+            agent_count=3,
+            step6_sample_count=8,
+            adversary=AdversarySpec(kind="bob_swap_attack"),
+        )
+    )
+    # Of the 12 positions the step-2 check leaves, he swaps 9 and rotates
+    # his 3 samples, all in one call.
+    assert forwards == [(9, 3, [12])]
+
+
 def test_adversaries_see_only_channel_state():
     # Attack constructors receive the shared register, a private stream
     # and the adversary description -- no party-private arguments exist

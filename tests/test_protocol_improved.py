@@ -255,6 +255,24 @@ def test_verify_step6_rejects_false_publication(unit_run):
     assert rep.mismatches == 20
 
 
+def test_verify_step6_reads_codes_aligned_with_its_sample(unit_run):
+    # As in zx_check, the published codes belong to the sampled positions,
+    # in sample order.
+    reg = Register(seed=70)
+    pairs = [reg.prepare_bell(BellLabel.PSI_MINUS) for _ in range(16)]
+    ops = list(PauliOp)
+    for pos, (_, t) in enumerate(pairs):
+        reg.apply_gate(t, ops[pos % 4])
+        reg.apply_gate(t, SingleGate.H)
+    run = unit_run(reg, 16, samples=3)
+    run.dealer, run.partner = (np.array(half) for half in zip(*pairs))
+    sampled = np.array([3, 6, 9])
+    verify_step6(run, sampled, np.array([ops[p % 4] for p in sampled]))
+    rep = run.checks[-1]
+    assert (rep.samples, rep.mismatches) == (3, 0)
+    assert run.positions.tolist() == [p for p in range(16) if p not in sampled]
+
+
 def test_check_phases_are_called_through_module_globals(monkeypatch):
     # Per-phase tracing wraps these three module-level names, so every
     # run must look them up in qss_sim.protocol at call time.

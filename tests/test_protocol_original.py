@@ -200,7 +200,9 @@ def test_nonzero_threshold_tolerates_small_error():
 
 
 def _by_position(remote, local, expected):
-    """zx_check's position-indexed arguments: photon ids and Pauli codes."""
+    """zx_check's arguments for a sample of every position: the photon
+    ids, indexed by position, and the expected Pauli codes, aligned with
+    the sample."""
     return np.array(remote), np.array(local), np.array([int(op) for op in expected])
 
 
@@ -264,6 +266,23 @@ def test_zx_check_unit_wrong_announcement_shows_errors(unit_run):
     # An iY shift against an announced identity fails in every basis.
     assert rep.mismatches == 60
     assert rep.verdict == "abort"
+
+
+def test_zx_check_reads_codes_aligned_with_its_sample(unit_run):
+    # The expected codes belong to the sampled positions, in sample order;
+    # the check reads no code of a position outside its sample.
+    reg = Register(seed=56)
+    pairs = [reg.prepare_bell(BellLabel.PSI_MINUS) for _ in range(16)]
+    ops = list(PauliOp)
+    for pos, (_, b) in enumerate(pairs):
+        reg.apply_gate(b, ops[pos % 4])
+    run = unit_run(reg, 16, samples=3)
+    run.dealer, run.partner = (np.array(half) for half in zip(*pairs))
+    sampled = np.array([3, 6, 9])
+    zx_check(run, sampled, np.array([ops[p % 4] for p in sampled]), np.random.default_rng(57))
+    rep = run.checks[-1]
+    assert (rep.samples, rep.mismatches) == (3, 0)
+    assert run.positions.tolist() == [p for p in range(16) if p not in sampled]
 
 
 def test_empty_check_passes_vacuously():
