@@ -56,7 +56,9 @@ class AdversarySpec:
     protocol engine for hop names); the swap attack always sits at the
     first agent and ignores it.  ``publish_true_ops`` controls whether
     the dishonest agent reveals his real substitute-pair operations at
-    collaboration time."""
+    collaboration time.  A spec checks itself when it is made:
+    ``protocol.check_fields`` checks each field against its declaration,
+    and Eve needs a hop; both raise ConfigError."""
 
     kind: str = field(default="none", metadata={"choices": VALID_KINDS})
     hop: str | None = None
@@ -64,14 +66,11 @@ class AdversarySpec:
     publish_true_ops: bool = True
 
     def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise ValueError(f"unknown adversary kind {self.kind!r}")
-        if self.basis_policy not in VALID_POLICIES:
-            raise ValueError(f"unknown basis policy {self.basis_policy!r}")
+        from .protocol import ConfigError, check_fields  # protocol imports this module
+
+        check_fields(self)
         if self.kind == "eve_intercept_resend" and self.hop is None:
-            raise ValueError("eve_intercept_resend needs a target hop")
-        if not isinstance(self.publish_true_ops, (bool, np.bool_)):
-            raise ValueError(f"publish_true_ops must be a bool, got {self.publish_true_ops!r}")
+            raise ConfigError("eve_intercept_resend needs a target hop")
 
 
 def random_pauli(rng: np.random.Generator) -> PauliOp:

@@ -13,11 +13,15 @@ The fields of ``ScenarioConfig``, ``AdversarySpec`` and ``BatchSpec``
 are the configuration schema.  Every field but the per-trial
 ``master_seed`` is a key in the flat INI section [scenario], [adversary]
 or [batch] and a flag of ``run``; ``validate`` takes the first two
-sections' flags.  Casts follow the field types and choice lists the
-fields' ``choices`` metadata; ``_ALIASES`` holds the public names that
-differ from the field names.  Flags override file values.  Unknown
-sections and keys are rejected.  Exit codes: 0 success, 1 configuration
-error or not enough memory, 2 I/O error.
+sections' flags.  Casts and choice lists are read off the declarations
+by ``protocol.fields``; ``_ALIASES`` holds the public names that differ
+from the field names.  Flags override file values.  Unknown sections and
+keys are rejected.  The values themselves are checked where a library
+caller's are, each against its field's declaration by
+``protocol.check_fields`` (an ``AdversarySpec`` as it is made, the rest
+in ``validate_batch``), and their ranges by ``validate_batch``.  Exit
+codes: 0 success, 1 configuration error or not enough memory, 2 I/O
+error.
 
 ``run --out`` writes to ``<out>.partial`` and moves it onto ``<out>``
 once the batch has finished; a failed run removes it and leaves an
@@ -37,7 +41,6 @@ import itertools
 import os
 import sys
 import time
-import typing
 from typing import IO, Any, Callable, NamedTuple
 
 from . import __version__
@@ -58,7 +61,7 @@ from .oracles import (
     swap_attack_step6_pass_rate,
     swap_table,
 )
-from .protocol import ConfigError, ScenarioConfig
+from .protocol import ConfigError, ScenarioConfig, fields
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -96,19 +99,13 @@ class _Option(NamedTuple):
 
 def _options(cls: type) -> dict[str, _Option]:
     """INI key -> option for every settable field of a config dataclass."""
-    hints = typing.get_type_hints(cls)
     options = {}
-    for f in dataclasses.fields(cls):
-        names = _ALIASES.get(f.name, (f.name, "--" + f.name.replace("_", "-")))
-        hint = hints[f.name]
-        if names is None or dataclasses.is_dataclass(hint):
+    for name, kind, _, default, choices in fields(cls):
+        names = _ALIASES.get(name, (name, "--" + name.replace("_", "-")))
+        if names is None or dataclasses.is_dataclass(kind):
             continue
-        # `int | None` casts as int.
-        cast = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
-        options[names[0]] = _Option(
-            f.name, *names, _boolean if cast is bool else cast, f.default,
-            f.metadata.get("choices"),
-        )
+        cast = _boolean if kind is bool else kind
+        options[names[0]] = _Option(name, *names, cast, default, choices)
     return options
 
 
@@ -200,11 +197,8 @@ def _spec_from_args(args: argparse.Namespace) -> BatchSpec:
             flag_value = getattr(args, o.field, None)
             if flag_value is not None:
                 values[section][o.field] = flag_value
-    try:
-        adversary = AdversarySpec(**values["adversary"])
-        scenario = ScenarioConfig(adversary=adversary, **values["scenario"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    adversary = AdversarySpec(**values["adversary"])
+    scenario = ScenarioConfig(adversary=adversary, **values["scenario"])
     return BatchSpec(scenario=scenario, **values["batch"])
 
 

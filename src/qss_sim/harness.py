@@ -26,7 +26,7 @@ from .protocol import (
     ConfigError,
     RunReport,
     ScenarioConfig,
-    require_integer,
+    check_fields,
     run_trial,
     validate_config,
 )
@@ -166,14 +166,18 @@ def mutual_information(joint: Counter) -> float:
 
 
 def validate_batch(spec: BatchSpec) -> None:
-    for name in ("trials", "seed_base"):
-        require_integer(name, getattr(spec, name))
+    """Raise ConfigError if the batch cannot run to completion.
+    `check_fields` checks each field against its declaration; the counts'
+    ranges and the output path are checked here, and the scenario by
+    `validate_config`."""
+    check_fields(spec)
     if spec.trials < 1:
         raise ConfigError("trials must be at least 1")
     if spec.seed_base < 0:
         raise ConfigError("seed_base must be non-negative")
-    if spec.output_format not in OUTPUT_FORMATS:
-        raise ConfigError(f"unknown output format {spec.output_format!r}")
+    if spec.out_path and "\0" in spec.out_path:
+        # No file system can name it: `open` would raise ValueError.
+        raise ConfigError(f"out_path must not contain a NUL character, got {spec.out_path!r}")
     validate_config(spec.scenario)
 
 

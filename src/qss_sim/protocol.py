@@ -20,7 +20,8 @@ Pauli encryption, Bell readout, collaboration).  ``plan`` is the one
 table of a run's checks, one row per hop in run order: the hop, the
 check that guards it, the check's kind and its sample size.
 ``validate_config`` builds it once, rejecting a config whose sizes
-fail or whose eavesdropper sits on no hop of it; ``_Run`` keeps a cursor
+fail or whose eavesdropper sits on no hop of it, after ``check_fields``
+has checked each field against its declaration; ``_Run`` keeps a cursor
 at the next row, and each step takes its hop, check id and sample size
 from there.  Every transmission crosses its hop in ``_transmit``, which
 logs it and is the one place a run hands photons to the eavesdropper.
@@ -54,9 +55,11 @@ order, so identical configs replay byte-identical transcripts.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 import numpy as np
 
@@ -67,6 +70,53 @@ from .register import MAX_PHOTONS, Register, SingleGate
 
 class ConfigError(ValueError):
     """A scenario or batch configuration is unusable."""
+
+
+@functools.cache
+def fields(cls: type) -> tuple[tuple[str, type, bool, Any, tuple[str, ...] | None], ...]:
+    """The fields of the config dataclass `cls` in declaration order, one
+    ``(name, type, optional, default, choices)`` per field: the declared
+    type (``int`` for ``int | None``), whether None is allowed, the
+    default (``dataclasses.MISSING`` for none) and the ``choices``
+    metadata (None for none).  This is the one reading of a config's
+    declarations, cached per class."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        args = get_args(hints[f.name])
+        kind = next((t for t in args if t is not type(None)), hints[f.name])
+        out.append((f.name, kind, type(None) in args, f.default, f.metadata.get("choices")))
+    return tuple(out)
+
+
+# What `check_fields` takes for a declared type, and what it calls it.
+# The number types are concrete, since an isinstance check against a
+# `numbers` ABC costs about a microsecond and every trial validates its
+# config.  Any other type takes its own instances.
+_ACCEPTED = {
+    int: (int, np.integer),
+    float: (int, float, np.integer, np.floating),
+    bool: (bool, np.bool_),
+}
+_NOUNS = {int: "an integer", float: "a real number", bool: "a bool", str: "a string"}
+
+
+def check_fields(obj: Any) -> None:
+    """Raise ConfigError, worded ``<name> must be ...``, unless each field
+    of the config dataclass `obj` holds a value of its declared type, or
+    None where that is allowed, and one of its ``choices`` where it lists
+    them.  A bool is a value of a bool field only."""
+    for name, kind, optional, _, choices in fields(type(obj)):
+        value = getattr(obj, name)
+        if value is None and optional:
+            continue
+        accepted = _ACCEPTED.get(kind, kind)
+        if not isinstance(value, accepted) or isinstance(value, bool) and kind is not bool:
+            article = "an " if kind.__name__[0] in "AEIOU" else "a "
+            noun = _NOUNS.get(kind) or article + kind.__name__
+            raise ConfigError(f"{name} must be {noun}, got {value!r}")
+        if choices and value not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +306,11 @@ def plan(config: ScenarioConfig) -> tuple[tuple[str, str, str, int], ...]:
     return tuple(rows)
 
 
-# What `require_type` takes for a number: concrete types, since an
-# isinstance check against a `numbers` ABC costs about a microsecond and
-# every trial validates its config.
-_INTEGER_TYPES = (int, np.integer)
-_REAL_TYPES = (int, float, np.integer, np.floating)
-
-
-def require_type(name: str, value: Any, kind: type | tuple[type, ...], noun: str) -> None:
-    """Raise ConfigError, calling the field `name` and its type `noun`,
-    unless `value` is a `kind`; a bool is never one."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{name} must be {noun}, got {value!r}")
-
-
-def require_integer(name: str, value: Any) -> None:
-    """Raise ConfigError unless `value` is an integer; a bool is not one."""
-    require_type(name, value, _INTEGER_TYPES, "an integer")
-
-
 def validate_config(config: ScenarioConfig) -> tuple[tuple[str, str, str, int], ...]:
     """Raise ConfigError if the scenario cannot run to completion; return
-    its `plan`."""
-    if config.protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {config.protocol!r}")
-    for name in ("n_pairs", "master_seed", "agent_count", "checking_photon_count"):
-        require_integer(name, getattr(config, name))
-    if config.step6_sample_count is not None:
-        require_integer("step6_sample_count", config.step6_sample_count)
-    for name in ("sample_fraction", "error_threshold"):
-        require_type(name, getattr(config, name), _REAL_TYPES, "a real number")
-    require_type("adversary", config.adversary, AdversarySpec, "an AdversarySpec")
+    its `plan`.  `check_fields` checks each field against its
+    declaration; the ranges, the plan and Eve's hop are checked here."""
+    check_fields(config)
     if config.master_seed < 0:
         raise ConfigError("master_seed must be non-negative")
     if config.n_pairs < 2:
@@ -786,9 +810,8 @@ def run_improved(config: ScenarioConfig) -> RunReport:
 
 
 def run_trial(config: ScenarioConfig) -> RunReport:
-    """Dispatch on the configured protocol mode."""
-    if config.protocol == "original":
-        return run_original(config)
+    """Dispatch on the configured protocol mode; `run_original` refuses
+    any protocol but the two."""
     if config.protocol == "improved":
         return run_improved(config)
-    raise ConfigError(f"unknown protocol {config.protocol!r}")
+    return run_original(config)

@@ -183,6 +183,48 @@ def test_mistyped_fields_are_refused_before_any_trial(monkeypatch, name, value):
         run_batch(BatchSpec(scenario=scenario, trials=2), lambda report: None)
 
 
+# Every field of the three config dataclasses, read off their declarations.
+_SCHEMA = [
+    (cls, f) for cls in (ScenarioConfig, AdversarySpec, BatchSpec) for f in dataclasses.fields(cls)
+]
+
+
+def _validate_with(cls, name, value):
+    """Validate a batch whose `cls` holds `value` in its field `name`."""
+    scenario = ScenarioConfig()
+    if cls is AdversarySpec:
+        scenario = ScenarioConfig(adversary=AdversarySpec(**{name: value}))
+    elif cls is ScenarioConfig:
+        scenario = dataclasses.replace(scenario, **{name: value})
+    spec = BatchSpec(scenario=scenario, trials=1)
+    if cls is BatchSpec:
+        spec = dataclasses.replace(spec, **{name: value})
+    validate_batch(spec)
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, f.name) for cls, f in _SCHEMA],
+    ids=[f"{cls.__name__}.{f.name}" for cls, f in _SCHEMA],
+)
+def test_every_field_refuses_a_value_of_another_type(cls, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        _validate_with(cls, name, object())
+
+
+_CHOICES = [(cls, f) for cls, f in _SCHEMA if "choices" in f.metadata]
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, f.name) for cls, f in _CHOICES],
+    ids=[f"{cls.__name__}.{f.name}" for cls, f in _CHOICES],
+)
+def test_every_choices_field_refuses_an_unlisted_string(cls, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be one of "):
+        _validate_with(cls, name, "unlisted")
+
+
 def test_integer_and_numpy_real_fields_run():
     pairs = [(np.float64(0.25), 0), (np.float32(0.5), 1), (1 / 3, np.float16(0.5))]
     for fraction, threshold in pairs:

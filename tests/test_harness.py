@@ -477,6 +477,32 @@ def test_cli_bad_ini_is_config_error(tmp_path, capsys, command, text, message):
     assert "configuration OK" not in out
 
 
+@pytest.mark.parametrize(
+    "command, source",
+    [("run", "flag"), ("validate", "ini"), ("run", "ini")],
+    ids=["run-flag", "validate-ini", "run-ini"],
+)
+def test_cli_out_with_a_nul_is_config_error(tmp_path, monkeypatch, capsys, command, source):
+    # No path can hold a NUL, so `validate` refuses what `run` could not
+    # open, and neither leaves a file.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    ini = tmp_path / "nul.ini"
+    ini.write_bytes(b"[scenario]\nn_pairs = 16\n[batch]\ntrials = 1\nout = a\0b\n")
+    if source == "flag":
+        argv = ["run", "--n-pairs", "16", "--trials", "1", "--out", "a\0b"]
+    else:
+        argv = [command, "--config", str(ini)]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith("error: out_path must not contain a NUL character, got ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out == ""
+    assert list(work.iterdir()) == []
+
+
 def test_cli_oracle_tables(capsys):
     assert main(["oracle"]) == EXIT_OK
     out = capsys.readouterr().out
