@@ -156,19 +156,18 @@ class SwapAttack:
         self.fake_op = np.zeros(0, dtype=np.int64)    # Pauli on the forwarded half
         self.inferred = np.zeros(0, dtype=np.int64)   # dealer Pauli per position
 
-    def forward(
-        self, positions: np.ndarray, photons: np.ndarray, honest: np.ndarray | None = None
-    ) -> np.ndarray:
+    def forward(self, positions: np.ndarray, photons: np.ndarray, honest: np.ndarray) -> np.ndarray:
         """Keep the genuine photon at each of `positions` and forward a
         fake-pair half in its place.  The photons at the `honest`
-        positions, none of `positions`, he Hadamard-rotates and forwards
-        as an honest chain agent would.  The fake pairs are singlets whose
+        positions, none of `positions` (his chain sample; empty in the
+        original protocol), he Hadamard-rotates and forwards as an honest
+        chain agent would.  The fake pairs are singlets whose
         forwarded halves he shifts by uniformly random Paulis; that shift
         and the rotation are one register call, as their rows are
         distinct."""
         kept, forwarded = self.register.prepare_bells(len(positions), BellLabel.PSI_MINUS)
         ops = _random_paulis(self.rng, len(positions))
-        rotated = forwarded[:0] if honest is None else photons[honest]
+        rotated = photons[honest]
         gates = np.concatenate((np.full(len(rotated), SingleGate.H), ops))
         self.register.apply_gates(np.concatenate((rotated, forwarded)), gates)
         size = len(photons)

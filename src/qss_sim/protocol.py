@@ -16,9 +16,13 @@ transcript, and adversary seams:
 Each mode is a short step function over one per-trial runner, ``_Run``,
 which owns the streams, register, adversaries and transcript and the
 steps both modes share (pair preparation, transmission, sample draws,
-Pauli encryption, Bell readout, collaboration).  ``plan`` is the one
-table of a run's checks, one row per hop in run order: the hop, the
-check that guards it, the check's kind and its sample size.
+Pauli encryption, Bell readout, collaboration).  A shared step takes no
+switch that only one mode sets: each step function spawns its parties'
+streams, the chain's step function itself undoes its agents' sample
+Hadamards before each check, and encryption takes the gates to apply
+as one array over positions.  ``plan`` is the one table of a run's
+checks, one row per hop in run order: the hop, the check that guards
+it, the check's kind and its sample size.
 ``validate_config`` builds it once, rejecting a config whose sizes
 fail or whose eavesdropper sits on no hop of it, after ``check_fields``
 has checked each field against its declaration; ``_Run`` keeps a cursor
@@ -33,15 +37,18 @@ transcript makes read-only as it records it and names only when it is
 listed.  The check phases ``zx_check``, ``decoy_round`` and
 ``verify_step6`` are module-level functions of the run, and each run
 looks them up here at call time, so per-phase timing can wrap them by
-name.  Every check ends in ``_Run.settle``, the one place that builds a
+name; ``zx_check`` and ``verify_step6`` only measure and compare the
+photons they are handed.  Every check ends in ``_Run.settle``, the one place that builds a
 check report, records it, retires the sampled positions, moves the
 cursor on and ends the run on an abort verdict, and which raises if a
 check settles off its row; ``_Run.execute`` builds the one RunReport.
 
 Every first agent, honest or not, answers the same three calls:
-``forward`` the photons he passes on, ``publish`` his operations on
-announced positions for a check of the plan row's kind (or at
-collaboration), and ``intercept_dealer`` the dealer's encoded sequence.
+``forward`` the photons he passes on, Hadamard-rotating the sample
+photons he is handed (none in the original protocol), ``publish`` his
+operations on announced positions for a check of the plan row's kind
+(or at collaboration, once every row has settled), and
+``intercept_dealer`` the dealer's encoded sequence.
 An honest agent is an ``_Agent``; the dishonest first agent is one
 ``SwapAttack`` in both modes, and what he publishes at which check is
 decided there, not here.  The steps test for the attacker only to keep
@@ -278,6 +285,10 @@ def plan(config: ScenarioConfig) -> tuple[tuple[str, str, str, int], ...]:
             yield "alice->charlie", "final_sample_check", "final"
             return
         m = config.agent_count
+        if m - 1 > config.n_pairs:
+            # Each of the m - 1 Z/X checks takes a position, so the walk
+            # below would refuse; refuse without making a row per agent.
+            raise ConfigError("sampling would leave no message positions")
         yield "alice->agent0", "zx_check_step2", "zx"
         for k in range(m - 2):
             yield f"agent{k}->agent{k + 1}", f"hop_check_{k}", "zx"
@@ -368,17 +379,15 @@ def _transmit(run: _Run, sequence: np.ndarray) -> np.ndarray:
 
 
 def zx_check(
-    run: _Run,
-    sampled: np.ndarray,
-    expected: np.ndarray | PauliOp,
-    rng_remote: np.random.Generator,
-    remote_applies_h: bool = False,
+    run: _Run, sampled: np.ndarray, expected: np.ndarray | PauliOp, rng_remote: np.random.Generator
 ) -> None:
     """Z/X correlation check over the sampled pairs of `run`.
 
     The partner's holder (the remote party) measures its photon at each
-    sampled position in a random basis and announces bases and results;
-    then the dealer measures her halves in the same bases.  Each is one
+    sampled position as it stands (a chain's step function has undone
+    the sending agent's Hadamard) in a random basis drawn from
+    `rng_remote`, and announces bases and results; then the dealer
+    measures her halves in the same bases.  Each is one
     register call, since a pair's two photons share a row.  The outcome
     parity must match the Bell correlation of the pair's announced Pauli
     shift, whose codes `expected` are aligned with `sampled` (or
@@ -386,10 +395,7 @@ def zx_check(
     `_Run.draw` returns it; the check settles on it."""
     register = run.register
     in_x = rng_remote.random(len(sampled)) < 0.5
-    remote = run.partner[sampled]
-    if remote_applies_h:
-        register.apply_gates(remote, np.full(len(remote), SingleGate.H))
-    remote_out = register.measure_singles(remote, in_x)
+    remote_out = register.measure_singles(run.partner[sampled], in_x)
     local_out = register.measure_singles(run.dealer[sampled], in_x)
     parity = expected_parity(expected, in_x)
     mismatches = int(np.count_nonzero((remote_out ^ local_out) != parity))
@@ -437,15 +443,14 @@ def decoy_round(run: _Run, photons: np.ndarray) -> np.ndarray:
 def verify_step6(run: _Run, sampled: np.ndarray, published: np.ndarray | PauliOp) -> None:
     """The dealer's own verification of the returned sequence.
 
-    For each sampled position the dealer undoes the last agent's
-    Hadamard, Bell-measures the returned photon against her retained
-    half, and requires the decoded Pauli to equal the XOR of the agents'
-    published operations, whose codes `published` are aligned with
-    `sampled` (or ``PauliOp.I`` when nothing was published).  `sampled`
-    is sorted; the check settles on it."""
-    returned = run.partner[sampled]
-    run.register.apply_gates(returned, np.full(len(returned), SingleGate.H))
-    outcomes = run.register.measure_bells(run.dealer[sampled], returned)
+    For each sampled position the dealer Bell-measures the returned
+    photon as it stands (the chain's step function has undone the last
+    agent's Hadamard) against her retained half, and requires the
+    decoded Pauli to equal the XOR of the agents' published operations,
+    whose codes `published` are aligned with `sampled` (or
+    ``PauliOp.I`` when nothing was published).  `sampled` is sorted; the
+    check settles on it."""
+    outcomes = run.register.measure_bells(run.dealer[sampled], run.partner[sampled])
     mismatches = int(np.count_nonzero(BELL_CODES[outcomes] != published))
     run.transcript.append(
         "bell_outcomes",
@@ -475,16 +480,14 @@ class _Run:
     over the rows after it; the steps take each hop, check id and sample
     size from ``row``."""
 
-    def __init__(self, config: ScenarioConfig, protocol: str, n_parties: int) -> None:
+    def __init__(self, config: ScenarioConfig, protocol: str) -> None:
         self.rows = iter(validate_config(config))
         self.row: tuple[str, str, str, int] | None = next(self.rows)
         if config.protocol != protocol:
             raise ConfigError(f"run_{protocol} needs protocol={protocol!r}")
-        children = np.random.SeedSequence(config.master_seed).spawn(3 + n_parties)
-        self.register = Register(rng=np.random.default_rng(children[0]))
-        self.rng_dealer = np.random.default_rng(children[1])
-        rng_adv = np.random.default_rng(children[2])
-        self.rng_parties = [np.random.default_rng(c) for c in children[3:]]
+        self.seeds = np.random.SeedSequence(config.master_seed)
+        rng_register, self.rng_dealer, rng_adv = self.streams(3)
+        self.register = Register(rng=rng_register)
         adv = config.adversary
         self.eve: EveInterceptResend | None = None
         self.attack: SwapAttack | None = None
@@ -501,6 +504,11 @@ class _Run:
         self.dealer_bits: list[int] = []
         self.recovered: list[int] | None = None
         self.eavesdropper_bits: list[int] | None = None
+
+    def streams(self, count: int) -> list[np.random.Generator]:
+        """`count` new streams, spawned from the master seed after every
+        stream spawned before them."""
+        return [np.random.default_rng(seed) for seed in self.seeds.spawn(count)]
 
     def execute(self, steps, reader: str) -> RunReport:
         """Run `steps` until they finish or a check aborts the run."""
@@ -574,13 +582,11 @@ class _Run:
         if report.verdict == "abort":
             raise _Abort(check_id)
 
-    def announce(
-        self, party: str, agent: Any, positions: np.ndarray, collaboration: bool = False
-    ) -> np.ndarray:
+    def announce(self, party: str, agent: Any, positions: np.ndarray) -> np.ndarray:
         """`party`'s `agent` publishes its operations on the sorted
-        `positions` for the plan row's check, or at collaboration; returns
-        them."""
-        check, kind = ("collaboration", "collaboration") if collaboration else self.row[1:3]
+        `positions` for the plan row's check, or for collaboration once
+        every row has settled; returns them."""
+        check, kind = ("collaboration",) * 2 if self.row is None else self.row[1:3]
         ops = agent.publish(positions, kind)
         self.transcript.append(
             "publish_ops", check=check, party=party, positions=positions, ops=ops
@@ -604,21 +610,15 @@ class _Run:
         return _scatter(self.config.n_pairs, positions, 2 * bits[0::2] + bits[1::2])
 
     def encrypt(
-        self,
-        photons: np.ndarray,
-        rng: np.random.Generator,
-        fixed: np.ndarray | None = None,
-        rotated: np.ndarray | None = None,
+        self, photons: np.ndarray, rng: np.random.Generator, gates: np.ndarray
     ) -> np.ndarray:
-        """One party's pass over its surviving photons: H at the `rotated`
-        positions (some of the surviving ones), the `fixed` code where it
-        is not negative, and a fresh random Pauli from `rng` everywhere
-        else.  Returns the Pauli codes, indexed by position (I where no
-        Pauli was applied)."""
+        """One party's pass over its surviving photons: at each surviving
+        position the gate whose code `gates`, an array over positions,
+        holds there (H or a Pauli), or a fresh random Pauli from `rng`
+        where it holds -1.  `gates` is not modified.  Returns the Pauli
+        codes, indexed by position (I where no Pauli was applied)."""
         positions = self.positions
-        gates = np.full(len(positions), -1) if fixed is None else fixed[positions]
-        if rotated is not None:
-            gates[_scatter(self.config.n_pairs, rotated, True, False)[positions]] = SingleGate.H
+        gates = gates[positions]
         free = gates < 0
         gates[free] = _random_paulis(rng, np.count_nonzero(free))
         self.register.apply_gates(photons[positions], gates)
@@ -642,7 +642,7 @@ class _Run:
         self.transcript.append("collaboration_positions", positions=positions)
         dealer_codes = totals[positions]
         for party, agent in agents.items():
-            dealer_codes = dealer_codes ^ self.announce(party, agent, positions, collaboration=True)
+            dealer_codes = dealer_codes ^ self.announce(party, agent, positions)
         self.recovered = decode_message(dealer_codes)
         self.transcript.append("recovered", party=reader, bits=_bits_str(self.recovered))
 
@@ -656,13 +656,13 @@ class _Agent:
         self.run = run
         self.rng = rng
 
-    def forward(
-        self, positions: np.ndarray, photons: np.ndarray, honest: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Encrypt every surviving photon, Hadamard-rotating the `honest`
-        ones (see `_Run.encrypt`), and forward them all: `positions`, the
-        ones an attacker would swap out, need no other treatment."""
-        self.ops = self.run.encrypt(photons, self.rng, rotated=honest)
+    def forward(self, positions: np.ndarray, photons: np.ndarray, honest: np.ndarray) -> np.ndarray:
+        """Encrypt every surviving photon, Hadamard-rotating the ones at
+        the `honest` positions, his sample (empty in the original
+        protocol), and a fresh random Pauli on the rest (see
+        `_Run.encrypt`), and forward them all: `positions`, the ones an
+        attacker would swap out, need no other treatment."""
+        self.ops = self.run.encrypt(photons, self.rng, _scatter(len(photons), honest, SingleGate.H))
         return photons
 
     def publish(self, positions: np.ndarray, kind: str) -> np.ndarray:
@@ -680,7 +680,7 @@ class _Agent:
 
 def _original_steps(run: _Run) -> None:
     rng_alice = run.rng_dealer
-    rng_bob, rng_charlie = run.rng_parties
+    rng_bob, rng_charlie = run.streams(2)
     bob = run.attack or _Agent(run, rng_bob)
     run.prepare("bob")
     run.dealer = run.transmit(run.dealer, "alice")
@@ -693,7 +693,8 @@ def _original_steps(run: _Run) -> None:
     # Bob encrypts his sequence and sends it to Charlie -- or, attacking,
     # substitutes halves of his own pairs.
     bob_positions = run.positions
-    run.partner = run.transmit(bob.forward(run.positions, run.partner), "charlie")
+    no_samples = run.positions[:0]
+    run.partner = run.transmit(bob.forward(run.positions, run.partner, no_samples), "charlie")
 
     # Second eavesdropping check (Alice-Charlie), with Bob's operations
     # published first.
@@ -705,7 +706,7 @@ def _original_steps(run: _Run) -> None:
     # sends her sequence to Charlie, past Bob.
     q3 = run.draw(rng_alice)
     message_positions = run.without(q3)
-    alice_ops = run.encrypt(run.dealer, rng_alice, fixed=run.encode(message_positions))
+    alice_ops = run.encrypt(run.dealer, rng_alice, run.encode(message_positions))
     run.dealer = run.transmit(bob.intercept_dealer(run.positions, run.dealer), "charlie")
 
     # Charlie's Bell readout over every surviving position.
@@ -735,7 +736,7 @@ def _original_steps(run: _Run) -> None:
 def run_original(config: ScenarioConfig) -> RunReport:
     """One run of the original protocol (dealer Alice, agents Bob and
     Charlie) against the configured adversary."""
-    return _Run(config, "original", 2).execute(_original_steps, "charlie")
+    return _Run(config, "original").execute(_original_steps, "charlie")
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +744,7 @@ def run_original(config: ScenarioConfig) -> RunReport:
 
 
 def _improved_steps(run: _Run) -> None:
-    rng_agents = run.rng_parties
+    rng_agents = run.streams(run.config.agent_count - 1)
     run.prepare("alice")
     run.partner = run.transmit(run.partner, "agent0")
 
@@ -759,7 +760,7 @@ def _improved_steps(run: _Run) -> None:
     for k, agent in enumerate(agents):
         samples = run.draw(rng_agents[k])
         rest = run.without(samples)
-        run.partner = agent.forward(rest, run.partner, honest=samples)
+        run.partner = agent.forward(rest, run.partner, samples)
         if agent is not run.attack:
             run.record_ops("agent_ops", rest, agent.ops, party=f"agent{k}")
 
@@ -776,16 +777,17 @@ def _improved_steps(run: _Run) -> None:
             published = np.bitwise_xor.reduce(layers)
             run.transcript.append("publish_ops", check=check_id, positions=samples, ops=layers)
 
+        # The receiver, the next agent or the dealer, undoes agent k's
+        # Hadamard before the check.
+        run.register.apply_gates(run.partner[samples], np.full(len(samples), SingleGate.H))
         if kind == "zx":
-            # The receiving agent undoes the Hadamard and the pair is
-            # checked with the usual Z/X procedure.
-            zx_check(run, samples, published, rng_agents[k + 1], remote_applies_h=True)
+            zx_check(run, samples, published, rng_agents[k + 1])
         else:
             verify_step6(run, samples, published)
 
     # Step 7: message encoding.
     alice_ops = run.encode(run.positions)
-    run.encrypt(run.dealer, run.rng_dealer, fixed=alice_ops)
+    run.encrypt(run.dealer, run.rng_dealer, alice_ops)
     run.record_ops("alice_ops", run.positions, alice_ops)
     run.transcript.append("message_positions", private=True, positions=run.positions)
 
@@ -806,7 +808,7 @@ def run_improved(config: ScenarioConfig) -> RunReport:
     is the first chain agent, agent M-2 the last one before the sequence
     returns to the dealer, and agent M-1 the final receiver, who draws
     nothing and so has no stream."""
-    return _Run(config, "improved", config.agent_count - 1).execute(_improved_steps, "zach")
+    return _Run(config, "improved").execute(_improved_steps, "zach")
 
 
 def run_trial(config: ScenarioConfig) -> RunReport:

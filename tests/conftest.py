@@ -36,7 +36,7 @@ def unit_run():
     photons, and reads each check's report from ``run.checks``."""
 
     def make(register, n_positions, samples=None, rng_dealer=None, eve=None, **config):
-        run = _Run(ScenarioConfig(**config), "original", 2)
+        run = _Run(ScenarioConfig(**config), "original")
         run.row = ("hop", "unit", "unit", n_positions if samples is None else samples)
         run.rows = iter(())
         run.register = register

@@ -5,13 +5,14 @@ sizes of its reference implementations."""
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qss_sim import harness
+from qss_sim import cli, harness
 from qss_sim.adversaries import VALID_KINDS, VALID_POLICIES, AdversarySpec
 from qss_sim.harness import BatchSpec, run_batch, validate_batch
 from qss_sim.protocol import (
@@ -20,6 +21,7 @@ from qss_sim.protocol import (
     RunReport,
     ScenarioConfig,
     plan,
+    run_improved,
     run_trial,
     validate_config,
 )
@@ -155,6 +157,27 @@ def test_non_integer_counts_are_config_errors(name, value):
         spec = BatchSpec(scenario=dataclasses.replace(scenario, **{name: value}), trials=2)
     with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
         validate_batch(spec)
+
+
+@pytest.mark.parametrize("run", [run_trial, run_improved])
+def test_a_run_validates_its_config_before_reading_it(run):
+    # A run spawns its party streams from the agent count only after
+    # validating it.
+    config = ScenarioConfig(protocol="improved", agent_count="3")
+    with pytest.raises(ConfigError, match=r"^agent_count must be an integer, got '3'$"):
+        run(config)
+
+
+@pytest.mark.parametrize("n_pairs", [10**9, 10**15])
+def test_a_chain_with_more_checks_than_pairs_is_refused_at_once(capsys, n_pairs):
+    # Each of the chain's agent_count - 1 Z/X checks takes a position, so
+    # the plan is refused before a row is made, however many agents.
+    argv = ["validate", "--protocol", "improved", "--n-pairs", str(n_pairs)]
+    argv += ["--sample-fraction", "1e-300", "--agent-count", str(10**30)]
+    start = time.perf_counter()
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: sampling would leave no message positions\n"
 
 
 @pytest.mark.parametrize(

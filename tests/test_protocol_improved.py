@@ -14,7 +14,7 @@ from qss_sim.protocol import (
     run_trial,
     verify_step6,
 )
-from qss_sim.register import Register, SingleGate
+from qss_sim.register import Register
 
 from private_records import private_record
 
@@ -224,7 +224,6 @@ def test_verify_step6_accepts_published_operations(unit_run):
         a, t = reg.prepare_bell(BellLabel.PSI_MINUS)
         op = ops[pos % 4]
         reg.apply_gate(t, op)
-        reg.apply_gate(t, SingleGate.H)  # the last agent's sample rotation
         dealer.append(a)
         returned.append(t)
         published.append(int(op))
@@ -242,7 +241,6 @@ def test_verify_step6_rejects_false_publication(unit_run):
     for pos in range(20):
         a, t = reg.prepare_bell(BellLabel.PSI_MINUS)
         reg.apply_gate(t, PauliOp.X)
-        reg.apply_gate(t, SingleGate.H)
         dealer.append(a)
         returned.append(t)
         published.append(int(PauliOp.Z))  # lie
@@ -263,7 +261,6 @@ def test_verify_step6_reads_codes_aligned_with_its_sample(unit_run):
     ops = list(PauliOp)
     for pos, (_, t) in enumerate(pairs):
         reg.apply_gate(t, ops[pos % 4])
-        reg.apply_gate(t, SingleGate.H)
     run = unit_run(reg, 16, samples=3)
     run.dealer, run.partner = (np.array(half) for half in zip(*pairs))
     sampled = np.array([3, 6, 9])
