@@ -43,13 +43,15 @@ sum/difference butterfly over pairs of product rows, adds their squares
 slice by slice into one (4, n) array of probabilities and frees each
 spent array once the drawn residuals are read.  An X measurement applies
 its Hadamard to the amplitudes its collapse gathered, and preparation
-writes its fresh, contiguous rows and photons as slices.  The kernels run
-at most ``_BLOCK`` items at once: a larger call runs in blocks, in list
-order, and a smaller one as one block.  The items of a call touch
-distinct rows and every kernel is elementwise per item, so the blocks
-give the bits of the whole call.  A call's working memory is then one
-block's temporaries, which stay in cache, plus its own arrays of ids,
-seats, uniforms and outcomes, a few words per item.  Each kernel checks
+writes its fresh, contiguous rows and photons as slices.  A call runs its
+kernel through ``_in_blocks``, the one block loop: a call of at most
+``_BLOCK`` items is one kernel call on its whole arrays, and a larger one
+runs in blocks of ``_BLOCK`` items, in list order, whose outputs are
+joined.  The items of a call touch distinct rows and every kernel is
+elementwise per item, so the blocks give the bits of the whole call.
+A call's working memory is then one block's temporaries, which stay in
+cache, plus its own arrays of ids, seats, uniforms and outcomes, a few
+words per item.  Each kernel checks
 the norms of the blocks it made before it writes them back, so a call of
 one block that fails the check leaves the tables as they were; only the
 uniforms it drew are spent.
@@ -65,15 +67,18 @@ state's is 2*(basis is X) + bit, a basis is its X-mask entry and a Bell
 outcome's code is its place in the draw.  Every vector call is one
 round: its items must touch distinct rows, though a Bell item may hold
 both photons of one row.  Operations that share a row go in separate
-calls, in the order they are to happen.  One pass checks this before
-anything is drawn or written: each item writes its place in the call
-into its rows' scratch entries and reads it back, so a call that puts
-two items on one row, or lists a photon twice, raises.  Its cost grows
-with the call's n items, not with the rows of the table, and nothing in
-a call sorts.  A measuring call draws its Born-rule uniforms with one
-``rng.random(n)`` in list order, which yields the same numbers as n
-scalar draws, so a vector call replays exactly the outcomes of the loop
-of per-photon calls it stands for.
+calls, in the order they are to happen.  One method, ``_call``, makes
+every check a vector call makes on its photons, before anything is
+drawn or written: its lists are equally long, its photons live, a Bell
+item's two photons distinct and its items' rows distinct.  For the
+last, each item writes its place in the call into its rows' scratch
+entries and reads it back, so a call that puts two items on one row, or
+lists a photon twice, raises.  The checks cost a few words per item,
+not a pass over the rows of the table, and nothing in a call sorts.  A
+measuring call draws its Born-rule uniforms with one ``rng.random(n)``
+in list order, which yields the same numbers as n scalar draws, so a
+vector call replays exactly the outcomes of the loop of per-photon
+calls it stands for.
 
 All randomness comes from the register's own numpy Generator, so a fixed
 seed and a fixed operation sequence reproduce the same outcomes exactly.
@@ -240,23 +245,15 @@ _SINGLE_ROWS = _real_table(
 )
 
 
-def _sum_of_squares(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum of squares over the first axis, of length 4, added left to
-    right, which is how numpy reduces a short contiguous axis: the norms
-    (and, in that order, the Bell probabilities) round as a sum over each
-    row's block does.
-    The squares go to `out`, or to a new array if it is None."""
-    s = np.multiply(terms, terms, out)
-    return ((s[0] + s[1]) + s[2]) + s[3]
-
-
 def _check_norm(blocks: np.ndarray, spent: np.ndarray | None = None) -> None:
     """Raise unless every amplitude block of a component-major (2, 2, n)
     or (4, n) array has unit norm.  The squares go to `spent`, an array
     of the same shape whose values are no longer needed, if one is
-    given."""
+    given.  They are added left to right over the four components, as a
+    sum over each row's block rounds them."""
     terms = blocks.reshape(4, -1)
-    norm2 = _sum_of_squares(terms, None if spent is None else spent.reshape(terms.shape))
+    squares = np.multiply(terms, terms, None if spent is None else spent.reshape(terms.shape))
+    norm2 = np.add.reduce(squares, axis=0)
     # Written so that a NaN or infinite norm fails too.
     good = np.abs(norm2 - 1.0) <= NORM_TOL
     if not good.all():
@@ -275,7 +272,7 @@ def _bell_residuals(product: np.ndarray) -> np.ndarray:
         product[c0] += product[c1]
         product[c1] = spare
     # Each residual's squares summed over 2*x + y, left to right as
-    # _sum_of_squares adds them.
+    # _check_norm adds them.
     probs = np.multiply(product[:, 0], product[:, 0])
     for k in range(1, 4):
         probs += np.multiply(product[:, k], product[:, k], spare)
@@ -314,10 +311,15 @@ def _rotate_x_to_z(a: np.ndarray, xs: np.ndarray) -> None:
     a[:, :, xs] = h
 
 
-def _blocks(n: int):
-    """Slices over a call's n items, in blocks of at most _BLOCK items, in
-    list order."""
-    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+def _in_blocks(kernel, *items: np.ndarray):
+    """kernel(*items), run on at most _BLOCK items at once: a larger call
+    runs block by block, in list order, and the blocks' outputs are
+    joined (None for a kernel that returns nothing)."""
+    n = len(items[0])
+    if n <= _BLOCK:
+        return kernel(*items)
+    outs = [kernel(*(x[i : i + _BLOCK] for x in items)) for i in range(0, n, _BLOCK)]
+    return None if outs[0] is None else np.concatenate(outs)
 
 
 def _integers(values: Sequence[int], what: str) -> np.ndarray:
@@ -374,7 +376,7 @@ class Register:
         self.rng = rng
         self._amps = np.zeros((16, 2, 2))
         self._members = np.zeros(32, dtype=np.int64)
-        # Scratch of `_require_distinct_rows`, one entry per row.
+        # Scratch of `_call`'s row check, one entry per row.
         self._stamp = np.zeros(16, dtype=np.int64)
         self._seat = np.zeros(32, dtype=np.int64)
         self._next_photon = 0
@@ -391,19 +393,6 @@ class Register:
         return 0 <= photon < self._next_photon and bool(
             self._members[self._seat[photon]] == photon + 1
         )
-
-    def _require(self, photons: Sequence[int]) -> np.ndarray:
-        """The photon ids as an array; raises unless every one is live."""
-        ids = _integers(photons, "photon ids")
-        # An id past the last photon is clipped onto some seat, whose
-        # member never equals it.  -1 is clipped onto photon 0's seat,
-        # which reads 0 = -1 + 1 once photon 0 is measured: hence the
-        # sign check.
-        seats = self._seat.take(ids, mode="clip")
-        live = (self._members.take(seats) == ids + 1) & (ids >= 0)
-        if not live.all():
-            _raise_not_live(int(ids[~live][0]))
-        return ids
 
     def _row_of(self, photon: int) -> int:
         if not self.is_live(photon):
@@ -424,24 +413,43 @@ class Register:
         self._seat = _grow(self._seat, self._next_photon)
         return slice(start, self._next_photon)
 
-    def _require_distinct_rows(self, *lists: np.ndarray) -> None:
-        """Raise unless the items of a call touch distinct rows, where item
-        i holds the i-th photon of each of `lists`.  The two photons of a
-        Bell item may share a row.  Item i writes i into `_stamp` at each
-        of its rows and reads it back: a row that two items touch returns
-        its own place to at most one of them, whatever order numpy applies
-        repeated writes in.  A photon sits on one row, so a call that
-        lists one twice raises too."""
-        n = len(lists[0])
-        if n < 2:
-            return
-        order = np.arange(n)
-        rows = [self._seat[ids] >> 1 for ids in lists]
-        for r in rows:
-            self._stamp[r] = order
-        for r in rows:
-            if (self._stamp[r] != order).any():
-                raise RegisterError("two items of one call touch the same row")
+    def _call(self, photons: Sequence[Sequence[int]], *values: np.ndarray) -> list[np.ndarray]:
+        """Check a vector call before anything is drawn or written, and
+        return the ids of its photon lists, one array per list.  Raises
+        unless the photon lists and `values` (one entry per item each) are
+        equally long, every photon is live, the two photons of a Bell item
+        are distinct and the items touch distinct rows, though the two
+        photons of a Bell item may share a row.  Item i writes i into
+        `_stamp` at each of its rows and reads it back: a row that two
+        items touch returns its own place to at most one of them, whatever
+        order numpy applies repeated writes in.  A photon sits on one row,
+        so a call that lists one twice raises too."""
+        ids = [_integers(p, "photon ids") for p in photons]
+        n = len(ids[0])
+        if any(len(x) != n for x in ids[1:] + list(values)):
+            raise RegisterError("a vector call needs one entry per item in each of its lists")
+        rows = []
+        for x in ids:
+            # An id past the last photon is clipped onto some seat, whose
+            # member never equals it.  -1 is clipped onto photon 0's seat,
+            # which reads 0 = -1 + 1 once photon 0 is measured: hence the
+            # sign check.
+            seats = self._seat.take(x, mode="clip")
+            (dead,) = ((self._members.take(seats) != x + 1) | (x < 0)).nonzero()
+            if len(dead):
+                _raise_not_live(int(x[dead[0]]))
+            seats >>= 1
+            rows.append(seats)
+        if len(ids) == 2 and (ids[0] == ids[1]).any():
+            raise RegisterError("Bell measurement needs two distinct photons")
+        if n > 1:
+            order = np.arange(n)
+            for r in rows:
+                self._stamp[r] = order
+            for r in rows:
+                if (self._stamp[r] != order).any():
+                    raise RegisterError("two items of one call touch the same row")
+        return ids
 
     def _gather(self, seats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat table indices and amplitudes of the rows of the photons on
@@ -518,13 +526,9 @@ class Register:
     def apply_gates(self, photons: Sequence[int], gates: Sequence[int]) -> None:
         """Apply the gate with code gates[i] (``SingleGate``) to
         photons[i]; the photons' rows must be distinct."""
-        ids = self._require(photons)
         codes = _codes(gates, SingleGate, "gate")
-        if len(codes) != len(ids):
-            raise RegisterError("apply_gates needs one gate per photon")
-        self._require_distinct_rows(ids)
-        for items in _blocks(len(ids)):
-            self._gate(ids[items], codes[items])
+        (ids,) = self._call([photons], codes)
+        _in_blocks(self._gate, ids, codes)
 
     def apply_gate(self, photon: int, gate: SingleGate) -> None:
         self.apply_gates([photon], [gate])
@@ -545,18 +549,11 @@ class Register:
         (in the X basis 0 means the '+' outcome).  `in_x` is a bool mask or
         a list of ``Basis`` codes.  The photons' rows must be distinct.
         Consumes the photons."""
-        ids = self._require(photons)
         in_x = np.asarray(in_x)
         if in_x.dtype != bool:
             in_x = _codes(in_x, Basis, "basis").astype(bool)
-        if len(in_x) != len(ids):
-            raise RegisterError("measure_singles needs one basis per photon")
-        self._require_distinct_rows(ids)
-        u = self.rng.random(len(ids))
-        out = np.zeros(len(ids), dtype=np.int64)
-        for items in _blocks(len(ids)):
-            out[items] = self._collapse(ids[items], u[items], in_x[items])
-        return out
+        (ids,) = self._call([photons], in_x)
+        return _in_blocks(self._collapse, ids, self.rng.random(len(ids)), in_x)
 
     def measure_single(self, photon: int, basis: Basis) -> int:
         """Born-rule single-photon measurement; returns 0/1 (in the X basis
@@ -595,17 +592,8 @@ class Register:
         Each draws an outcome by the Born rule and leaves the surviving
         photons in the correct post-measurement state (which is what makes
         entanglement swapping work).  All listed photons are consumed."""
-        ids_a, ids_b = self._require(a), self._require(b)
-        if len(ids_a) != len(ids_b):
-            raise RegisterError("measure_bells needs two equally long photon lists")
-        if (ids_a == ids_b).any():
-            raise RegisterError("Bell measurement needs two distinct photons")
-        self._require_distinct_rows(ids_a, ids_b)
-        u = self.rng.random(len(ids_a))
-        picks = np.zeros(len(ids_a), dtype=np.int64)
-        for items in _blocks(len(ids_a)):
-            picks[items] = self._bell(ids_a[items], ids_b[items], u[items])
-        return picks
+        ids_a, ids_b = self._call([a, b])
+        return _in_blocks(self._bell, ids_a, ids_b, self.rng.random(len(ids_a)))
 
     def measure_bell(self, a: int, b: int) -> BellLabel:
         """Joint Bell-basis measurement of two photons.

@@ -162,11 +162,11 @@ def _tables(reg: Register) -> tuple:
     )
 
 
-def _refused(reg: Register, op: str, *args) -> None:
-    """Call `op` and require a RegisterError that leaves the tables and
-    the generator as they were."""
+def _refused(reg: Register, op: str, *args, error: type = RegisterError) -> None:
+    """Call `op` and require an `error` that leaves the tables and the
+    generator as they were."""
     before, state = _tables(reg), reg.rng.bit_generator.state
-    with pytest.raises(RegisterError):
+    with pytest.raises(error):
         getattr(reg, op)(*args)
     assert _tables(reg) == before
     assert reg.rng.bit_generator.state == state
@@ -401,14 +401,12 @@ def test_vector_calls_reject_unknown_codes():
 
 
 def test_vector_calls_need_one_entry_per_photon():
+    # Unequal lists draw and write nothing.
     reg = Register(seed=4)
     (a, b), (c, d) = reg.prepare_bells(2, BellLabel.PSI_MINUS)
-    with pytest.raises(RegisterError):
-        reg.apply_gates([a, b], [SingleGate.X])
-    with pytest.raises(RegisterError):
-        reg.measure_singles([a, b], [False])
-    with pytest.raises(RegisterError):
-        reg.measure_bells([a, b], [c])
+    _refused(reg, "apply_gates", [a, b], [SingleGate.X])
+    _refused(reg, "measure_singles", [a, b], [False])
+    _refused(reg, "measure_bells", [a, b], [c])
     assert reg.live_photons == {a, b, c, d}
 
 
@@ -574,14 +572,12 @@ def test_liveness_at_the_ends_of_the_tables():
     cases = [(empty, 0), (grown, 0)]
     for reg in (empty, grown):
         cases += [(reg, p) for p in (-1, reg._next_photon, len(reg._seat), 10**9)]
+    # A call that names one draws and writes nothing.
     for reg, photon in cases:
         assert not reg.is_live(photon)
-        with pytest.raises(ConsumedPhotonError):
-            reg.apply_gates([photon], [SingleGate.I])
-        with pytest.raises(ConsumedPhotonError):
-            reg.measure_singles([photon], [False])
-        with pytest.raises(ConsumedPhotonError):
-            reg.measure_bells([photon], [1])
+        _refused(reg, "apply_gates", [photon], [SingleGate.I], error=ConsumedPhotonError)
+        _refused(reg, "measure_singles", [photon], [False], error=ConsumedPhotonError)
+        _refused(reg, "measure_bells", [photon], [1], error=ConsumedPhotonError)
         with pytest.raises(ConsumedPhotonError):
             reg.amplitudes_of(photon)
     assert grown.live_photons == frozenset(range(1, 40))
